@@ -1,5 +1,5 @@
-//! Shared-computation benchmark: the `AnalysisContext`/`BatchAnalyzer`
-//! cache against the uncached per-tree path.
+//! Shared-computation benchmark: the `Analyzer`'s shared cache against the
+//! uncached per-tree path.
 //!
 //! Workload: a discovery-style sweep — one relation, many candidate join
 //! trees (a pair-bag path plus all of its single and double edge
@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ajd_core::{Analyzer, BatchAnalyzer};
+use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
 use ajd_random::generators::markov_chain_relation;
 use ajd_relation::{AttrSet, Relation};
@@ -50,7 +50,7 @@ fn workload() -> Relation {
 /// any bit — the correctness contract of the cache, checked on the exact
 /// workload being timed.
 fn assert_cached_matches_uncached(r: &Relation, trees: &[JoinTree]) {
-    let batch = BatchAnalyzer::new(r);
+    let batch = Analyzer::new(r);
     for (tree, cached) in trees.iter().zip(batch.analyze_all(trees)) {
         let cached = cached.expect("batch analysis succeeds");
         let fresh = Analyzer::new(r).analyze(tree).unwrap();
@@ -79,7 +79,7 @@ fn bench_discovery_sweep(c: &mut Criterion) {
     });
     group.bench_function("cached_sequential", |b| {
         b.iter(|| {
-            let batch = BatchAnalyzer::new(&r).with_threads(1);
+            let batch = Analyzer::new(&r).with_threads(1);
             trees
                 .iter()
                 .map(|t| batch.analyze(t).unwrap().j_measure)
@@ -88,7 +88,7 @@ fn bench_discovery_sweep(c: &mut Criterion) {
     });
     group.bench_function("cached_parallel", |b| {
         b.iter(|| {
-            let batch = BatchAnalyzer::new(&r);
+            let batch = Analyzer::new(&r);
             batch
                 .analyze_all(&trees)
                 .into_iter()
@@ -112,7 +112,7 @@ fn bench_single_tree(c: &mut Criterion) {
         b.iter(|| Analyzer::new(&r).analyze(&tree).unwrap())
     });
     // Warm: the context has already seen this tree; everything is a hit.
-    let batch = BatchAnalyzer::new(&r);
+    let batch = Analyzer::new(&r);
     let _ = batch.analyze(&tree).unwrap();
     group.bench_function("warm_context", |b| b.iter(|| batch.analyze(&tree).unwrap()));
     group.finish();
@@ -135,7 +135,7 @@ fn record_trajectory(_c: &mut Criterion) {
             .sum::<f64>()
     });
     let cached = time_median(budget, || {
-        let batch = BatchAnalyzer::new(&r).with_threads(1);
+        let batch = Analyzer::new(&r).with_threads(1);
         trees
             .iter()
             .map(|t| batch.analyze(t).unwrap().j_measure)

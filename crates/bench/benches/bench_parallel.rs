@@ -9,7 +9,7 @@
 //! * `group_hash_100k`  — 4 correlated wide-domain columns (packed-`u64`
 //!   hashing kernel, ~5k distinct groups);
 //! * `sweep_30k`        — a cold discovery-style sweep: one fresh
-//!   `BatchAnalyzer` scoring a dozen candidate trees per iteration.
+//!   `Analyzer` fanning out over a dozen candidate trees per iteration.
 //!
 //! Before timing anything the parallel results are asserted **bit-identical**
 //! to the serial kernel — speed never at the cost of the determinism
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use ajd_bench::{time_median, BenchJson};
-use ajd_core::BatchAnalyzer;
+use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
 use ajd_random::generators::markov_chain_relation;
 use ajd_relation::{AttrId, AttrSet, Relation, ThreadBudget};
@@ -233,14 +233,14 @@ fn main() {
         .expect("generator parameters are valid");
     let trees = sweep_trees();
     // Parallel and serial sweeps must agree bit-for-bit before being timed.
-    let serial_js: Vec<f64> = BatchAnalyzer::new(&sweep_rel)
+    let serial_js: Vec<f64> = Analyzer::new(&sweep_rel)
         .with_threads(1)
         .j_measures(&trees)
         .into_iter()
         .map(|j| j.unwrap())
         .collect();
     for &t in &THREADS[1..] {
-        let js: Vec<f64> = BatchAnalyzer::new(&sweep_rel)
+        let js: Vec<f64> = Analyzer::new(&sweep_rel)
             .with_threads(t)
             .j_measures(&trees)
             .into_iter()
@@ -252,12 +252,10 @@ fn main() {
     }
     let mut medians = Vec::with_capacity(THREADS.len());
     for &t in &THREADS {
-        // A fresh BatchAnalyzer per iteration: the *cold* sweep is the
+        // A fresh Analyzer per iteration: the *cold* sweep is the
         // discovery workload (a warm cache would measure nothing).
         medians.push(time_median(budget, || {
-            BatchAnalyzer::new(&sweep_rel)
-                .with_threads(t)
-                .j_measures(&trees)
+            Analyzer::new(&sweep_rel).with_threads(t).j_measures(&trees)
         }));
     }
     let t1 = medians[0];

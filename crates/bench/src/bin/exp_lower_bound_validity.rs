@@ -8,10 +8,10 @@
 use ajd_bench::harness::{parallel_trials, ExperimentArgs};
 use ajd_bench::stats::{fraction_where, Summary};
 use ajd_bench::table::{f, Table};
-use ajd_core::BatchAnalyzer;
+use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
 use ajd_random::{ProductDomain, RandomRelationModel};
-use ajd_relation::AttrSet;
+use ajd_relation::{AttrSet, ThreadBudget};
 
 fn bag(ids: &[u32]) -> AttrSet {
     AttrSet::from_ids(ids.iter().copied())
@@ -60,17 +60,17 @@ fn main() {
 
     // For each size, every tree is evaluated on the *same* sampled
     // relations (the trial seed does not depend on the tree), so all four
-    // analyses of a trial run through one shared BatchAnalyzer cache.
+    // analyses of a trial run through one shared Analyzer cache.
     let mut cells: Vec<Vec<Vec<(f64, f64)>>> = vec![Vec::new(); trees.len()];
     for &n in &sizes {
         let per_trial = parallel_trials(args.trials, args.seed ^ n, |_, rng| {
             let r = model.sample(rng, n).expect("N within domain");
-            // Trials are already parallel; keep the batch single-threaded.
-            let batch = BatchAnalyzer::new(&r).with_threads(1);
+            // Trials are already parallel; keep the analyzer single-threaded.
+            let analyzer = Analyzer::with_thread_budget(&r, ThreadBudget::serial());
             trees
                 .iter()
                 .map(|(_, tree)| {
-                    let rep = batch.analyze(tree).expect("analysis");
+                    let rep = analyzer.analyze(tree).expect("analysis");
                     (rep.j_measure, rep.log1p_rho)
                 })
                 .collect::<Vec<_>>()

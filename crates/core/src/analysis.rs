@@ -17,8 +17,17 @@
 //! * the full [`LossReport`] ([`Analyzer::analyze`]): everything above plus
 //!   the ordered-support decomposition (eq. 9), the Lemma 4.1 and
 //!   Proposition 5.1 deterministic bounds and the Theorem 2.2 sandwich;
-//! * fan-out ([`Analyzer::batch`] → [`crate::BatchAnalyzer`]) and schema
-//!   mining ([`Analyzer::mine`]) over the same shared cache.
+//! * fan-out over many trees ([`Analyzer::analyze_all`],
+//!   [`Analyzer::j_measures`], [`Analyzer::losses`],
+//!   [`Analyzer::join_sizes`]) and schema mining ([`Analyzer::mine`]) over
+//!   the same shared cache.
+//!
+//! An analyzer is a cheap handle: the cache lives in a shared
+//! [`ajd_relation::AnalysisContext`], and the [`ThreadBudget`] belongs to
+//! the handle.  The shared context holds no budget: each handle passes its
+//! own on every miss, so [`Analyzer::with_threads`] re-budgets one handle
+//! and a throwaway `analyzer.clone().with_threads(1)` cannot retune the
+//! analyzer it was cloned from.
 //!
 //! The probabilistic Theorem 5.1 / Proposition 5.3 bounds are derived from
 //! a report via [`LossReport::confidence_bounds`], which speaks the same
@@ -36,8 +45,10 @@ use ajd_info::{kl_divergence_to_tree, kl_report, mutual_information, mvd_cmi, Kl
 use ajd_jointree::mvd::ordered_support;
 use ajd_jointree::{count_acyclic_join, loss_acyclic, JoinTree, Mvd};
 use ajd_relation::{
-    AnalysisContext, AttrSet, CacheStats, GroupKernel, GroupSource, Relation, RelationError, Result,
+    AnalysisContext, AttrId, AttrSet, CacheStats, GroupCounts, GroupIds, GroupKernel, GroupSource,
+    Relation, RelationError, Result, ThreadBudget,
 };
+use ajd_sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -57,24 +68,6 @@ pub struct MvdLoss {
     /// sides and the separator (value-combination counts), used to
     /// instantiate Theorem 5.1.
     pub domain_sizes: (u64, u64, u64),
-}
-
-/// The probabilistic (Theorem 5.1 / Proposition 5.3) upper bounds, together
-/// with the per-MVD deviation terms and qualifying-condition flags.
-///
-/// Superseded by [`ConfidenceBounds`], which carries the same data in the
-/// estimation tier's [`Estimate`] vocabulary (per-MVD value + ε + δ + bound
-/// in one shape) instead of parallel bare-`f64` vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProbabilisticBounds {
-    /// Per-MVD deviation `ε*(φᵢ, N, δ/(m−1))` in nats.
-    pub per_mvd_epsilon: Vec<f64>,
-    /// Whether the qualifying condition (37) holds for each support MVD.
-    pub per_mvd_qualified: Vec<bool>,
-    /// The schema-level bounds of Proposition 5.3.
-    pub schema_bound: Prop53Bound,
-    /// The confidence parameter `δ` the caller requested.
-    pub delta: f64,
 }
 
 /// Theorem 5.1 / Proposition 5.3 confidence bounds in the estimation tier's
@@ -202,22 +195,6 @@ impl LossReport {
             delta,
         })
     }
-
-    /// The same bounds as [`LossReport::confidence_bounds`], in the legacy
-    /// parallel-vector shape.
-    #[deprecated(
-        note = "use LossReport::confidence_bounds, which reports each MVD as an Estimate \
-                (value + ε + δ + bound) instead of parallel bare-f64 vectors"
-    )]
-    pub fn probabilistic_bounds(&self, delta: f64) -> Result<ProbabilisticBounds> {
-        let cb = self.confidence_bounds(delta)?;
-        Ok(ProbabilisticBounds {
-            per_mvd_epsilon: cb.per_mvd.iter().map(|e| e.epsilon).collect(),
-            per_mvd_qualified: cb.per_mvd_qualified,
-            schema_bound: cb.schema_bound,
-            delta,
-        })
-    }
 }
 
 impl fmt::Display for LossReport {
@@ -255,8 +232,8 @@ impl fmt::Display for LossReport {
 
 /// Computes the full [`LossReport`] of one tree over any [`GroupSource`].
 ///
-/// This is the shared implementation behind [`Analyzer::analyze`] and
-/// [`crate::BatchAnalyzer::analyze`].
+/// This is the implementation behind [`Analyzer::analyze`] and
+/// [`Analyzer::analyze_all`].
 ///
 /// Requirements: the relation must be non-empty and the tree's attributes
 /// must be exactly the relation's attributes (so that the empirical
@@ -371,19 +348,31 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
 /// // Individual measures share the same cache:
 /// assert_eq!(analyzer.loss(&tree).unwrap(), report.rho);
 /// assert!(analyzer.cache_stats().hits > 0);
+///
+/// // Many trees fan out over the same cache, results in input order.
+/// let whole = JoinTree::path(vec![AttrSet::from_ids([0, 1])]).unwrap();
+/// let reports = analyzer.analyze_all(&[tree, whole]);
+/// assert_eq!(reports[1].as_ref().unwrap().spurious, 0);
 /// ```
+///
+/// The analyzer is itself a [`GroupSource`]: the free measure functions of
+/// `ajd-info` / `ajd-jointree` accept `&analyzer` and answer from its cache
+/// under its thread budget.
 #[derive(Debug)]
 pub struct Analyzer<S = Relation> {
     ctx: Arc<AnalysisContext<S>>,
+    threads: ThreadBudget,
 }
 
 /// Cloning an analyzer clones the *handle*: both analyzers share one
 /// context (source, caches and counters) — the cheap way to hand an
-/// epoch-consistent view to another thread.
+/// epoch-consistent view to another thread.  Each clone carries its own
+/// thread budget.
 impl<S> Clone for Analyzer<S> {
     fn clone(&self) -> Self {
         Analyzer {
             ctx: Arc::clone(&self.ctx),
+            threads: self.threads,
         }
     }
 }
@@ -391,33 +380,44 @@ impl<S> Clone for Analyzer<S> {
 impl<S: GroupKernel> Analyzer<S> {
     /// Creates an analyzer over `src` — a flat [`Relation`] or an
     /// [`ajd_relation::ShardedRelation`] — with an empty cache and the
-    /// default [`ThreadBudget`](ajd_relation::ThreadBudget) (the machine's
-    /// available parallelism) for computing cache misses.
+    /// default [`ThreadBudget`] (the machine's available parallelism).
     ///
     /// `src` is a handle: pass `&relation` to borrow (the classic one-shot
     /// path) or an `Arc<ShardedRelation>` snapshot from an
     /// [`ajd_relation::ShardedStore`] to analyze one pinned epoch of a live
     /// relation.
     pub fn new(src: S) -> Self {
+        Self::with_thread_budget(src, ThreadBudget::default())
+    }
+
+    /// Creates an analyzer with an explicit [`ThreadBudget`] — use
+    /// [`ThreadBudget::serial`] when the caller already owns the
+    /// parallelism (e.g. per-trial analyzers inside a parallel experiment
+    /// loop).
+    pub fn with_thread_budget(src: S, budget: ThreadBudget) -> Self {
         Analyzer {
             ctx: Arc::new(AnalysisContext::new(src)),
+            threads: budget,
         }
     }
 
-    /// Creates an analyzer whose cache misses are computed under an explicit
-    /// [`ThreadBudget`](ajd_relation::ThreadBudget) — use
-    /// [`ajd_relation::ThreadBudget::serial`] when the caller already owns
-    /// the parallelism (e.g. per-trial analyzers inside a parallel
-    /// experiment loop).
-    pub fn with_thread_budget(src: S, budget: ajd_relation::ThreadBudget) -> Self {
-        Analyzer {
-            ctx: Arc::new(AnalysisContext::with_thread_budget(src, budget)),
-        }
+    /// Sets this handle's [`ThreadBudget`] (1 forces fully sequential
+    /// evaluation).
+    ///
+    /// The budget caps the *total* threads one call may use.  A fan-out
+    /// over `w ≤ threads` trees gives each worker the kernel share
+    /// `threads / w`, so the two layers never multiply into `threads²` OS
+    /// threads.  Only this handle changes: the shared context holds no
+    /// budget, and every other handle on it keeps its own.  Results are
+    /// bit-identical at any setting.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = ThreadBudget::new(threads);
+        self
     }
 
-    /// The shared context handle (for constructs that want to co-own it).
-    pub(crate) fn shared(&self) -> Arc<AnalysisContext<S>> {
-        Arc::clone(&self.ctx)
+    /// The thread budget this handle computes under.
+    pub fn thread_budget(&self) -> ThreadBudget {
+        self.threads
     }
 
     /// The grouping source being analysed.
@@ -425,9 +425,9 @@ impl<S: GroupKernel> Analyzer<S> {
         self.ctx.source()
     }
 
-    /// The underlying shared context, for advanced composition (e.g. calling
-    /// the free measure functions of `ajd-info` / `ajd-jointree` directly
-    /// against this analyzer's cache).
+    /// The underlying shared context, for inspecting its caches.  Measures
+    /// run on the context itself compute misses under the default budget,
+    /// not this handle's.
     pub fn context(&self) -> &AnalysisContext<S> {
         &self.ctx
     }
@@ -443,27 +443,27 @@ impl<S: GroupKernel> Analyzer<S> {
 
     /// Entropy `H(attrs)` in nats of the marginal empirical distribution.
     pub fn entropy(&self, attrs: &AttrSet) -> Result<f64> {
-        entropy(&*self.ctx, attrs)
+        entropy(self, attrs)
     }
 
     /// Conditional entropy `H(A | B)` in nats.
     pub fn conditional_entropy(&self, a: &AttrSet, b: &AttrSet) -> Result<f64> {
-        conditional_entropy(&*self.ctx, a, b)
+        conditional_entropy(self, a, b)
     }
 
     /// Mutual information `I(A; B)` in nats.
     pub fn mutual_information(&self, a: &AttrSet, b: &AttrSet) -> Result<f64> {
-        mutual_information(&*self.ctx, a, b)
+        mutual_information(self, a, b)
     }
 
     /// Conditional mutual information `I(A; B | C)` in nats (eq. 4).
     pub fn cmi(&self, a: &AttrSet, b: &AttrSet, c: &AttrSet) -> Result<f64> {
-        conditional_mutual_information(&*self.ctx, a, b, c)
+        conditional_mutual_information(self, a, b, c)
     }
 
     /// The CMI `I(A;B|C)` of an MVD `φ = C ↠ A | B`.
     pub fn mvd_cmi(&self, mvd: &Mvd) -> Result<f64> {
-        mvd_cmi(&*self.ctx, mvd)
+        mvd_cmi(self, mvd)
     }
 
     // ------------------------------------------------------------------
@@ -472,40 +472,40 @@ impl<S: GroupKernel> Analyzer<S> {
 
     /// The J-measure `J(T)` in nats (eq. 7).
     pub fn j_measure(&self, tree: &JoinTree) -> Result<f64> {
-        j_measure(&*self.ctx, tree)
+        j_measure(self, tree)
     }
 
     /// The Theorem 2.2 sandwich (max CMI ≤ J ≤ sum CMI) for the tree rooted
     /// at `root`.
     pub fn j_measure_bounds(&self, tree: &JoinTree, root: usize) -> Result<JMeasureBounds> {
-        j_measure_bounds(&*self.ctx, tree, root)
+        j_measure_bounds(self, tree, root)
     }
 
     /// `D_KL(P_R ‖ P_R^T)` in nats (Theorem 3.2).
     pub fn kl(&self, tree: &JoinTree) -> Result<f64> {
-        kl_divergence_to_tree(&*self.ctx, tree)
+        kl_divergence_to_tree(self, tree)
     }
 
     /// Like [`Analyzer::kl`], additionally reporting the support size.
     pub fn kl_report(&self, tree: &JoinTree) -> Result<KlReport> {
-        kl_report(&*self.ctx, tree)
+        kl_report(self, tree)
     }
 
     /// Exact size of the acyclic join `|⋈ᵢ R[Ωᵢ]|` (message passing, no
     /// materialisation).
     pub fn join_size(&self, tree: &JoinTree) -> Result<u128> {
-        count_acyclic_join(&*self.ctx, tree)
+        count_acyclic_join(self, tree)
     }
 
     /// The exact loss `ρ(R,S)` of eq. (1).
     pub fn loss(&self, tree: &JoinTree) -> Result<f64> {
-        loss_acyclic(&*self.ctx, tree)
+        loss_acyclic(self, tree)
     }
 
     /// The full [`LossReport`] of one tree: loss, J, KL, Theorem 2.2
     /// sandwich, ordered-support decomposition and deterministic bounds.
     pub fn analyze(&self, tree: &JoinTree) -> Result<LossReport> {
-        report_for(&*self.ctx, tree)
+        report_for(self, tree)
     }
 
     // ------------------------------------------------------------------
@@ -514,27 +514,94 @@ impl<S: GroupKernel> Analyzer<S> {
 
     /// Size of an MVD's two-way join `|R[C∪A] ⋈ R[C∪B]|`.
     pub fn mvd_join_size(&self, mvd: &Mvd) -> Result<u128> {
-        mvd.join_size(&*self.ctx)
+        mvd.join_size(self)
     }
 
     /// The loss `ρ(R, φ)` of eq. (28) for one MVD.
     pub fn mvd_loss(&self, mvd: &Mvd) -> Result<f64> {
-        mvd.loss(&*self.ctx)
+        mvd.loss(self)
     }
 
     /// `true` if the MVD holds in the relation (zero spurious tuples).
     pub fn mvd_holds(&self, mvd: &Mvd) -> Result<bool> {
-        mvd.holds_in(&*self.ctx)
+        mvd.holds_in(self)
     }
 
     // ------------------------------------------------------------------
     // Fan-out
     // ------------------------------------------------------------------
 
-    /// A [`crate::BatchAnalyzer`] sharing this analyzer's cache: evaluate
-    /// many trees in parallel, every grouping still paid for once.
-    pub fn batch(&self) -> crate::BatchAnalyzer<S> {
-        crate::BatchAnalyzer::from_shared(self.shared())
+    /// Same as [`Clone::clone`]: a handle sharing this analyzer's cache and
+    /// budget.  Kept as an alias for existing callers of
+    /// `analyzer.batch().with_threads(n)`; new code should call `clone()`.
+    pub fn batch(&self) -> Self {
+        self.clone()
+    }
+
+    /// Full [`LossReport`]s of many trees, evaluated in parallel over the
+    /// shared cache; results are in input order and bit-identical to
+    /// [`Analyzer::analyze`] on each tree.
+    pub fn analyze_all(&self, trees: &[JoinTree]) -> Vec<Result<LossReport>> {
+        self.parallel_map(trees, report_for)
+    }
+
+    /// J-measures (eq. 7) of many trees, in parallel, in input order.
+    pub fn j_measures(&self, trees: &[JoinTree]) -> Vec<Result<f64>> {
+        self.parallel_map(trees, j_measure)
+    }
+
+    /// Exact losses `ρ(R,S)` (eq. 1) of many trees, in parallel, in input
+    /// order.
+    pub fn losses(&self, trees: &[JoinTree]) -> Vec<Result<f64>> {
+        self.parallel_map(trees, loss_acyclic)
+    }
+
+    /// Exact acyclic join sizes of many trees, in parallel, in input order.
+    pub fn join_sizes(&self, trees: &[JoinTree]) -> Vec<Result<u128>> {
+        self.parallel_map(trees, count_acyclic_join)
+    }
+
+    /// Work-stealing fan-out over `std::thread::scope`: workers pull tree
+    /// indices from a shared counter, so a few expensive trees do not stall
+    /// the rest behind a static partition.
+    ///
+    /// The `w` workers evaluate through a clone of this handle carrying the
+    /// per-worker kernel share `threads / w`, so the fan-out and the
+    /// grouping kernel split one budget instead of multiplying.  A single
+    /// worker (budget 1, or at most one tree) runs inline with no thread
+    /// spawn.
+    fn parallel_map<T, F>(&self, trees: &[JoinTree], f: F) -> Vec<Result<T>>
+    where
+        T: Send,
+        F: Fn(&Self, &JoinTree) -> Result<T> + Sync,
+    {
+        let workers = self.threads.get().min(trees.len()).max(1);
+        if workers == 1 {
+            return trees.iter().map(|tree| f(self, tree)).collect();
+        }
+        let worker = self.clone().with_threads(self.threads.get() / workers);
+        let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(trees.len()));
+        let next: Mutex<usize> = Mutex::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = {
+                        let mut guard = next.lock();
+                        if *guard >= trees.len() {
+                            break;
+                        }
+                        let i = *guard;
+                        *guard += 1;
+                        i
+                    };
+                    let out = f(&worker, &trees[i]);
+                    results.lock().push((i, out));
+                });
+            }
+        });
+        let mut collected = results.into_inner();
+        collected.sort_by_key(|(i, _)| *i);
+        collected.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Mines an approximate acyclic schema (Chow–Liu + greedy coarsening,
@@ -546,7 +613,7 @@ impl<S: GroupKernel> Analyzer<S> {
     /// loop already owns the parallelism.  The mined schema is identical at
     /// any budget.
     pub fn mine(&self, config: crate::DiscoveryConfig) -> Result<crate::MinedSchema> {
-        crate::SchemaMiner::new(config).mine_with(&self.batch())
+        crate::SchemaMiner::new(config).mine_with(self)
     }
 }
 
@@ -555,6 +622,34 @@ impl<'a> Analyzer<&'a Relation> {
     /// [`ajd_relation::ShardedRelation`], use [`Analyzer::source`]).
     pub fn relation(&self) -> &'a Relation {
         self.ctx.relation()
+    }
+}
+
+/// Answers from the shared cache, computing misses under this handle's
+/// [`ThreadBudget`].
+impl<S: GroupKernel> GroupSource for Analyzer<S> {
+    fn schema(&self) -> &[AttrId] {
+        self.ctx.source().schema()
+    }
+
+    fn num_rows(&self) -> usize {
+        self.ctx.source().num_rows()
+    }
+
+    fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
+        self.ctx.source().active_domain_size(attr)
+    }
+
+    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
+        self.ctx.group_counts_with(attrs, self.threads)
+    }
+
+    fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
+        self.ctx.group_ids_with(attrs, self.threads)
+    }
+
+    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
+        self.ctx.projection_with(attrs, self.threads)
     }
 }
 
@@ -679,29 +774,6 @@ mod tests {
         // The eps-inflated bound dominates the measured log(1+rho)
         // trivially here (eps is huge for tiny N).
         assert!(cb.schema_bound.sum_cmi_bound >= rep.log1p_rho);
-    }
-
-    /// The deprecated parallel-vector shape is derived from
-    /// [`LossReport::confidence_bounds`] and must agree with it exactly.
-    #[test]
-    #[allow(deprecated)]
-    fn probabilistic_bounds_matches_confidence_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = RandomRelationModel::for_mvd(8, 8, 2).unwrap();
-        let r = model.sample(&mut rng, 100).unwrap();
-        let tree = JoinTree::new(vec![bag(&[0, 2]), bag(&[1, 2])], vec![(0, 1)]).unwrap();
-        let rep = Analyzer::new(&r).analyze(&tree).unwrap();
-        let pb = rep.probabilistic_bounds(0.1).unwrap();
-        let cb = rep.confidence_bounds(0.1).unwrap();
-        assert_eq!(pb.per_mvd_epsilon.len(), cb.per_mvd.len());
-        for (e, est) in pb.per_mvd_epsilon.iter().zip(&cb.per_mvd) {
-            assert_eq!(e.to_bits(), est.epsilon.to_bits());
-        }
-        assert_eq!(pb.per_mvd_qualified, cb.per_mvd_qualified);
-        assert_eq!(
-            pb.schema_bound.sum_cmi_bound.to_bits(),
-            cb.schema_bound.sum_cmi_bound.to_bits()
-        );
     }
 
     /// Regression: an out-of-range `delta` used to `assert!` (panicking in
@@ -836,5 +908,173 @@ mod tests {
         assert!(s.contains("spurious"));
         assert!(s.contains("J-measure"));
         assert!(s.contains("phi_2"));
+    }
+
+    fn sweep_trees() -> Vec<JoinTree> {
+        vec![
+            JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap(),
+            JoinTree::star(vec![bag(&[0, 1]), bag(&[0, 2]), bag(&[0, 3])]).unwrap(),
+            JoinTree::new(
+                vec![bag(&[0]), bag(&[1]), bag(&[2]), bag(&[3])],
+                vec![(0, 1), (1, 2), (2, 3)],
+            )
+            .unwrap(),
+            JoinTree::new(vec![bag(&[0, 1, 2]), bag(&[2, 3])], vec![(0, 1)]).unwrap(),
+            JoinTree::new(vec![bag(&[0, 1, 2, 3])], vec![]).unwrap(),
+        ]
+    }
+
+    fn sample_relation(seed: u64) -> Relation {
+        let model =
+            RandomRelationModel::new(ajd_random::ProductDomain::new(vec![5, 4, 4, 3]).unwrap());
+        model.sample(&mut StdRng::seed_from_u64(seed), 60).unwrap()
+    }
+
+    #[test]
+    fn analyze_all_matches_single_tree_analysis() {
+        let r = sample_relation(3);
+        let trees = sweep_trees();
+        let batch = Analyzer::new(&r);
+        let reports = batch.analyze_all(&trees);
+        assert_eq!(reports.len(), trees.len());
+        for (tree, report) in trees.iter().zip(&reports) {
+            let batched = report.as_ref().unwrap();
+            let fresh = Analyzer::new(&r).analyze(tree).unwrap();
+            assert_eq!(batched.join_size, fresh.join_size);
+            assert_eq!(batched.rho.to_bits(), fresh.rho.to_bits());
+            assert_eq!(batched.j_measure.to_bits(), fresh.j_measure.to_bits());
+            assert_eq!(batched.kl_nats.to_bits(), fresh.kl_nats.to_bits());
+        }
+        let stats = batch.cache_stats();
+        assert!(stats.hits > 0, "the sweep must share grouping work");
+    }
+
+    #[test]
+    fn analyzer_batch_shares_the_analyzer_cache() {
+        let r = sample_relation(5);
+        let trees = sweep_trees();
+        let analyzer = Analyzer::new(&r);
+        let batch = analyzer.batch();
+        let _ = batch.analyze_all(&trees);
+        // The batch populated the analyzer's own cache: a follow-up scalar
+        // query is answered without recomputation.
+        let before = analyzer.cache_stats();
+        let _ = analyzer.j_measure(&trees[0]).unwrap();
+        let after = analyzer.cache_stats();
+        assert!(after.hits > before.hits);
+        assert_eq!(after.misses, before.misses);
+    }
+
+    #[test]
+    fn j_measures_and_losses_match_uncached_calls() {
+        let r = sample_relation(7);
+        let trees = sweep_trees();
+        let batch = Analyzer::new(&r);
+        for (tree, j) in trees.iter().zip(batch.j_measures(&trees)) {
+            assert_eq!(j.unwrap().to_bits(), j_measure(&r, tree).unwrap().to_bits());
+        }
+        for (tree, rho) in trees.iter().zip(batch.losses(&trees)) {
+            assert_eq!(
+                rho.unwrap().to_bits(),
+                loss_acyclic(&r, tree).unwrap().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn sequential_and_parallel_agree() {
+        let r = sample_relation(9);
+        let trees = sweep_trees();
+        let seq = Analyzer::new(&r).with_threads(1);
+        let par = Analyzer::new(&r).with_threads(4);
+        for (a, b) in seq.join_sizes(&trees).iter().zip(par.join_sizes(&trees)) {
+            assert_eq!(*a.as_ref().unwrap(), b.unwrap());
+        }
+    }
+
+    /// Regression: `losses()` and `analyze_all()` must agree on the loss of
+    /// the same tree even for multiset relations — both measure against the
+    /// distinct-tuple baseline (a negative `losses()` next to a positive
+    /// `analyze()` rho was possible when the quick path divided by `N`).
+    #[test]
+    fn losses_agree_with_full_reports_on_multisets() {
+        let r = Relation::from_rows(
+            vec![AttrId(0), AttrId(1)],
+            &[
+                &[0, 0][..],
+                &[0, 0][..],
+                &[0, 0][..],
+                &[1, 0][..],
+                &[1, 1][..],
+            ],
+        )
+        .unwrap();
+        assert!(!r.is_set());
+        let trees = vec![
+            JoinTree::new(vec![bag(&[0]), bag(&[1])], vec![(0, 1)]).unwrap(),
+            JoinTree::new(vec![bag(&[0, 1])], vec![]).unwrap(),
+        ];
+        let batch = Analyzer::new(&r);
+        let quick = batch.losses(&trees);
+        let full = batch.analyze_all(&trees);
+        for (rho, report) in quick.iter().zip(&full) {
+            let rho = rho.as_ref().unwrap();
+            assert!(*rho >= 0.0, "loss must never be negative, got {rho}");
+            assert_eq!(rho.to_bits(), report.as_ref().unwrap().rho.to_bits());
+        }
+    }
+
+    /// Regression: `with_threads` used to write the shared context's kernel
+    /// budget permanently, so a throwaway `analyzer.batch().with_threads(1)`
+    /// silently serialised every later miss of the analyzer it borrowed its
+    /// cache from.  The budget now belongs to the handle; the shared
+    /// context holds none.
+    #[test]
+    fn temporary_batch_does_not_retune_the_shared_context() {
+        let r = sample_relation(11);
+        let analyzer = Analyzer::new(&r);
+        let before = analyzer.thread_budget();
+        let batch = analyzer.batch().with_threads(1);
+        assert!(batch.thread_budget().is_serial());
+        // Configuring the batch leaves the analyzer untouched…
+        assert_eq!(analyzer.thread_budget(), before);
+        // …and so does running a sweep through it (the share is per handle).
+        let _ = batch.j_measures(&sweep_trees());
+        assert_eq!(analyzer.thread_budget(), before);
+        drop(batch);
+        assert_eq!(analyzer.thread_budget(), before);
+    }
+
+    /// A serial analyzer hands out serial batches: `batch` inherits the
+    /// handle's budget instead of resetting to the machine default, so
+    /// per-trial analyzers inside an already-parallel loop never fan out
+    /// behind the caller's back.
+    #[test]
+    fn batch_inherits_the_analyzers_thread_budget() {
+        let r = sample_relation(13);
+        let serial = Analyzer::with_thread_budget(&r, ThreadBudget::serial());
+        assert_eq!(serial.batch().thread_budget().get(), 1);
+        let wide = Analyzer::with_thread_budget(&r, ThreadBudget::new(3));
+        assert_eq!(wide.batch().thread_budget().get(), 3);
+        // An explicit with_threads still overrides the inherited value.
+        assert_eq!(serial.batch().with_threads(2).thread_budget().get(), 2);
+    }
+
+    #[test]
+    fn per_tree_errors_do_not_poison_the_batch() {
+        let r = sample_relation(1);
+        let good = JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap();
+        // Mentions attribute 9, which the relation does not have.
+        let bad = JoinTree::path(vec![bag(&[0, 9]), bag(&[9, 2])]).unwrap();
+        let batch = Analyzer::new(&r);
+        let out = batch.analyze_all(&[good, bad]);
+        assert!(out[0].is_ok());
+        assert!(out[1].is_err());
+    }
+
+    #[test]
+    fn empty_tree_list_is_fine() {
+        let r = sample_relation(2);
+        assert!(Analyzer::new(&r).analyze_all(&[]).is_empty());
     }
 }

@@ -22,7 +22,7 @@
 //!    of the remaining attributes, returning the MVD with the smallest
 //!    conditional mutual information.
 
-use crate::batch::BatchAnalyzer;
+use crate::analysis::Analyzer;
 use crate::engine::LossEngine;
 use ajd_bounds::j_lower_bound_on_loss;
 use ajd_info::{conditional_mutual_information, mutual_information};
@@ -119,48 +119,36 @@ impl SchemaMiner {
     /// contraction until the J-measure drops below the configured threshold
     /// (or no admissible contraction remains).
     ///
-    /// All candidate scoring runs through one [`BatchAnalyzer`] cache: the
+    /// All candidate scoring runs through one [`Analyzer`] cache: the
     /// candidate trees of every contraction round share almost all of their
     /// bags and separators, so their J-measures are answered mostly from
-    /// cache.  Scoring fans out over the batch's default
+    /// cache.  Scoring fans out over the analyzer's default
     /// [`ThreadBudget`](ajd_relation::ThreadBudget)
     /// (the machine's available parallelism); callers that already
     /// parallelise at a coarser grain — e.g. mining many relations at once —
-    /// should pass a `BatchAnalyzer::with_threads(1)` to
+    /// should pass an analyzer with `with_threads(1)` to
     /// [`SchemaMiner::mine_with`] instead of stacking thread pools.
     ///
     /// (A previous revision hardwired `with_threads(1)` here, silently
     /// serialising every mine; the regression test below pins the default
-    /// budget to [`BatchAnalyzer::new`]'s.)
+    /// budget to [`Analyzer::new`]'s.)
     pub fn mine(&self, r: &Relation) -> Result<MinedSchema> {
-        self.mine_with(&BatchAnalyzer::new(r))
-    }
-
-    /// [`SchemaMiner::mine`] over a caller-supplied [`BatchAnalyzer`],
-    /// sharing its cache (and its thread budget) with any other analysis of
-    /// the same source — flat or sharded.
-    pub fn mine_with<S: ajd_relation::GroupKernel>(
-        &self,
-        batch: &BatchAnalyzer<S>,
-    ) -> Result<MinedSchema> {
-        // `BatchAnalyzer`'s engine routes every score through the same
-        // context and free functions this method used to call directly, so
-        // delegating is bit-identical (the regression test below pins it).
-        self.mine_engine(batch)
+        self.mine_with(&Analyzer::new(r))
     }
 
     /// [`SchemaMiner::mine`] over any [`LossEngine`] — the same Chow–Liu +
     /// greedy-contraction pipeline, scored through the engine's
     /// [`Estimate`](crate::Estimate)-returning measures.
     ///
-    /// Passing an exact engine ([`Analyzer`](crate::Analyzer) or
-    /// [`BatchAnalyzer`]) reproduces [`SchemaMiner::mine`] bit-for-bit;
-    /// passing an [`EstimatedAnalyzer`](crate::EstimatedAnalyzer) mines on
+    /// Passing an exact [`Analyzer`] reproduces [`SchemaMiner::mine`]
+    /// bit-for-bit while sharing the analyzer's cache and thread budget
+    /// with any other analysis of the same source, flat or sharded.
+    /// Passing an [`EstimatedAnalyzer`](crate::EstimatedAnalyzer) mines on
     /// its seeded row sample, trading exactness for sublinear scoring on
     /// large relations (deterministic for a fixed seed).  The mined
     /// `j_measure` / `rho_lower_bound` are then point values of whatever
     /// tier the engine answers from.
-    pub fn mine_engine<E: LossEngine>(&self, engine: &E) -> Result<MinedSchema> {
+    pub fn mine_with<E: LossEngine>(&self, engine: &E) -> Result<MinedSchema> {
         if engine.relation_is_empty() {
             return Err(RelationError::EmptyInput("relation for schema discovery"));
         }
@@ -196,19 +184,10 @@ impl SchemaMiner {
                 }
             }
             match best {
+                // Contracting never raises J, and every contraction removes
+                // an edge, so the loop ends even when J stalls.
                 Some((best_idx, next_j)) => {
-                    let next_tree = candidates.swap_remove(best_idx);
-                    // Contracting can only reduce (or keep) J; guard against
-                    // pathological floating-point stalls.
-                    if next_j >= j - 1e-15 && next_j > self.config.j_threshold {
-                        tree = next_tree;
-                        j = next_j;
-                        // No improvement is possible below threshold; continue
-                        // contracting (J is monotone under contraction) until
-                        // edges run out.
-                        continue;
-                    }
-                    tree = next_tree;
+                    tree = candidates.swap_remove(best_idx);
                     j = next_j;
                 }
                 None => break, // every contraction exceeds the bag cap
@@ -472,48 +451,63 @@ mod tests {
         assert!(limited.best_mvd(&r3).is_err());
     }
 
-    /// Satellite regression: `mine` used to hardwire `with_threads(1)`,
-    /// silently serialising candidate scoring.  It must now (a) agree
-    /// exactly with an explicitly-constructed default `BatchAnalyzer`, and
-    /// (b) inherit that analyzer's default budget, which on a multi-core
-    /// host is > 1.
+    /// Regression: `mine` used to hardwire `with_threads(1)`, silently
+    /// serialising candidate scoring.  It must now (a) agree exactly with
+    /// an explicitly-constructed default `Analyzer`, and (b) inherit that
+    /// analyzer's default budget, which on a multi-core host is > 1.  The
+    /// exact engine scores candidates in parallel, so `mine_with` must also
+    /// agree with `Analyzer::mine` at budgets 1 and 4 on every input.
     #[test]
     fn mine_uses_the_default_batch_thread_budget() {
-        let r =
-            markov_chain_relation(&mut StdRng::seed_from_u64(13), 5, 5, 600, 0.3, false).unwrap();
         let miner = SchemaMiner::new(DiscoveryConfig {
             j_threshold: 0.1,
             ..DiscoveryConfig::default()
         });
+        let inputs = [
+            markov_chain_relation(&mut StdRng::seed_from_u64(13), 5, 5, 600, 0.3, false).unwrap(),
+            markov_chain_relation(&mut StdRng::seed_from_u64(29), 6, 4, 800, 0.2, true).unwrap(),
+        ];
+        for r in &inputs {
+            let analyzer = Analyzer::new(r);
+            // The default budget is the machine's available parallelism —
+            // strictly greater than one on any multi-core host.
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            assert_eq!(analyzer.thread_budget().get(), cores);
 
-        let batch = BatchAnalyzer::new(&r);
-        // The default budget is the machine's available parallelism —
-        // strictly greater than one on any multi-core host.
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(batch.threads(), cores);
-        if cores > 1 {
-            assert!(batch.threads() > 1, "multi-core default budget must be > 1");
+            // `mine` and `mine_with(default analyzer)` are the same
+            // computation — identical tree, bit-identical J (determinism is
+            // independent of the thread budget).
+            let via_mine = miner.mine(r).unwrap();
+            let via_analyzer = miner.mine_with(&analyzer).unwrap();
+            assert_eq!(via_mine.tree.bags(), via_analyzer.tree.bags());
+            assert_eq!(via_mine.tree.edges(), via_analyzer.tree.edges());
+            assert_eq!(
+                via_mine.j_measure.to_bits(),
+                via_analyzer.j_measure.to_bits()
+            );
+            assert_eq!(
+                via_mine.rho_lower_bound.to_bits(),
+                via_analyzer.rho_lower_bound.to_bits()
+            );
+
+            // And `Analyzer::mine` agrees with `mine_with` at a serial and
+            // a four-thread budget.
+            let reference = Analyzer::new(r).mine(miner.config().clone()).unwrap();
+            for threads in [1, 4] {
+                let at = miner
+                    .mine_with(&Analyzer::new(r).with_threads(threads))
+                    .unwrap();
+                assert_eq!(reference.tree.bags(), at.tree.bags(), "threads={threads}");
+                assert_eq!(reference.tree.edges(), at.tree.edges(), "threads={threads}");
+                assert_eq!(
+                    reference.j_measure.to_bits(),
+                    at.j_measure.to_bits(),
+                    "threads={threads}"
+                );
+            }
+            assert_eq!(via_mine.tree.bags(), reference.tree.bags());
+            assert_eq!(via_mine.j_measure.to_bits(), reference.j_measure.to_bits());
         }
-
-        // `mine` and `mine_with(default batch)` are the same computation —
-        // identical tree, bit-identical J (determinism is independent of
-        // the thread budget).
-        let via_mine = miner.mine(&r).unwrap();
-        let via_batch = miner.mine_with(&batch).unwrap();
-        assert_eq!(via_mine.tree.bags(), via_batch.tree.bags());
-        assert_eq!(via_mine.tree.edges(), via_batch.tree.edges());
-        assert_eq!(via_mine.j_measure.to_bits(), via_batch.j_measure.to_bits());
-        assert_eq!(
-            via_mine.rho_lower_bound.to_bits(),
-            via_batch.rho_lower_bound.to_bits()
-        );
-
-        // And both agree with a deliberately serial mine.
-        let serial = miner
-            .mine_with(&BatchAnalyzer::new(&r).with_threads(1))
-            .unwrap();
-        assert_eq!(via_mine.tree.bags(), serial.tree.bags());
-        assert_eq!(via_mine.j_measure.to_bits(), serial.j_measure.to_bits());
     }
 
     #[test]

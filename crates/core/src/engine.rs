@@ -1,28 +1,22 @@
 //! [`LossEngine`]: one API over the exact and estimated analysis paths.
 //!
-//! Before this trait, code that wanted "an entropy / J / loss answerer"
-//! had to commit to the exact [`Analyzer`] — and anything built on top
-//! (schema mining, batch scoring, the server) would have had to fork to
-//! support the estimation tier.  `LossEngine` is the common vocabulary:
-//! every measure returns an [`Estimate`] (ε = 0 for the exact path), so
-//! [`crate::SchemaMiner::mine_engine`] and other consumers dispatch through
+//! Code that wants "an entropy / J / loss answerer" — schema mining, the
+//! server — is written against this trait instead of one analyzer type.
+//! Every measure returns an [`Estimate`] (ε = 0 for the exact path), so
+//! [`crate::SchemaMiner::mine_with`] and other consumers dispatch through
 //! one API and work unchanged over:
 //!
-//! * [`Analyzer`] — exact answers, [`BoundKind::Exact`](crate::BoundKind);
-//! * [`BatchAnalyzer`] — exact answers with a parallel
-//!   [`LossEngine::j_measures_estimate`] override;
+//! * [`Analyzer`] — exact answers, [`BoundKind::Exact`](crate::BoundKind),
+//!   with a parallel [`LossEngine::j_measures_estimate`] override;
 //! * [`EstimatedAnalyzer`] — sampled answers carrying their (ε, δ, seed,
 //!   sample size).
 //!
-//! Existing `Analyzer` callers are untouched: the trait adds `*_estimate`
-//! methods alongside the bare-`f64` inherent ones rather than replacing
-//! them.
+//! `Analyzer` callers that want bare `f64`s keep its inherent methods; the
+//! trait adds `*_estimate` methods alongside them.
 
 use crate::analysis::Analyzer;
-use crate::batch::BatchAnalyzer;
 use crate::estimate::{Estimate, EstimatedAnalyzer};
-use ajd_info::{conditional_mutual_information, entropy, j_measure, mutual_information};
-use ajd_jointree::{loss_acyclic, JoinTree};
+use ajd_jointree::JoinTree;
 use ajd_relation::{AttrSet, GroupKernel, Result};
 
 /// The unified engine API over exact and estimated loss analysis.
@@ -54,8 +48,8 @@ pub trait LossEngine {
     fn loss_estimate(&self, tree: &JoinTree) -> Result<Estimate<f64>>;
 
     /// J-measures of several candidate trees.  The default answers
-    /// sequentially; engines with a parallel scorer (e.g.
-    /// [`BatchAnalyzer`]) override it.
+    /// sequentially; engines with a parallel scorer (e.g. [`Analyzer`])
+    /// override it.
     fn j_measures_estimate(&self, trees: &[JoinTree]) -> Vec<Result<Estimate<f64>>> {
         trees.iter().map(|t| self.j_measure_estimate(t)).collect()
     }
@@ -97,54 +91,9 @@ impl<S: GroupKernel> LossEngine for Analyzer<S> {
     fn loss_estimate(&self, tree: &JoinTree) -> Result<Estimate<f64>> {
         Ok(Estimate::exact(self.loss(tree)?, self.relation_rows()))
     }
-}
 
-impl<S: GroupKernel> LossEngine for BatchAnalyzer<S> {
-    fn relation_attrs(&self) -> AttrSet {
-        self.source().attrs()
-    }
-
-    fn relation_rows(&self) -> u64 {
-        self.source().num_rows() as u64
-    }
-
-    fn entropy_estimate(&self, attrs: &AttrSet) -> Result<Estimate<f64>> {
-        Ok(Estimate::exact(
-            entropy(self.context(), attrs)?,
-            self.relation_rows(),
-        ))
-    }
-
-    fn mutual_information_estimate(&self, a: &AttrSet, b: &AttrSet) -> Result<Estimate<f64>> {
-        Ok(Estimate::exact(
-            mutual_information(self.context(), a, b)?,
-            self.relation_rows(),
-        ))
-    }
-
-    fn cmi_estimate(&self, a: &AttrSet, b: &AttrSet, c: &AttrSet) -> Result<Estimate<f64>> {
-        Ok(Estimate::exact(
-            conditional_mutual_information(self.context(), a, b, c)?,
-            self.relation_rows(),
-        ))
-    }
-
-    fn j_measure_estimate(&self, tree: &JoinTree) -> Result<Estimate<f64>> {
-        Ok(Estimate::exact(
-            j_measure(self.context(), tree)?,
-            self.relation_rows(),
-        ))
-    }
-
-    fn loss_estimate(&self, tree: &JoinTree) -> Result<Estimate<f64>> {
-        Ok(Estimate::exact(
-            loss_acyclic(self.context(), tree)?,
-            self.relation_rows(),
-        ))
-    }
-
-    /// Scores the candidates through the batch's parallel work-stealing
-    /// scorer instead of one at a time.
+    /// Scores the candidates through the analyzer's work-stealing fan-out
+    /// ([`Analyzer::j_measures`]) instead of one at a time.
     fn j_measures_estimate(&self, trees: &[JoinTree]) -> Vec<Result<Estimate<f64>>> {
         let rows = self.relation_rows();
         self.j_measures(trees)

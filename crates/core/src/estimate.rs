@@ -20,8 +20,8 @@
 //!    ([`ajd_bounds::required_n_for_epsilon`]), which is rigorous but so
 //!    conservative it almost always falls back to exact.
 //! 2. **Draw** — `n` distinct row indices are drawn without replacement by
-//!    [`ajd_random::sample_distinct`] from a [`rand::StdRng`] seeded with
-//!    the explicit [`EstimateConfig::seed`] (no ambient entropy — the
+//!    [`ajd_random::sample_distinct`] from a [`rand::rngs::StdRng`] seeded
+//!    with the explicit [`EstimateConfig::seed`] (no ambient entropy — the
 //!    `nondeterminism-source` lint enforces this), then sorted ascending.
 //! 3. **Gather** — [`ajd_relation::GroupKernel::gather_rows`] materialises
 //!    the sampled rows as a fresh flat [`ajd_relation::Relation`].  Because
@@ -54,7 +54,9 @@ use ajd_bounds::{
 };
 use ajd_jointree::JoinTree;
 use ajd_random::sample_distinct;
-use ajd_relation::{AttrSet, GroupKernel, Relation, RelationError, Result, ThreadBudget};
+use ajd_relation::{
+    AttrSet, GroupKernel, GroupSource, Relation, RelationError, Result, ThreadBudget,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -489,7 +491,7 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         // SamplePlanner::Theorem51 is the rigorous mode).
         let mut bias = 0.0;
         for attrs in terms {
-            let k = analyzer.context().group_counts(attrs)?.num_groups() as f64;
+            let k = analyzer.group_counts(attrs)?.num_groups() as f64;
             bias += ((k - 1.0).max(0.0) / n as f64).ln_1p();
         }
         Ok(Estimate {

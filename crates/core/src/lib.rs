@@ -16,8 +16,11 @@
 //!   MVD measures ([`Analyzer::mvd_loss`], [`Analyzer::mvd_holds`]) and the
 //!   full [`Analyzer::analyze`] report all answer from the same memoized
 //!   groupings;
-//! * [`Analyzer::batch`] returns a [`BatchAnalyzer`] that fans many trees
-//!   out over `std::thread::scope` workers sharing the same cache;
+//! * [`Analyzer::analyze_all`] (and [`Analyzer::j_measures`],
+//!   [`Analyzer::losses`], [`Analyzer::join_sizes`]) fans many trees out
+//!   over `std::thread::scope` workers sharing the same cache, splitting
+//!   the analyzer's one [`ajd_relation::ThreadBudget`] between the fan-out
+//!   and the grouping kernel;
 //! * [`Analyzer::mine`] runs *approximate acyclic schema discovery* — the
 //!   motivating application (Kenig et al., SIGMOD 2020): a Chow–Liu style
 //!   spanning-tree miner over pairwise mutual information, followed by
@@ -40,10 +43,9 @@
 //! [`Estimate`] carrying its (ε, δ, seed, sample size) and concentration
 //! bound; it falls back to the exact kernel (bit-identically) when the
 //! planned sample would cover the relation.  The [`LossEngine`] trait is
-//! the one API over both tiers — [`Analyzer`], [`BatchAnalyzer`] and
-//! [`EstimatedAnalyzer`] all implement it, with the exact paths reporting
-//! `ε = 0` — so consumers like [`SchemaMiner::mine_engine`] never fork on
-//! exact-vs-estimated.
+//! the one API over both tiers — [`Analyzer`] and [`EstimatedAnalyzer`]
+//! both implement it, with the exact path reporting `ε = 0` — so consumers
+//! like [`SchemaMiner::mine_with`] never fork on exact-vs-estimated.
 //!
 //! ```
 //! use ajd_core::Analyzer;
@@ -68,14 +70,12 @@
 #![deny(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod discovery;
 pub mod engine;
 pub mod estimate;
 pub mod live;
 
-pub use analysis::{Analyzer, ConfidenceBounds, LossReport, MvdLoss, ProbabilisticBounds};
-pub use batch::BatchAnalyzer;
+pub use analysis::{Analyzer, ConfidenceBounds, LossReport, MvdLoss};
 pub use discovery::{DiscoveryConfig, MinedSchema, SchemaMiner};
 pub use engine::LossEngine;
 pub use estimate::{BoundKind, Estimate, EstimateConfig, EstimatedAnalyzer, SamplePlanner};

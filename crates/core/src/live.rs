@@ -189,8 +189,7 @@ impl Analyzer<Arc<ShardedRelation>> {
         let snap = store.snapshot();
         let epoch = snap.epoch();
         if self.source().epoch() != epoch {
-            let budget = self.context().thread_budget();
-            *self = Analyzer::with_thread_budget(snap, budget);
+            *self = Analyzer::with_thread_budget(snap, self.thread_budget());
         }
         epoch
     }
@@ -199,7 +198,7 @@ impl Analyzer<Arc<ShardedRelation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ajd_relation::{AttrId, AttrSet};
+    use ajd_relation::{AttrId, AttrSet, GroupSource};
 
     fn schema() -> Vec<AttrId> {
         vec![AttrId(0), AttrId(1)]
@@ -296,7 +295,7 @@ mod tests {
                 let cold = grown.into_shards(k + 1).unwrap();
                 let cold_rel = cold.collect().unwrap();
                 for attrs in &sets {
-                    let a = pinned.context().group_ids(attrs).unwrap();
+                    let a = pinned.group_ids(attrs).unwrap();
                     let b = cold_rel.group_ids(attrs).unwrap();
                     assert_eq!(a.row_ids(), b.row_ids(), "k={k} threads={threads}");
                     assert_eq!(a.counts(), b.counts(), "k={k} threads={threads}");
@@ -317,7 +316,7 @@ mod tests {
         assert_eq!(analyzer.refresh(&store), 2);
         assert_eq!(analyzer.source().len(), 3);
         assert!(
-            analyzer.context().thread_budget().is_serial(),
+            analyzer.thread_budget().is_serial(),
             "refresh keeps the analyzer's budget"
         );
         // The refreshed context is cold (merged tier invalidated)…

@@ -6,7 +6,7 @@
 //! tests.
 #![cfg(ajd_model)]
 
-use ajd_core::BatchAnalyzer;
+use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
 use ajd_relation::{AttrId, AttrSet, Relation};
 use ajd_sync::Mutex;
@@ -27,7 +27,7 @@ fn tree() -> JoinTree {
     .unwrap()
 }
 
-/// Two virtual threads running the same analysis over one shared batch:
+/// Two virtual threads running the same analysis over one shared analyzer:
 /// every interleaving yields identical reports, and the cache computes
 /// each distinct key exactly once (single flight end-to-end through the
 /// analysis layer, not just the cache in isolation).
@@ -38,7 +38,7 @@ fn concurrent_analyses_share_one_compute_per_key() {
 
     // What a serial run computes (the miss count per cold cache) is the
     // bound every interleaving must meet.
-    let serial = BatchAnalyzer::new(&r).with_threads(1);
+    let serial = Analyzer::new(&r).with_threads(1);
     let expected_report = serial.analyze(&t).expect("analysis succeeds");
     let expected_misses = serial.cache_stats().misses;
     assert!(expected_misses > 0, "the analysis must exercise the cache");
@@ -47,7 +47,7 @@ fn concurrent_analyses_share_one_compute_per_key() {
         .max_schedules(1_000)
         .preemption_bound(2)
         .explore(|| {
-            let batch = BatchAnalyzer::new(&r).with_threads(1);
+            let batch = Analyzer::new(&r).with_threads(1);
             let spurious = Mutex::new(Vec::new());
             ajd_sync::thread::scope(|s| {
                 for _ in 0..2 {

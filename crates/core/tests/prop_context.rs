@@ -1,13 +1,14 @@
 //! Property tests of the shared-computation layer: every measure computed
-//! through an [`Analyzer`] / `AnalysisContext` (or a [`BatchAnalyzer`]) must
-//! be **bit-identical** to its uncached `&Relation` counterpart, across
-//! random relations (sets and multisets) and assorted join trees.
+//! through an [`Analyzer`] / `AnalysisContext` (one tree at a time or
+//! fanned out over many) must be **bit-identical** to its uncached
+//! `&Relation` counterpart, across random relations (sets and multisets)
+//! and assorted join trees.
 //!
 //! Since the API redesign both paths run the *same* generic function over a
 //! different `GroupSource`; these tests pin down that the memoization layer
 //! never changes a value.
 
-use ajd_core::{Analyzer, BatchAnalyzer};
+use ajd_core::Analyzer;
 use ajd_info::{
     conditional_mutual_information, entropy, j_measure, j_measure_bounds, kl_divergence_to_tree,
 };
@@ -134,14 +135,14 @@ proptest! {
         }
     }
 
-    /// Full loss reports from a shared `BatchAnalyzer` are bit-identical to
-    /// per-tree `Analyzer::analyze` reports — the acceptance property of
+    /// Full loss reports from one `Analyzer::analyze_all` fan-out are
+    /// bit-identical to per-tree `Analyzer::analyze` reports — the acceptance property of
     /// the shared-computation engine.  Relations are multisets here
     /// (duplicates allowed), exercising the distinct-count baseline.
     #[test]
     fn batch_reports_are_bit_identical_to_fresh_reports(r in relation_strategy(4, 3, 30)) {
         let trees = sweep_trees();
-        let batch = BatchAnalyzer::new(&r);
+        let batch = Analyzer::new(&r);
         let batched = batch.analyze_all(&trees);
         for (tree, batched) in trees.iter().zip(&batched) {
             let batched = batched.as_ref().unwrap();

@@ -73,15 +73,15 @@ proptest! {
         }
     }
 
-    /// The `LossEngine` view of the estimator and of the exact analyzers
-    /// agree on the fallback path — so `mine_engine` over either tier
+    /// The `LossEngine` view of the estimator and of the exact analyzer
+    /// agree on the fallback path — so `mine_with` over either tier
     /// reproduces `mine` exactly on small inputs.
     #[test]
-    fn mine_engine_agrees_across_tiers_on_fallback(r in relation_strategy(3, 3, 40)) {
+    fn mine_with_agrees_across_tiers_on_fallback(r in relation_strategy(3, 3, 40)) {
         let miner = SchemaMiner::default();
         let exact = miner.mine(&r).unwrap();
         let est = EstimatedAnalyzer::new(&r, EstimateConfig::default()).unwrap();
-        let mined = miner.mine_engine(&est).unwrap();
+        let mined = miner.mine_with(&est).unwrap();
         prop_assert_eq!(exact.tree.bags(), mined.tree.bags());
         prop_assert_eq!(exact.j_measure.to_bits(), mined.j_measure.to_bits());
         prop_assert_eq!(exact.rho_lower_bound.to_bits(), mined.rho_lower_bound.to_bits());

@@ -1,7 +1,7 @@
 //! End-to-end equality of the full measure stack over sharded vs flat
 //! inputs.
 //!
-//! `Analyzer`, `BatchAnalyzer` and `SchemaMiner` are generic over
+//! `Analyzer` (one tree or a fan-out) and `SchemaMiner` are generic over
 //! [`ajd_relation::GroupKernel`]; these tests pin that an
 //! [`ajd_relation::ShardedRelation`] drops into all of them **unchanged**
 //! and produces bit-identical reports — every float compared by bit
@@ -13,7 +13,7 @@
 //! `AJD_TEST_SHARDS={1,3,8}` × `AJD_TEST_THREADS={1,4}`; the environment
 //! values extend the fixed shard-count / budget lists below.
 
-use ajd_core::{Analyzer, BatchAnalyzer, DiscoveryConfig, SchemaMiner};
+use ajd_core::{Analyzer, DiscoveryConfig, SchemaMiner};
 use ajd_jointree::JoinTree;
 use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation};
 
@@ -138,16 +138,14 @@ fn analyzer_reports_identical_on_sharded_and_flat_warehouse() {
 }
 
 #[test]
-fn batch_analyzer_over_shards_matches_flat_at_every_thread_budget() {
+fn analyzer_fan_out_over_shards_matches_flat_at_every_thread_budget() {
     let flat = warehouse_fixture(1500, 10);
     let trees = candidate_trees();
-    let flat_reports = BatchAnalyzer::new(&flat)
-        .with_threads(1)
-        .analyze_all(&trees);
+    let flat_reports = Analyzer::new(&flat).with_threads(1).analyze_all(&trees);
     for n in shard_counts() {
         let sharded = flat.clone().into_shards(n).unwrap();
         for t in batch_threads() {
-            let batch = BatchAnalyzer::new(&sharded).with_threads(t);
+            let batch = Analyzer::new(&sharded).with_threads(t);
             let reports = batch.analyze_all(&trees);
             for (i, (a, b)) in flat_reports.iter().zip(&reports).enumerate() {
                 assert_reports_identical(
@@ -171,7 +169,7 @@ fn mining_a_sharded_warehouse_finds_the_flat_schema() {
     for n in shard_counts() {
         let sharded = flat.clone().into_shards(n).unwrap();
         let mined = SchemaMiner::new(config.clone())
-            .mine_with(&BatchAnalyzer::new(&sharded))
+            .mine_with(&Analyzer::new(&sharded))
             .unwrap();
         assert_eq!(
             mined.j_measure.to_bits(),

@@ -27,9 +27,9 @@
 //!   single-flight** misses: when several threads race on the same cold
 //!   `AttrSet`, exactly one computes the grouping and the rest block on
 //!   that entry alone — never on the whole map, and never recomputing the
-//!   same expensive grouping N times.  Misses are computed through the
-//!   context's [`ThreadBudget`] (the chunked parallel kernel), which keeps
-//!   results bit-identical to the serial path at any budget.
+//!   same expensive grouping N times.  Misses are computed through a
+//!   [`ThreadBudget`] (the chunked parallel kernel) given per call, which
+//!   keeps results bit-identical to the serial path at any budget.
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
@@ -37,7 +37,7 @@ use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
 use crate::relation::{GroupCounts, GroupIds, Relation};
 use crate::sketch::KmvSketch;
-use ajd_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{OnceSlot, RwLock};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -115,8 +115,9 @@ pub trait GroupSource {
 /// [`Relation`] (chunked row-scan kernel) and the [`crate::ShardedRelation`]
 /// (shard-local grouping + shard-order merge).  Both are **bit-identical**
 /// to the serial flat kernel at any budget, so a context over either layout
-/// serves the same values.
-pub trait GroupKernel: GroupSource + Sync {
+/// serves the same values.  Kernels are `Send + Sync` so handles over them
+/// can fan out across worker threads.
+pub trait GroupKernel: GroupSource + Send + Sync {
     /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`].
     fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts>;
 
@@ -274,7 +275,7 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
     }
 }
 
-impl<S: GroupKernel + Send + ?Sized> GroupKernel for Arc<S> {
+impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
     fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
         (**self).group_counts_with(attrs, budget)
     }
@@ -382,14 +383,19 @@ impl<T> StripedCache<T> {
 /// A context is cheap to create (empty caches); it pays for itself as soon
 /// as two measures — or two candidate join trees — touch the same attribute
 /// subset.  It is `Sync`: `ajd-core`'s
-/// `BatchAnalyzer` shares one context across `std::thread::scope` workers,
-/// and concurrent misses on the same attribute set are **single-flight** —
-/// exactly one thread computes, the others block on that entry and receive
-/// the same `Arc`.
+/// `Analyzer` fan-out shares one context across `std::thread::scope`
+/// workers, and concurrent misses on the same attribute set are
+/// **single-flight** — exactly one thread computes, the others block on
+/// that entry and receive the same `Arc`.
 ///
-/// Misses are computed through the context's [`ThreadBudget`] (defaulting
-/// to the machine's available parallelism), which the chunked kernel keeps
-/// bit-identical to serial results.
+/// Each cache has one accessor, which takes the [`ThreadBudget`] a miss is
+/// computed under ([`AnalysisContext::group_counts_with`],
+/// [`AnalysisContext::group_ids_with`],
+/// [`AnalysisContext::projection_with`]).  The context itself stores no
+/// budget: its [`GroupSource`] impl computes misses under the default
+/// [`ThreadBudget`] (the machine's available parallelism), and callers that
+/// own a budget — `ajd_core::Analyzer` — pass it per call.  The chunked
+/// kernel keeps results bit-identical to the serial path at any budget.
 ///
 /// Most callers never construct one directly: `ajd_core::Analyzer` owns a
 /// context and routes every measure through it.
@@ -415,26 +421,16 @@ pub struct AnalysisContext<S = Relation> {
     projections: StripedCache<Relation>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Thread budget for computing misses, as a raw count (atomic so a
-    /// shared context's budget can be retuned through an `Arc`).
-    threads: AtomicUsize,
 }
 
 impl<S: GroupKernel> AnalysisContext<S> {
-    /// Creates an empty context over `src` with the default
-    /// [`ThreadBudget`] (the machine's available parallelism).
+    /// Creates an empty context over `src`.
     ///
     /// `src` is taken by value, but sources are handles in practice:
     /// `AnalysisContext::new(&r)` builds a borrowing context (as before)
     /// and `AnalysisContext::new(store.snapshot())` an owning one over an
     /// `Arc` snapshot that lives for as long as the context does.
     pub fn new(src: S) -> Self {
-        Self::with_thread_budget(src, ThreadBudget::default())
-    }
-
-    /// Creates an empty context over `src` that computes misses under the
-    /// given [`ThreadBudget`].
-    pub fn with_thread_budget(src: S, budget: ThreadBudget) -> Self {
         AnalysisContext {
             source: src,
             group_counts: StripedCache::new(),
@@ -442,7 +438,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             projections: StripedCache::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            threads: AtomicUsize::new(budget.get()),
         }
     }
 
@@ -452,30 +447,15 @@ impl<S: GroupKernel> AnalysisContext<S> {
         &self.source
     }
 
-    /// The thread budget used to compute cache misses.
-    pub fn thread_budget(&self) -> ThreadBudget {
-        ThreadBudget::new(self.threads.load(Ordering::Relaxed))
-    }
-
-    /// Retunes the miss-computation thread budget (affects future misses;
-    /// values already cached are untouched — results are bit-identical at
-    /// any budget anyway).
-    pub fn set_thread_budget(&self, budget: ThreadBudget) {
-        self.threads.store(budget.get(), Ordering::Relaxed);
-    }
-
     /// Memoized [`Relation::group_counts`]: multiplicities of the distinct
-    /// `attrs`-projections of the relation's tuples.
-    pub fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        self.group_counts_budgeted(attrs, self.thread_budget())
-    }
-
-    /// [`AnalysisContext::group_counts`] with an explicit per-call kernel
-    /// budget overriding the context's standing one — how callers that
-    /// split a total budget across layers (e.g. a batch sweep giving each
-    /// fan-out worker its share) pass the share down without mutating the
-    /// shared context.  The cached value is identical either way.
-    pub fn group_counts_budgeted(
+    /// `attrs`-projections of the relation's tuples, computed under
+    /// `budget` on a miss.
+    ///
+    /// The budget is per call, so callers that split one total budget
+    /// across layers (a fan-out handing each worker its share) pass the
+    /// share down without touching the shared context.  The cached value
+    /// is bit-identical at any budget.
+    pub fn group_counts_with(
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
@@ -485,35 +465,17 @@ impl<S: GroupKernel> AnalysisContext<S> {
         })
     }
 
-    /// Memoized interned group keys (see [`GroupIds`]) for `attrs`.
-    pub fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
-        self.group_ids_budgeted(attrs, self.thread_budget())
-    }
-
-    /// [`AnalysisContext::group_ids`] with an explicit per-call kernel
-    /// budget (see [`AnalysisContext::group_counts_budgeted`]).
-    pub fn group_ids_budgeted(
-        &self,
-        attrs: &AttrSet,
-        budget: ThreadBudget,
-    ) -> Result<Arc<GroupIds>> {
+    /// Memoized interned group keys (see [`GroupIds`]) for `attrs`,
+    /// computed under `budget` on a miss.
+    pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         self.memoized(&self.group_ids, attrs, |r, a| {
             r.group_ids_with(a, budget).map(Arc::new)
         })
     }
 
-    /// Memoized set-semantic projection `Π_attrs(R)`.
-    pub fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.projection_budgeted(attrs, self.thread_budget())
-    }
-
-    /// [`AnalysisContext::projection`] with an explicit per-call kernel
-    /// budget (see [`AnalysisContext::group_counts_budgeted`]).
-    pub fn projection_budgeted(
-        &self,
-        attrs: &AttrSet,
-        budget: ThreadBudget,
-    ) -> Result<Arc<Relation>> {
+    /// Memoized set-semantic projection `Π_attrs(R)`, computed under
+    /// `budget` on a miss.
+    pub fn projection_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<Relation>> {
         self.memoized(&self.projections, attrs, |r, a| {
             r.project_with(a, budget).map(Arc::new)
         })
@@ -600,6 +562,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
     pub fn mutant_group_counts_no_single_flight(
         &self,
         attrs: &AttrSet,
+        budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
         let shard = self.group_counts.shard(attrs);
         if let Some(slot) = shard.read().get(attrs).cloned() {
@@ -611,7 +574,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             }
         }
         // MUTANT: compute unconditionally instead of contending on a slot.
-        let budget = self.thread_budget();
         let out = self.source.group_counts_with(attrs, budget).map(Arc::new);
         if out.is_ok() {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -646,15 +608,15 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
     }
 
     fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        AnalysisContext::group_counts(self, attrs)
+        self.group_counts_with(attrs, ThreadBudget::default())
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
-        AnalysisContext::group_ids(self, attrs)
+        self.group_ids_with(attrs, ThreadBudget::default())
     }
 
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        AnalysisContext::projection(self, attrs)
+        self.projection_with(attrs, ThreadBudget::default())
     }
 }
 
@@ -931,24 +893,28 @@ mod tests {
         assert_eq!(ctx.stats().group_count_entries, 1);
     }
 
-    /// The context budget knob is observable and retunable, and a non-serial
-    /// budget yields bit-identical groupings (the determinism contract).
+    /// Misses computed under a serial, a parallel or the default budget
+    /// yield bit-identical groupings (the determinism contract).
     #[test]
-    fn thread_budget_is_tunable_and_result_invariant() {
+    fn thread_budget_is_result_invariant() {
         let r = stress_relation();
-        let serial_ctx = AnalysisContext::with_thread_budget(&r, ThreadBudget::serial());
-        assert!(serial_ctx.thread_budget().is_serial());
-        let par_ctx = AnalysisContext::with_thread_budget(&r, ThreadBudget::new(4));
-        assert_eq!(par_ctx.thread_budget().get(), 4);
-        for attrs in [bag(&[0, 1]), bag(&[0, 1, 2, 3])] {
-            let a = serial_ctx.group_ids(&attrs).unwrap();
-            let b = par_ctx.group_ids(&attrs).unwrap();
-            assert_eq!(a.row_ids(), b.row_ids());
-            assert_eq!(a.counts(), b.counts());
-            assert_eq!(a.group_codes(), b.group_codes());
+        let serial_ctx = AnalysisContext::new(&r);
+        let par_ctx = AnalysisContext::new(&r);
+        let default_ctx = AnalysisContext::new(&r);
+        for attrs in [bag(&[0, 1]), bag(&[0, 1, 2]), bag(&[0, 1, 2, 3])] {
+            let a = serial_ctx
+                .group_ids_with(&attrs, ThreadBudget::serial())
+                .unwrap();
+            let b = par_ctx
+                .group_ids_with(&attrs, ThreadBudget::new(4))
+                .unwrap();
+            let c = default_ctx.group_ids(&attrs).unwrap();
+            for other in [&b, &c] {
+                assert_eq!(a.row_ids(), other.row_ids());
+                assert_eq!(a.counts(), other.counts());
+                assert_eq!(a.group_codes(), other.group_codes());
+            }
         }
-        par_ctx.set_thread_budget(ThreadBudget::serial());
-        assert!(par_ctx.thread_budget().is_serial());
     }
 
     #[test]

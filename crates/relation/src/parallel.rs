@@ -9,8 +9,8 @@
 //! kernels that each spawn their own full complement of workers).
 //!
 //! [`ThreadBudget`] is that story: a single knob, owned at the top of a
-//! computation (an `ajd_core::Analyzer`, a `BatchAnalyzer`, a bare
-//! [`crate::AnalysisContext`]) and passed down.  It defaults to
+//! computation (an `ajd_core::Analyzer` handle) and passed down per call —
+//! a [`crate::AnalysisContext`] stores none of its own.  It defaults to
 //! [`std::thread::available_parallelism`] and is clamped so the kernel
 //! never shards below [`MIN_CHUNK_ROWS`] rows per worker — for small
 //! relations the parallel path degenerates to the serial kernel and costs
@@ -85,7 +85,7 @@ impl ThreadBudget {
 
 /// The default budget is the machine's available parallelism — the
 /// "as fast as the hardware allows" setting every top-level entry point
-/// (`Analyzer`, `BatchAnalyzer`, `SchemaMiner::mine`) starts from.
+/// (`Analyzer`, `SchemaMiner::mine`) starts from.
 impl Default for ThreadBudget {
     fn default() -> Self {
         Self::available()

@@ -50,7 +50,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Seeded, deterministic 64-bit hash of a sequence of decoded values.
 ///
 /// The chain mixes each value (and finally the length) through
-/// [`splitmix64`], so permutations and prefixes do not collide trivially.
+/// `splitmix64`, so permutations and prefixes do not collide trivially.
 #[inline]
 pub fn seeded_row_hash(seed: u64, values: &[Value]) -> u64 {
     let mut h = splitmix64(seed ^ 0x5851_f42d_4c95_7f2d);

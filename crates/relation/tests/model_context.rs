@@ -24,15 +24,17 @@ fn sample() -> Relation {
 /// served from the slot.
 fn single_flight_body() {
     let r = sample();
-    // Serial budget: model bodies must not spawn kernel worker threads —
-    // the scheduler cannot see them, so their interleavings would go
-    // unexplored (and they slow every schedule down).
-    let ctx = AnalysisContext::with_thread_budget(&r, ThreadBudget::serial());
+    // Serial budget on every lookup: model bodies must not spawn kernel
+    // worker threads — the scheduler cannot see them, so their
+    // interleavings would go unexplored (and they slow every schedule down).
+    let ctx = AnalysisContext::new(&r);
     let y = AttrSet::singleton(AttrId(0));
     ajd_sync::thread::scope(|s| {
         for _ in 0..3 {
             s.spawn(|| {
-                let counts = ctx.group_counts(&y).expect("grouping cannot fail");
+                let counts = ctx
+                    .group_counts_with(&y, ThreadBudget::serial())
+                    .expect("grouping cannot fail");
                 assert_eq!(counts.num_groups(), 2);
             });
         }
@@ -75,12 +77,12 @@ fn cold_key_is_computed_exactly_once_under_all_interleavings() {
 /// racers both observe the key cold and both run the kernel.
 fn mutant_body() {
     let r = sample();
-    let ctx = AnalysisContext::with_thread_budget(&r, ThreadBudget::serial());
+    let ctx = AnalysisContext::new(&r);
     let y = AttrSet::singleton(AttrId(0));
     ajd_sync::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                ctx.mutant_group_counts_no_single_flight(&y)
+                ctx.mutant_group_counts_no_single_flight(&y, ThreadBudget::serial())
                     .expect("grouping cannot fail");
             });
         }
@@ -120,13 +122,13 @@ fn warm_key_readers_never_recompute() {
         .preemption_bound(2)
         .explore(|| {
             let r = sample();
-            let ctx = AnalysisContext::with_thread_budget(&r, ThreadBudget::serial());
+            let ctx = AnalysisContext::new(&r);
             let y = AttrSet::singleton(AttrId(1));
-            ctx.group_counts(&y).unwrap(); // warm it on the root thread
+            ctx.group_counts_with(&y, ThreadBudget::serial()).unwrap(); // warm it on the root thread
             ajd_sync::thread::scope(|s| {
                 for _ in 0..2 {
                     s.spawn(|| {
-                        ctx.group_counts(&y).unwrap();
+                        ctx.group_counts_with(&y, ThreadBudget::serial()).unwrap();
                     });
                 }
             });

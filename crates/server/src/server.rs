@@ -327,7 +327,7 @@ impl<'a> Server<'a> {
                 }
                 let miner = SchemaMiner::new(config);
                 let mined = with_analyzer!(entry, |an| miner
-                    .mine_with(&an.batch().with_threads(self.config.mine_threads)))
+                    .mine_with(&an.clone().with_threads(self.config.mine_threads)))
                 .map_err(|e| Failure::from_relation_error(&e))?;
                 let catalog = entry.catalog.read();
                 let schema_json = Json::Arr(

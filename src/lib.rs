@@ -62,9 +62,9 @@ pub mod prelude {
         epsilon_star, j_lower_bound_on_loss, loss_upper_bound_from_j, Thm51Params,
     };
     pub use ajd_core::{
-        Analyzer, BatchAnalyzer, BoundKind, ConfidenceBounds, DiscoveryConfig, Estimate,
-        EstimateConfig, EstimatedAnalyzer, LiveAnalyzer, LiveStats, LossEngine, LossReport,
-        MvdLoss, SamplePlanner, SchemaMiner,
+        Analyzer, BoundKind, ConfidenceBounds, DiscoveryConfig, Estimate, EstimateConfig,
+        EstimatedAnalyzer, LiveAnalyzer, LiveStats, LossEngine, LossReport, MvdLoss, SamplePlanner,
+        SchemaMiner,
     };
     pub use ajd_info::{conditional_mutual_information, entropy, j_measure, kl_divergence_to_tree};
     pub use ajd_jointree::{count_acyclic_join, JoinTree, Mvd, Schema};
