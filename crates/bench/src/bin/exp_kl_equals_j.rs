@@ -64,11 +64,13 @@ fn main() {
                 // One shared analyzer: J and KL need the same bag/separator
                 // marginals, so the two "different code paths" of the
                 // theorem share their grouping work (not their arithmetic).
+                // KL runs first: it groups into interned ids, and J's count
+                // tables are then decoded from those instead of regrouped.
                 // Trials already own the machine's cores; keep each
                 // per-trial analyzer's kernel serial (one coherent budget).
                 let analyzer = Analyzer::with_thread_budget(&r, ThreadBudget::serial());
-                let j = analyzer.j_measure(tree).expect("j measure");
                 let kl = analyzer.kl(tree).expect("kl divergence");
+                let j = analyzer.j_measure(tree).expect("j measure");
                 (j, (j - kl).abs())
             });
             let js: Vec<f64> = rows.iter().map(|(j, _)| *j).collect();

@@ -263,18 +263,35 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
     }
 
     let n = src.num_rows() as u64;
+    // Interned ids first, counts after.  The join count, `distinct_n`, the
+    // KL sum and the support-MVD losses all read `GroupIds`; a count table
+    // whose ids are already resident is then decoded from them instead of
+    // grouped again.  In the other order each bag, separator, Ω and MVD
+    // side would be grouped twice, once for each cache.
+    let join_size = count_acyclic_join(src, tree)?;
     // For a set relation this is `n`; for a multiset it is the size of
     // `distinct(R)`, the baseline the rejoined (set-semantic) join must be
-    // compared against.  (The full-relation group counts also back `H(Ω)`
-    // and the KL sum, so this grouping is shared, not extra.)
-    let distinct_n = src.group_counts(&relation_attrs)?.num_groups() as u64;
-    let join_size = count_acyclic_join(src, tree)?;
+    // compared against.  (The full-relation grouping also backs `H(Ω)` and
+    // the KL sum, so this grouping is shared, not extra.)
+    let distinct_n = src.group_ids(&relation_attrs)?.num_groups() as u64;
     let spurious = join_size
         .checked_sub(distinct_n as u128)
         .expect("the acyclic join contains every distinct tuple of R");
     let rho = (join_size as f64 - distinct_n as f64) / distinct_n as f64;
-    let j = j_measure(src, tree)?;
     let kl = kl_divergence_to_tree(src, tree)?;
+    let rooted = tree.rooted(0)?;
+    let support = ordered_support(&rooted);
+    // Ordered-support MVDs cover all of Ω, so each is measured against the
+    // same distinct-tuple baseline as the schema loss.
+    let mvd_rhos = support
+        .iter()
+        .map(|mvd| mvd.loss(src))
+        .collect::<Result<Vec<_>>>()?;
+
+    // The count consumers.  Every count table below is decoded from the
+    // ids fetched above, except the supports of exclusive MVD sides that no
+    // step above grouped.
+    let j = j_measure(src, tree)?;
     let theorem22 = j_measure_bounds(src, tree, 0)?;
 
     // Active-domain size of an attribute set: O(1) from the column
@@ -288,14 +305,9 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
         }
     };
 
-    let rooted = tree.rooted(0)?;
-    let support = ordered_support(&rooted);
     let mut per_mvd = Vec::with_capacity(support.len());
-    for mvd in support {
+    for (mvd, mvd_rho) in support.into_iter().zip(mvd_rhos) {
         let cmi = mvd_cmi(src, &mvd)?;
-        // Ordered-support MVDs cover all of Ω, so this is measured against
-        // the same distinct-tuple baseline as the schema loss.
-        let mvd_rho = mvd.loss(src)?;
         let d_a = marginal_support(&mvd.left_exclusive())?;
         let d_b = marginal_support(&mvd.right_exclusive())?;
         let d_c = marginal_support(&mvd.lhs)?;

@@ -9,13 +9,21 @@
 //! `warehouse_schema` example's shape: orders × products × a dirty
 //! city → region hierarchy).
 //!
+//! The id-level KL sum is also pinned bit for bit against the tuple-level
+//! `TreeFactoredDistribution::log_prob` reference at every layout, and a
+//! cold serial `analyze` is pinned to one kernel grouping per distinct
+//! attribute set.
+//!
 //! The CI `sharded-matrix` job runs this suite under
 //! `AJD_TEST_SHARDS={1,3,8}` × `AJD_TEST_THREADS={1,4}`; the environment
 //! values extend the fixed shard-count / budget lists below.
 
 use ajd_core::{Analyzer, DiscoveryConfig, SchemaMiner};
+use ajd_info::TreeFactoredDistribution;
+use ajd_jointree::mvd::ordered_support;
 use ajd_jointree::JoinTree;
-use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation};
+use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation, ThreadBudget};
+use std::collections::BTreeSet;
 
 /// Reads a positive integer from the environment (the CI matrix knobs).
 fn env_usize(name: &str) -> Option<usize> {
@@ -23,7 +31,7 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 3, 5];
+    let mut counts = vec![1usize, 3, 5, 8];
     if let Some(n) = env_usize("AJD_TEST_SHARDS") {
         if n > 0 && !counts.contains(&n) {
             counts.push(n);
@@ -196,4 +204,110 @@ fn sharded_analyzer_via_analyzer_mine_matches_flat() {
         .unwrap();
     assert_eq!(a.j_measure.to_bits(), b.j_measure.to_bits());
     assert_eq!(a.tree.bags(), b.tree.bags());
+}
+
+#[test]
+fn kl_report_is_bit_identical_to_the_tuple_level_reference_at_every_layout() {
+    let flat = warehouse_fixture(1200, 15);
+    for (i, tree) in candidate_trees().iter().enumerate() {
+        let reference = TreeFactoredDistribution::new(&flat, tree)
+            .unwrap()
+            .kl_by_tuples(&flat)
+            .unwrap();
+        for n in shard_counts() {
+            let sharded = flat.clone().into_shards(n).unwrap();
+            for t in batch_threads() {
+                let got = Analyzer::new(&sharded)
+                    .with_threads(t)
+                    .kl_report(tree)
+                    .unwrap();
+                assert_eq!(
+                    got.kl_nats.to_bits(),
+                    reference.kl_nats.to_bits(),
+                    "shards={n} threads={t} tree={i}: kl"
+                );
+                assert_eq!(
+                    got.support_size, reference.support_size,
+                    "shards={n} threads={t} tree={i}: support"
+                );
+            }
+        }
+    }
+}
+
+/// A five-column chain `A0 → A1 → … → A4` (each column a noisy function
+/// of the previous one), so every bag of a chain tree carries a real
+/// dependency and the exclusive sides of its support MVDs span several
+/// attributes.
+fn chain_fixture(rows: u32) -> Relation {
+    let schema: Vec<AttrId> = (0..5usize).map(AttrId::from).collect();
+    let mut r = Relation::with_capacity(schema, rows as usize).unwrap();
+    let mut x = 0x9e37_79b9u32;
+    for _ in 0..rows {
+        let mut row = [0u32; 5];
+        for c in 0..row.len() {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let prev = if c == 0 { 0 } else { row[c - 1] };
+            row[c] = (prev * 3 + x % 4) % 9;
+        }
+        r.push_row(&row).unwrap();
+    }
+    r
+}
+
+/// Every attribute set a full `analyze` of `tree` groups: the bags, the
+/// separators, Ω, and each support MVD's separator and both sides (for
+/// the Theorem 5.1 domain sizes, also its exclusive sides when they span
+/// several attributes; a single attribute is read from its dictionary).
+fn analyzed_sets(tree: &JoinTree) -> BTreeSet<AttrSet> {
+    let mut sets: BTreeSet<AttrSet> = tree.bags().iter().cloned().collect();
+    sets.extend((0..tree.num_edges()).map(|e| tree.separator(e)));
+    sets.insert(tree.attributes());
+    for mvd in ordered_support(&tree.rooted(0).unwrap()) {
+        for side in [mvd.left_exclusive(), mvd.right_exclusive()] {
+            if side.len() > 1 {
+                sets.insert(side);
+            }
+        }
+        sets.extend([mvd.lhs, mvd.left, mvd.right]);
+    }
+    sets
+}
+
+/// The work counter is exact: a cold serial `analyze` runs the grouping
+/// kernel once per distinct attribute set it touches, on every layout.
+/// Each count table whose ids are resident is decoded, not regrouped, and
+/// counts as a hit.  On sharded sources every shard groups each set once.
+#[test]
+fn cold_serial_analyze_groups_each_attribute_set_once() {
+    let flat = chain_fixture(3000);
+    let tree =
+        JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3]), bag(&[3, 4])]).unwrap();
+    let sets = analyzed_sets(&tree).len() as u64;
+    let reference = Analyzer::with_thread_budget(&flat, ThreadBudget::serial())
+        .analyze(&tree)
+        .unwrap();
+
+    let an = Analyzer::with_thread_budget(&flat, ThreadBudget::serial());
+    an.analyze(&tree).unwrap();
+    assert_eq!(an.cache_stats().misses, sets, "flat: one grouping per set");
+
+    for shards in [1usize, 8] {
+        let sharded = flat.clone().into_shards(shards).unwrap();
+        let an = Analyzer::with_thread_budget(&sharded, ThreadBudget::serial());
+        let report = an.analyze(&tree).unwrap();
+        assert_reports_identical(&reference, &report, &format!("shards={shards}"));
+        assert_eq!(
+            an.cache_stats().misses,
+            sets,
+            "shards={shards}: one merged grouping per set"
+        );
+        assert_eq!(
+            sharded.shard_cache_stats().misses,
+            shards as u64 * sets,
+            "shards={shards}: each shard groups each set once"
+        );
+    }
 }

@@ -10,14 +10,24 @@
 //! where the `Ωᵢ` are the bags of `T` and the `Δᵢ` its edge separators.
 //! Theorem 3.2 states `J(T) = min_{Q ⊨ T} D_KL(P ‖ Q) = D_KL(P ‖ P^T)`.
 //!
-//! [`TreeFactoredDistribution`] evaluates `P^T` for the empirical
-//! distribution of a relation, and [`kl_divergence_to_tree`] computes
-//! `D_KL(P_R ‖ P_R^T)` directly from counts so that the Theorem 3.2 identity
-//! can be verified numerically (it is also exploited by the analysis crate
-//! as a cross-check on the J-measure computation).
+//! [`kl_divergence_to_tree`] / [`kl_report`] compute `D_KL(P_R ‖ P_R^T)`
+//! so that the Theorem 3.2 identity can be verified numerically (the
+//! analysis crate reports it next to `J` as a cross-check).  The sum runs on
+//! **interned group ids**: it walks the `Ω` grouping in group-id order,
+//! takes each group's first row as its representative, and reads every bag
+//! and separator marginal as `counts[row_ids[rep]]` of that attribute set's
+//! grouping.  No key is decoded and no hash table is built or probed, and
+//! over a caching [`GroupSource`] the groupings are the ones the join-size
+//! count already holds.
+//!
+//! [`TreeFactoredDistribution`] evaluates `P^T` on arbitrary decoded tuples
+//! (hash lookups on decoded keys).  Its
+//! [`TreeFactoredDistribution::kl_by_tuples`] sums the same terms in the
+//! same order through [`TreeFactoredDistribution::log_prob`]; it is the
+//! tuple-level reference the id-level sum is tested to match bit for bit.
 
 use ajd_jointree::JoinTree;
-use ajd_relation::{GroupCounts, GroupSource, RelationError, Result, Value};
+use ajd_relation::{GroupCounts, GroupIds, GroupSource, RelationError, Result, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -59,20 +69,7 @@ impl TreeFactoredDistribution {
     /// the J-measure of the tree needs, so computing both costs one grouping
     /// pass per attribute set.
     pub fn new<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Self> {
-        if src.is_empty() {
-            return Err(RelationError::EmptyInput(
-                "relation for tree-factorised distribution",
-            ));
-        }
-        if tree.attributes() != src.attrs() {
-            return Err(RelationError::SchemaMismatch {
-                detail: format!(
-                    "join tree attributes {} differ from relation attributes {}",
-                    tree.attributes(),
-                    src.attrs()
-                ),
-            });
-        }
+        check_factorisable(src, tree)?;
         let mut bag_counts = Vec::with_capacity(tree.num_nodes());
         for bag in tree.bags() {
             let pos = src.attr_positions(bag)?;
@@ -130,6 +127,36 @@ impl TreeFactoredDistribution {
     pub fn prob(&self, row: &[Value]) -> f64 {
         self.log_prob(row).exp()
     }
+
+    /// `D_KL(P_R ‖ P_R^T)` summed tuple by tuple: every distinct tuple of
+    /// `src` (the source this distribution was built from) is decoded and
+    /// scored through [`TreeFactoredDistribution::log_prob`].
+    ///
+    /// Same terms in the same order as [`kl_report`], hence bit-identical
+    /// to it, but each term pays hash probes on decoded keys.  It is the
+    /// reference the id-level sum is checked against.
+    pub fn kl_by_tuples<S: GroupSource>(&self, src: &S) -> Result<KlReport> {
+        let attrs = src.attrs();
+        let full = src.group_counts(&attrs)?;
+        let n = src.num_rows() as f64;
+        let mut kl = 0.0f64;
+        // The grouped keys are in ascending-attribute order; log_prob expects
+        // the source column order, so reorder via the grouped attrs'
+        // positions.
+        let positions = src.attr_positions(&attrs)?;
+        let mut reordered = vec![0u32; src.arity()];
+        for (key, count) in full.iter() {
+            for (i, &p) in positions.iter().enumerate() {
+                reordered[p] = key[i];
+            }
+            let p_t = count as f64 / n;
+            kl += p_t * (p_t.ln() - self.log_prob(&reordered));
+        }
+        Ok(KlReport {
+            kl_nats: kl,
+            support_size: full.num_groups(),
+        })
+    }
 }
 
 /// Computes `D_KL(P_R ‖ P_R^T)` in nats (the right-hand side of
@@ -140,32 +167,75 @@ pub fn kl_divergence_to_tree<S: GroupSource>(src: &S, tree: &JoinTree) -> Result
 
 /// Like [`kl_divergence_to_tree`], additionally reporting the support size.
 ///
-/// Over a caching [`GroupSource`] the full-relation group counts (also the
-/// `H(Ω)` marginal) and every bag/separator marginal come from the cache.
+/// Sums over the `Ω` groups in group-id (first-appearance) order, each
+/// represented by its first row; the term of a group is
+/// `p·(ln p − ln P^T)` with `p = count/N` and
+/// `ln P^T = Σ_bags (ln c − ln N) − Σ_separators (ln c − ln N)`, every `c`
+/// read from the interned groupings at the representative row.  Over a
+/// caching [`GroupSource`] every grouping comes from the cache.
 pub fn kl_report<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<KlReport> {
-    let factored = TreeFactoredDistribution::new(src, tree)?;
-    let attrs = src.attrs();
-    let full = src.group_counts(&attrs)?;
+    check_factorisable(src, tree)?;
+    let full = src.group_ids(&src.attrs())?;
+    let bag_ids = tree
+        .bags()
+        .iter()
+        .map(|bag| src.group_ids(bag))
+        .collect::<Result<Vec<_>>>()?;
+    let sep_ids = (0..tree.num_edges())
+        .map(|e| src.group_ids(&tree.separator(e)))
+        .collect::<Result<Vec<_>>>()?;
     let n = src.num_rows() as f64;
+    let n_ln = n.ln();
+    let count_at = |ids: &GroupIds, row: usize| ids.counts()[ids.row_ids()[row] as usize] as f64;
     let mut kl = 0.0f64;
-    // The grouped keys are in ascending-attribute order; log_prob expects the
-    // source column order, so reorder via the positions of the grouped attrs.
-    let positions = src.attr_positions(&attrs)?;
-    let mut reordered = vec![0u32; src.arity()];
-    for (key, count) in full.iter() {
-        // `key[i]` is the value of the i-th attribute in ascending order,
-        // which lives at column `positions[i]` of the source relation.
-        for (i, &p) in positions.iter().enumerate() {
-            reordered[p] = key[i];
+    // Ids are numbered in first-appearance order, so the first row whose id
+    // is the next unseen one is that group's representative.
+    let mut next = 0u32;
+    for (row, &g) in full.row_ids().iter().enumerate() {
+        if g != next {
+            continue;
         }
-        let p_t = count as f64 / n;
-        let log_q = factored.log_prob(&reordered);
+        next += 1;
+        let mut log_q = 0.0f64;
+        for ids in &bag_ids {
+            log_q += count_at(ids, row).ln() - n_ln;
+        }
+        for ids in &sep_ids {
+            log_q -= count_at(ids, row).ln() - n_ln;
+        }
+        let p_t = full.counts()[g as usize] as f64 / n;
         kl += p_t * (p_t.ln() - log_q);
     }
+    debug_assert_eq!(
+        next as usize,
+        full.num_groups(),
+        "ids in first-appearance order"
+    );
     Ok(KlReport {
         kl_nats: kl,
         support_size: full.num_groups(),
     })
+}
+
+/// The preconditions of `P^T`: a non-empty source whose attributes are
+/// exactly the tree's (otherwise `P^T` is a distribution over a different
+/// variable set and the KL-divergence is not defined tuple-wise).
+fn check_factorisable<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<()> {
+    if src.is_empty() {
+        return Err(RelationError::EmptyInput(
+            "relation for tree-factorised distribution",
+        ));
+    }
+    if tree.attributes() != src.attrs() {
+        return Err(RelationError::SchemaMismatch {
+            detail: format!(
+                "join tree attributes {} differ from relation attributes {}",
+                tree.attributes(),
+                src.attrs()
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -296,6 +366,24 @@ mod tests {
     }
 
     #[test]
+    fn id_level_sum_is_bit_identical_to_the_tuple_level_reference() {
+        let r = irregular_relation();
+        let trees = [
+            JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap(),
+            JoinTree::star(vec![bag(&[0, 1]), bag(&[0, 2]), bag(&[0, 3])]).unwrap(),
+        ];
+        for t in trees {
+            let ids = kl_report(&r, &t).unwrap();
+            let tuples = TreeFactoredDistribution::new(&r, &t)
+                .unwrap()
+                .kl_by_tuples(&r)
+                .unwrap();
+            assert_eq!(ids.kl_nats.to_bits(), tuples.kl_nats.to_bits(), "{t}");
+            assert_eq!(ids.support_size, tuples.support_size, "{t}");
+        }
+    }
+
+    #[test]
     fn mismatched_attribute_sets_are_rejected() {
         let r = irregular_relation();
         let t = JoinTree::new(vec![bag(&[0, 1]), bag(&[1, 2])], vec![(0, 1)]).unwrap();
@@ -308,6 +396,7 @@ mod tests {
         let r = Relation::new(vec![AttrId(0), AttrId(1)]).unwrap();
         let t = JoinTree::new(vec![bag(&[0]), bag(&[1])], vec![(0, 1)]).unwrap();
         assert!(TreeFactoredDistribution::new(&r, &t).is_err());
+        assert!(kl_report(&r, &t).is_err());
     }
 
     #[test]

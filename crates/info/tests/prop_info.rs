@@ -4,7 +4,7 @@
 
 use ajd_info::{
     conditional_entropy, conditional_mutual_information, entropy, j_measure, kl_divergence_to_tree,
-    mutual_information,
+    kl_report, mutual_information, TreeFactoredDistribution,
 };
 use ajd_jointree::JoinTree;
 use ajd_relation::{AttrId, AttrSet, Relation, Value};
@@ -97,6 +97,11 @@ proptest! {
     /// The J-measure of any join tree is non-negative and equals the
     /// KL-divergence to the tree factorisation (Theorem 3.2) — here checked
     /// on *multiset* relations too, where tuples carry multiplicities.
+    ///
+    /// The id-level KL sum is also bit-identical to the tuple-level
+    /// reference, which scores every decoded distinct tuple through
+    /// `TreeFactoredDistribution::log_prob`, and both range over the same
+    /// support.
     #[test]
     fn j_measure_nonnegative_and_equals_kl_on_multisets(r in relation_strategy(3, 4, 60)) {
         let trees = [
@@ -108,6 +113,14 @@ proptest! {
             let kl = kl_divergence_to_tree(&r, &tree).unwrap();
             prop_assert!(j >= -1e-9);
             prop_assert!((j - kl).abs() < 1e-9 * (1.0 + j.abs()));
+
+            let report = kl_report(&r, &tree).unwrap();
+            let reference = TreeFactoredDistribution::new(&r, &tree)
+                .unwrap()
+                .kl_by_tuples(&r)
+                .unwrap();
+            prop_assert_eq!(report.kl_nats.to_bits(), reference.kl_nats.to_bits());
+            prop_assert_eq!(report.support_size, reference.support_size);
         }
     }
 }

@@ -127,6 +127,13 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     /// [`GroupSource::projection`] computed under a [`ThreadBudget`].
     fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation>;
 
+    /// Decodes a grouping of this source into its count table without
+    /// grouping again: the result is bit-identical to
+    /// [`GroupKernel::group_counts_with`] on `ids.attrs()`.
+    ///
+    /// `ids` must have been computed from this source.
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts;
+
     /// Materialises the rows at the given **sorted, strictly increasing**
     /// global row indices as a fresh flat [`Relation`].
     ///
@@ -192,6 +199,10 @@ impl GroupKernel for Relation {
         Relation::project_with(self, attrs, budget)
     }
 
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
+        Relation::decode_group_counts(self, ids)
+    }
+
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         Relation::gather_rows(self, sorted_rows)
     }
@@ -238,6 +249,10 @@ impl<S: GroupKernel + ?Sized> GroupKernel for &S {
 
     fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
         (**self).project_with(attrs, budget)
+    }
+
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
+        (**self).decode_group_counts(ids)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -288,6 +303,10 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
         (**self).project_with(attrs, budget)
     }
 
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
+        (**self).decode_group_counts(ids)
+    }
+
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         (**self).gather_rows(sorted_rows)
     }
@@ -300,9 +319,13 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
 /// A point-in-time snapshot of a context's cache effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from a cache.
+    /// Lookups answered without running the grouping kernel: served from a
+    /// cache, or a count table decoded from a resident id table.
     pub hits: u64,
-    /// Lookups that had to compute (and then memoize) their value.
+    /// Kernel runs: lookups that had to group (or project) the source and
+    /// then memoized the result.  A caller that asks for a set's ids before
+    /// its counts (as `ajd_core::Analyzer::analyze` does) pays exactly one
+    /// miss per distinct attribute set it groups.
     pub misses: u64,
     /// Number of memoized [`GroupCounts`] entries.
     pub group_count_entries: usize,
@@ -355,6 +378,13 @@ impl<T> StripedCache<T> {
         &self.shards[(h.finish() as usize) & (CACHE_STRIPES - 1)]
     }
 
+    /// The completed, successful value for `attrs`, if one is resident.
+    /// Never installs a slot and never waits on an in-flight one.
+    fn resident(&self, attrs: &AttrSet) -> Option<Arc<T>> {
+        let slot = self.shard(attrs).read().get(attrs).cloned()?;
+        slot.get()?.as_ref().ok().cloned()
+    }
+
     /// Number of *completed, successful* entries (in-flight slots and
     /// removed error slots do not count).
     fn entries(&self) -> usize {
@@ -387,6 +417,16 @@ impl<T> StripedCache<T> {
 /// workers, and concurrent misses on the same attribute set are
 /// **single-flight** — exactly one thread computes, the others block on
 /// that entry and receive the same `Arc`.
+///
+/// The count and id caches share their groupings one way: a count-table
+/// miss whose [`GroupIds`] for the same set are already **resident** decodes
+/// them ([`GroupKernel::decode_group_counts`]) instead of running the
+/// kernel again.  The other way never happens: a count lookup does not
+/// create an id table (ids hold one `u32` per row, so filling the id cache
+/// on every count lookup would raise peak memory for count-only callers).
+/// Callers that need both for a set — the full analysis — ask for the ids
+/// first.  [`CacheStats::misses`] counts kernel runs only; a decoded count
+/// table counts as a hit.
 ///
 /// Each cache has one accessor, which takes the [`ThreadBudget`] a miss is
 /// computed under ([`AnalysisContext::group_counts_with`],
@@ -448,20 +488,24 @@ impl<S: GroupKernel> AnalysisContext<S> {
     }
 
     /// Memoized [`Relation::group_counts`]: multiplicities of the distinct
-    /// `attrs`-projections of the relation's tuples, computed under
-    /// `budget` on a miss.
+    /// `attrs`-projections of the relation's tuples.  On a miss the table
+    /// is decoded from the resident [`GroupIds`] of `attrs` if there are
+    /// any, and otherwise computed under `budget`.
     ///
     /// The budget is per call, so callers that split one total budget
     /// across layers (a fan-out handing each worker its share) pass the
     /// share down without touching the shared context.  The cached value
-    /// is bit-identical at any budget.
+    /// is bit-identical at any budget and on either fill path.
     pub fn group_counts_with(
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
         self.memoized(&self.group_counts, attrs, |r, a| {
-            r.group_counts_with(a, budget).map(Arc::new)
+            match self.group_ids.resident(a) {
+                Some(ids) => Ok((Arc::new(r.decode_group_counts(&ids)), false)),
+                None => Ok((Arc::new(r.group_counts_with(a, budget)?), true)),
+            }
         })
     }
 
@@ -469,7 +513,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// computed under `budget` on a miss.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         self.memoized(&self.group_ids, attrs, |r, a| {
-            r.group_ids_with(a, budget).map(Arc::new)
+            Ok((Arc::new(r.group_ids_with(a, budget)?), true))
         })
     }
 
@@ -477,7 +521,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// `budget` on a miss.
     pub fn projection_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<Relation>> {
         self.memoized(&self.projections, attrs, |r, a| {
-            r.project_with(a, budget).map(Arc::new)
+            Ok((Arc::new(r.project_with(a, budget)?), true))
         })
     }
 
@@ -501,11 +545,14 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// that slot alone and receives the leader's `Arc`.  Errors are not
     /// memoized: the leader removes the failed slot so later calls retry
     /// (threads already blocked on it still observe the error).
+    ///
+    /// `compute` returns the value and whether it ran the kernel; only a
+    /// kernel run counts as a miss, a fill without one counts as a hit.
     fn memoized<T>(
         &self,
         cache: &StripedCache<T>,
         attrs: &AttrSet,
-        compute: impl FnOnce(&S, &AttrSet) -> Result<Arc<T>>,
+        compute: impl FnOnce(&S, &AttrSet) -> Result<(Arc<T>, bool)>,
     ) -> Result<Arc<T>> {
         let shard = cache.shard(attrs);
         let slot: Slot<T> = {
@@ -525,11 +572,11 @@ impl<S: GroupKernel> AnalysisContext<S> {
         let result = slot
             .get_or_init(|| {
                 led = true;
-                let out = compute(&self.source, attrs);
-                if out.is_ok() {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                out
+                compute(&self.source, attrs).map(|(value, grouped)| {
+                    let counter = if grouped { &self.misses } else { &self.hits };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    value
+                })
             })
             .clone();
         if !led {
@@ -718,6 +765,35 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.group_count_entries, 1);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// A count miss decodes resident ids instead of grouping again (a hit,
+    /// not a miss); a count lookup never creates an id table, so the other
+    /// order groups twice.
+    #[test]
+    fn count_miss_decodes_resident_ids_but_never_creates_them() {
+        let r = sample();
+        let attrs = bag(&[0, 1]);
+        let direct = r.group_counts(&attrs).unwrap();
+
+        let ids_first = AnalysisContext::new(&r);
+        ids_first.group_ids(&attrs).unwrap();
+        let decoded = ids_first.group_counts(&attrs).unwrap();
+        let stats = ids_first.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(decoded.total, direct.total);
+        assert_eq!(decoded.counts(), direct.counts());
+        for g in 0..direct.num_groups() {
+            assert_eq!(decoded.key(g), direct.key(g));
+            assert_eq!(decoded.key_codes(g), direct.key_codes(g));
+        }
+
+        let counts_first = AnalysisContext::new(&r);
+        counts_first.group_counts(&attrs).unwrap();
+        assert_eq!(counts_first.stats().group_id_entries, 0);
+        counts_first.group_ids(&attrs).unwrap();
+        let stats = counts_first.stats();
+        assert_eq!((stats.misses, stats.hits), (2, 0));
     }
 
     #[test]

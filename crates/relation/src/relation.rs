@@ -226,9 +226,12 @@ impl GroupIds {
 /// and the **code-level** keys ([`GroupCounts::key_codes`]).
 ///
 /// The key → count lookup index is built **lazily** on the first
-/// [`GroupCounts::count_of`] call: the hot consumers (entropies) only scan
-/// the flat count vector, so a grouping with many distinct groups never
-/// pays for a hash table it will not probe.
+/// [`GroupCounts::count_of`] call: the analysis never builds one.
+/// Entropies only scan the flat count vector, and the KL sum of
+/// `ajd_info::kl_report` reads its marginals through interned
+/// [`GroupIds`].  Point lookups on decoded tuples (`P^T` evaluated on
+/// arbitrary rows, synthetic inserts) are the only callers that pay for the
+/// hash table.
 #[derive(Debug, Clone, Default)]
 pub struct GroupCounts {
     /// Attribute set the rows are grouped by (ascending attribute order).

@@ -854,6 +854,10 @@ impl GroupKernel for ShardedRelation {
         ShardedRelation::project_with(self, attrs, budget)
     }
 
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
+        ShardedRelation::decode_group_counts(self, ids)
+    }
+
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         ShardedRelation::gather_rows(self, sorted_rows)
     }

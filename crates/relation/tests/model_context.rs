@@ -9,7 +9,8 @@
 #![cfg(ajd_model)]
 
 use ajd_model::{Model, ViolationKind};
-use ajd_relation::{AnalysisContext, AttrId, AttrSet, Relation, ThreadBudget};
+use ajd_relation::{AnalysisContext, AttrId, AttrSet, GroupCounts, Relation, ThreadBudget};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn sample() -> Relation {
     Relation::from_rows(
@@ -137,4 +138,71 @@ fn warm_key_readers_never_recompute() {
             assert_eq!(stats.hits, 2);
         });
     assert!(report.violation.is_none(), "{:?}", report.violation);
+}
+
+/// Two count tables are the same table: same groups in the same order, with
+/// the same decoded keys, dictionary codes and multiplicities.
+fn assert_same_table(a: &GroupCounts, b: &GroupCounts) {
+    assert_eq!(a.attrs, b.attrs);
+    assert_eq!(a.total, b.total);
+    assert_eq!(a.counts(), b.counts());
+    for g in 0..a.num_groups() {
+        assert_eq!(a.key(g), b.key(g));
+        assert_eq!(a.key_codes(g), b.key_codes(g));
+    }
+}
+
+/// A cold count lookup racing a cold id lookup on the same set.  The count
+/// side decodes the ids if they are already resident and groups on its own
+/// otherwise (it never waits on an in-flight id slot).  Under every
+/// interleaving both calls return, the count table is bit-identical to the
+/// decoded id table, and the kernel runs at most twice.  Returns the
+/// number of kernel runs.
+fn counts_race_ids_body() -> u64 {
+    let r = sample();
+    let ctx = AnalysisContext::new(&r);
+    let y = AttrSet::from_ids([0, 1]);
+    let (counts, ids) = ajd_sync::thread::scope(|s| {
+        let counts = s.spawn(|| ctx.group_counts_with(&y, ThreadBudget::serial()));
+        let ids = s.spawn(|| ctx.group_ids_with(&y, ThreadBudget::serial()));
+        (
+            counts.join().expect("count lookup returns"),
+            ids.join().expect("id lookup returns"),
+        )
+    });
+    let counts = counts.expect("grouping cannot fail");
+    let ids = ids.expect("grouping cannot fail");
+    assert_same_table(&counts, &r.decode_group_counts(&ids));
+    let stats = ctx.stats();
+    assert!(
+        (1..=2).contains(&stats.misses),
+        "kernel ran {} times for two lookups of one set",
+        stats.misses
+    );
+    assert_eq!(stats.hits + stats.misses, 2, "{stats:?}");
+    assert_eq!(stats.group_count_entries, 1);
+    assert_eq!(stats.group_id_entries, 1);
+    stats.misses
+}
+
+#[test]
+fn cold_counts_racing_cold_ids_agree_and_group_at_most_twice() {
+    // Schedules in which the count side found the ids resident and decoded
+    // them (one kernel run) rather than grouping itself (two).
+    let decoded = AtomicUsize::new(0);
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(|| {
+            if counts_race_ids_body() == 1 {
+                decoded.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    let decoded = decoded.load(Ordering::Relaxed);
+    assert!(
+        decoded > 0 && decoded < report.schedules,
+        "both fill paths must be explored: {decoded} of {} schedules decoded",
+        report.schedules
+    );
 }
