@@ -9,8 +9,7 @@
 //! codes and either counts into a dense mixed-radix table (no hashing) or
 //! hashes one packed `u64` per row.
 //!
-//! Results are printed and, crucially for the perf trajectory, written to
-//! `BENCH_columnar.json` (path overridable via `AJD_BENCH_JSON`) — the
+//! Results go to `BENCH_columnar.json` (see `ajd_bench::perf`); the
 //! bench-smoke workflow uploads that file on every run.
 
 use std::time::Duration;
@@ -65,17 +64,10 @@ fn main() {
     ];
 
     let mut json = BenchJson::new();
-    println!("columnar group_counts vs seed row-hashing, N = {n} rows, dims = [64,64,64,64]");
-    println!(
-        "{:<28} {:>14} {:>14} {:>9}",
-        "grouping", "columnar", "row-hash", "speedup"
-    );
     for (name, attrs) in &workloads {
         assert_equivalent(&r, attrs);
         let columnar = time_median(budget, || r.group_counts(attrs).unwrap());
         let rowhash = time_median(budget, || group_counts_rowhash(&r, attrs));
-        let speedup = rowhash.as_secs_f64() / columnar.as_secs_f64();
-        println!("{name:<28} {columnar:>14.2?} {rowhash:>14.2?} {speedup:>8.2}x");
         json.record_vs_baseline(&format!("group_counts/{name}_100k"), columnar, rowhash);
     }
 
@@ -83,9 +75,8 @@ fn main() {
     let proj_attrs = AttrSet::from_ids([0u32, 2]);
     let columnar_proj = time_median(budget, || r.project(&proj_attrs).unwrap());
     json.record("project/pair_100k", columnar_proj);
-    println!("{:<28} {:>14.2?}", "project/pair", columnar_proj);
 
-    json.emit(&BenchJson::default_path());
+    json.emit(&BenchJson::default_path("columnar"));
 
     let min_speedup = json
         .records()

@@ -7,16 +7,20 @@
 //! share most bags and separators, so the shared cache answers most group
 //! counts from memory; the uncached baseline re-projects and re-groups the
 //! relation for every tree.  Before timing anything, the bench asserts the
-//! cached reports are bit-identical to the uncached ones.
+//! cached reports are bit-identical to the uncached ones.  A single-tree
+//! pair prices a cold against a warm cache.  Results go to
+//! `BENCH_context.json` (see `ajd_bench::perf`); each cached record carries
+//! its uncached or cold median as the baseline.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::time::Duration;
 
+use ajd_bench::{time_median, BenchJson};
 use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
 use ajd_random::generators::markov_chain_relation;
 use ajd_relation::{AttrSet, Relation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bag(ids: &[u32]) -> AttrSet {
     AttrSet::from_ids(ids.iter().copied())
@@ -61,79 +65,20 @@ fn assert_cached_matches_uncached(r: &Relation, trees: &[JoinTree]) {
     }
 }
 
-fn bench_discovery_sweep(c: &mut Criterion) {
+fn main() {
     let r = workload();
     let trees = sweep_trees();
     assert_cached_matches_uncached(&r, &trees);
 
-    let mut group = c.benchmark_group("context/discovery_sweep");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(trees.len() as u64));
-    group.bench_function("uncached_per_tree", |b| {
-        b.iter(|| {
-            trees
-                .iter()
-                .map(|t| Analyzer::new(&r).analyze(t).unwrap().j_measure)
-                .sum::<f64>()
-        })
-    });
-    group.bench_function("cached_sequential", |b| {
-        b.iter(|| {
-            let batch = Analyzer::new(&r).with_threads(1);
-            trees
-                .iter()
-                .map(|t| batch.analyze(t).unwrap().j_measure)
-                .sum::<f64>()
-        })
-    });
-    group.bench_function("cached_parallel", |b| {
-        b.iter(|| {
-            let batch = Analyzer::new(&r);
-            batch
-                .analyze_all(&trees)
-                .into_iter()
-                .map(|rep| rep.unwrap().j_measure)
-                .sum::<f64>()
-        })
-    });
-    group.finish();
-}
-
-fn bench_single_tree(c: &mut Criterion) {
-    let r = workload();
-    let tree =
-        JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3]), bag(&[3, 4])]).unwrap();
-
-    let mut group = c.benchmark_group("context/single_tree");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(r.len() as u64));
-    // Cold: a fresh analyzer (empty cache) per analysis.
-    group.bench_function("cold_context", |b| {
-        b.iter(|| Analyzer::new(&r).analyze(&tree).unwrap())
-    });
-    // Warm: the context has already seen this tree; everything is a hit.
-    let batch = Analyzer::new(&r);
-    let _ = batch.analyze(&tree).unwrap();
-    group.bench_function("warm_context", |b| b.iter(|| batch.analyze(&tree).unwrap()));
-    group.finish();
-}
-
-/// Re-times the sweep's headline comparison (shared cache vs per-tree
-/// recomputation) with the standalone timer and appends the records to the
-/// perf-trajectory JSON (`BENCH_columnar.json`, see `ajd_bench::perf`).
-fn record_trajectory(_c: &mut Criterion) {
-    use ajd_bench::{time_median, BenchJson};
-    use std::time::Duration;
-
-    let r = workload();
-    let trees = sweep_trees();
     let budget = Duration::from_millis(400);
+    let mut json = BenchJson::new();
     let uncached = time_median(budget, || {
         trees
             .iter()
             .map(|t| Analyzer::new(&r).analyze(t).unwrap().j_measure)
             .sum::<f64>()
     });
+    json.record("context/discovery_sweep_uncached", uncached);
     let cached = time_median(budget, || {
         let batch = Analyzer::new(&r).with_threads(1);
         trees
@@ -141,15 +86,29 @@ fn record_trajectory(_c: &mut Criterion) {
             .map(|t| batch.analyze(t).unwrap().j_measure)
             .sum::<f64>()
     });
-    let mut json = BenchJson::new();
     json.record_vs_baseline("context/discovery_sweep_cached", cached, uncached);
-    json.emit(&BenchJson::default_path());
-}
+    let parallel = time_median(budget, || {
+        Analyzer::new(&r)
+            .analyze_all(&trees)
+            .into_iter()
+            .map(|rep| rep.unwrap().j_measure)
+            .sum::<f64>()
+    });
+    json.record_vs_baseline(
+        "context/discovery_sweep_cached_parallel",
+        parallel,
+        uncached,
+    );
 
-criterion_group!(
-    benches,
-    bench_discovery_sweep,
-    bench_single_tree,
-    record_trajectory
-);
-criterion_main!(benches);
+    // One tree: a fresh analyzer (empty cache) per analysis, against an
+    // analyzer that has already seen the tree (every lookup a hit).
+    let tree = &trees[0];
+    let cold = time_median(budget, || Analyzer::new(&r).analyze(tree).unwrap());
+    json.record("context/single_tree/cold_context", cold);
+    let analyzer = Analyzer::new(&r);
+    analyzer.analyze(tree).unwrap();
+    let warm = time_median(budget, || analyzer.analyze(tree).unwrap());
+    json.record_vs_baseline("context/single_tree/warm_context", warm, cold);
+
+    json.emit(&BenchJson::default_path("context"));
+}

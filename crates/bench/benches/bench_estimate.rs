@@ -17,8 +17,9 @@
 //! covers it, the estimator must take the fallback path and agree
 //! bit-for-bit with the exact analyzer on every measure.
 //!
-//! Alongside the wall-clock records, `record_trajectory` writes the
-//! *observed vs planned* estimation error to the same JSON file: the
+//! Alongside the wall-clock records, the bench writes the *observed vs
+//! planned* estimation error to `BENCH_estimate.json` (see
+//! `ajd_bench::perf`), after asserting it stays within ε: the
 //! absolute deviation |estimate − exact| is encoded in nano-nats (1 nat =
 //! 10⁹ record units) with the planned ε as the baseline, so the record's
 //! `speedup` field reads as the safety margin planned/observed ≥ 1.
@@ -30,14 +31,15 @@
 //! — several groupings over the same sample — is where the sublinear tier
 //! pulls ahead; compound analyses amortise the sample further.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::time::Duration;
 
+use ajd_bench::{time_median, BenchJson};
 use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer};
 use ajd_jointree::JoinTree;
 use ajd_random::generators::{markov_chain_relation, random_relation};
 use ajd_relation::{AttrSet, Relation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn bag(ids: &[u32]) -> AttrSet {
     AttrSet::from_ids(ids.iter().copied())
@@ -80,58 +82,7 @@ fn assert_fallback_matches_exact() {
     );
 }
 
-fn bench_entropy(c: &mut Criterion) {
-    assert_fallback_matches_exact();
-    let r = workload();
-    let attrs = bag(&[0, 1]);
-    let cfg = EstimateConfig::default();
-
-    let mut group = c.benchmark_group("estimate/entropy_1m");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(r.len() as u64));
-    group.bench_function("exact", |b| {
-        b.iter(|| Analyzer::new(&r).entropy(&attrs).unwrap())
-    });
-    group.bench_function("estimated", |b| {
-        b.iter(|| {
-            EstimatedAnalyzer::new(&r, cfg)
-                .unwrap()
-                .entropy(&attrs)
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
-fn bench_j_measure(c: &mut Criterion) {
-    let r = workload();
-    let t = tree();
-    let cfg = EstimateConfig::default();
-
-    let mut group = c.benchmark_group("estimate/j_measure_1m");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(r.len() as u64));
-    group.bench_function("exact", |b| {
-        b.iter(|| Analyzer::new(&r).j_measure(&t).unwrap())
-    });
-    group.bench_function("estimated", |b| {
-        b.iter(|| {
-            EstimatedAnalyzer::new(&r, cfg)
-                .unwrap()
-                .j_measure(&t)
-                .unwrap()
-        })
-    });
-    group.finish();
-}
-
-/// Re-times the headline exact-vs-estimated comparisons with the standalone
-/// timer and appends the records — plus the observed-vs-planned error — to
-/// the perf-trajectory JSON (`BENCH_estimate.json`, see `ajd_bench::perf`).
-fn record_trajectory(_c: &mut Criterion) {
-    use ajd_bench::{time_median, BenchJson};
-    use std::time::Duration;
-
+fn main() {
     assert_fallback_matches_exact();
     let r = workload();
     let attrs = bag(&[0, 1]);
@@ -186,8 +137,5 @@ fn record_trajectory(_c: &mut Criterion) {
         Duration::from_nanos((j_err * 1e9).round() as u64),
         Duration::from_nanos((j.epsilon * 1e9).round() as u64),
     );
-    json.emit(&BenchJson::default_path());
+    json.emit(&BenchJson::default_path("estimate"));
 }
-
-criterion_group!(benches, bench_entropy, bench_j_measure, record_trajectory);
-criterion_main!(benches);

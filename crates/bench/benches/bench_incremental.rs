@@ -17,13 +17,12 @@
 //!
 //! Before timing, the incremental results are asserted **bit-identical**
 //! to a cold regroup and to the flat grown relation — the cache tier must
-//! never change an answer, only its cost.  Results are printed and
-//! written to `BENCH_incremental.json` (path overridable via
-//! `AJD_BENCH_JSON`); each incremental record carries the full-regroup
-//! median as its baseline, so the JSON tracks the speedup directly.
+//! never change an answer, only its cost.  Results go to
+//! `BENCH_incremental.json` (see `ajd_bench::perf`); each incremental
+//! record carries the full-regroup median as its baseline, so the JSON
+//! tracks the speedup directly.
 //! Ratios on shared CI runners are recorded, never gated.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use ajd_bench::{time_median, BenchJson};
@@ -32,13 +31,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const BASE_SHARDS: [usize; 3] = [4, 16, 64];
-
-/// Output path: `$AJD_BENCH_JSON` or `BENCH_incremental.json`.
-fn out_path() -> PathBuf {
-    std::env::var_os("AJD_BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_incremental.json"))
-}
 
 /// `n` rows over four columns with domain 12 each (the dense kernel).
 fn rows(rng: &mut StdRng, n: usize) -> Vec<[u32; 4]> {
@@ -91,12 +83,6 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(20230923);
     let mut json = BenchJson::new();
 
-    println!("incremental append vs full regroup, N = {n} base rows");
-    println!(
-        "{:<10} {:>14} {:>18} {:>14}",
-        "shards", "full_regroup", "append_one_shard", "warm_remerge"
-    );
-
     for &k in &BASE_SHARDS {
         let base_rows = rows(&mut rng, n);
         let batch_rows = rows(&mut rng, n / k);
@@ -133,10 +119,8 @@ fn main() {
             grown.group_ids_with(&attrs, kernel_budget).unwrap()
         });
         json.record_vs_baseline(&format!("incremental/k{k}/warm_remerge"), remerge, full);
-
-        println!("{k:<10} {full:>14.2?} {append:>18.2?} {remerge:>14.2?}");
     }
 
-    json.emit(&out_path());
+    json.emit(&BenchJson::default_path("incremental"));
     println!("incremental grouping is bit-identical to a cold regroup at every shard count ✓");
 }

@@ -13,9 +13,9 @@
 //!
 //! Before timing anything the parallel results are asserted **bit-identical**
 //! to the serial kernel — speed never at the cost of the determinism
-//! guarantee.  Results are printed and written to `BENCH_parallel.json`
-//! (path overridable via `AJD_BENCH_JSON`); each `tN` record carries the
-//! `t1` median as its baseline so the JSON records the speedup directly.
+//! guarantee.  Results go to `BENCH_parallel.json` (see `ajd_bench::perf`);
+//! each `tN` record carries the `t1` median as its baseline so the JSON
+//! records the speedup directly.
 //!
 //! The ≥ 1.5× speedup acceptance gate is opt-in
 //! (`AJD_BENCH_ENFORCE_SPEEDUP=1`) and additionally requires ≥ 4 real
@@ -24,7 +24,6 @@
 //! containers) a slowdown is physics, not a defect — the JSON records the
 //! truth either way.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use ajd_bench::{time_median, BenchJson};
@@ -36,13 +35,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Output path: `$AJD_BENCH_JSON` or `BENCH_parallel.json`.
-fn out_path() -> PathBuf {
-    std::env::var_os("AJD_BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_parallel.json"))
-}
 
 /// 100k rows, four independent columns with domain `d` each: the dense
 /// mixed-radix kernel when `d⁴` is small.
@@ -180,11 +172,7 @@ fn main() {
     let n = 100_000usize;
     let mut json = BenchJson::new();
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!("parallel grouping & sweep scaling, N = {n} rows, host cores = {cores}");
-    println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "t1", "t2", "t4", "t8"
-    );
+    println!("parallel scaling at 1/2/4/8 threads, host cores = {cores}");
 
     let mut speedup_at_4 = f64::NEG_INFINITY;
 
@@ -221,10 +209,6 @@ fn main() {
                 speedup_at_4 = speedup_at_4.max(t1.as_secs_f64() / m.as_secs_f64());
             }
         }
-        println!(
-            "{name:<26} {:>12.2?} {:>12.2?} {:>12.2?} {:>12.2?}",
-            medians[0], medians[1], medians[2], medians[3]
-        );
     }
 
     // --- discovery-style sweep ---------------------------------------------
@@ -269,12 +253,8 @@ fn main() {
             speedup_at_4 = speedup_at_4.max(t1.as_secs_f64() / m.as_secs_f64());
         }
     }
-    println!(
-        "{:<26} {:>12.2?} {:>12.2?} {:>12.2?} {:>12.2?}",
-        "sweep_30k", medians[0], medians[1], medians[2], medians[3]
-    );
 
-    json.emit(&out_path());
+    json.emit(&BenchJson::default_path("parallel"));
     println!("best grouping-or-sweep speedup at 4 threads: {speedup_at_4:.2}x");
 
     // The 1.5x gate is opt-in (`AJD_BENCH_ENFORCE_SPEEDUP=1`): wall-clock

@@ -1,54 +1,57 @@
 //! Ablation benchmark of the sampling-without-replacement strategies of the
 //! random relation model (Definition 5.2): partial Fisher–Yates vs Floyd vs
-//! the automatic strategy selection, across density regimes.
+//! the automatic strategy selection, plus one Figure 1 relation draw.
+//!
+//! In the dense regime (half of a small domain) the partial shuffle and the
+//! automatic choice carry Floyd's median as their baseline; the sparse
+//! regime (a tiny sample from a domain too large to materialise) times
+//! Floyd alone.  Results go to `BENCH_sampling.json` (see
+//! `ajd_bench::perf`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::time::Duration;
+
+use ajd_bench::{time_median, BenchJson};
+use ajd_random::sampling::{floyd, partial_shuffle, sample_distinct};
+use ajd_random::RandomRelationModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use ajd_random::sampling::{floyd, partial_shuffle, sample_distinct};
-use ajd_random::RandomRelationModel;
+fn main() {
+    let budget = Duration::from_millis(400);
+    let mut json = BenchJson::new();
 
-fn bench_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sampling/strategies");
     // Sparse regime: tiny sample from a large domain.
     let (domain, n) = (100_000_000u64, 10_000u64);
-    group.throughput(Throughput::Elements(n));
-    group.bench_with_input(BenchmarkId::new("floyd_sparse", n), &n, |b, _| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| floyd(&mut rng, domain, n))
-    });
-    // Dense regime: half of a small domain.
-    let (small_domain, dense_n) = (1_000_000u64, 500_000u64);
-    group.throughput(Throughput::Elements(dense_n));
-    group.bench_with_input(
-        BenchmarkId::new("partial_shuffle_dense", dense_n),
-        &dense_n,
-        |b, _| {
-            let mut rng = StdRng::seed_from_u64(2);
-            b.iter(|| partial_shuffle(&mut rng, small_domain, dense_n))
-        },
-    );
-    group.bench_with_input(BenchmarkId::new("auto_dense", dense_n), &dense_n, |b, _| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| sample_distinct(&mut rng, small_domain, dense_n).unwrap())
-    });
-    group.finish();
-}
+    let mut rng = StdRng::seed_from_u64(1);
+    let sparse = time_median(budget, || floyd(&mut rng, domain, n));
+    json.record(&format!("sampling/strategies/floyd_sparse_{n}"), sparse);
 
-fn bench_model_sampling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sampling/random_relation_model");
+    // Dense regime: half of a small domain.
+    let (domain, n) = (1_000_000u64, 500_000u64);
+    let mut rng = StdRng::seed_from_u64(2);
+    let floyd_dense = time_median(budget, || floyd(&mut rng, domain, n));
+    json.record(&format!("sampling/strategies/floyd_dense_{n}"), floyd_dense);
+    let shuffle = time_median(budget, || partial_shuffle(&mut rng, domain, n));
+    json.record_vs_baseline(
+        &format!("sampling/strategies/partial_shuffle_dense_{n}"),
+        shuffle,
+        floyd_dense,
+    );
+    let mut rng = StdRng::seed_from_u64(3);
+    let auto = time_median(budget, || sample_distinct(&mut rng, domain, n).unwrap());
+    json.record_vs_baseline(
+        &format!("sampling/strategies/auto_dense_{n}"),
+        auto,
+        floyd_dense,
+    );
+
     // The Figure 1 workload at d = 500: N ~ 227k tuples from a 250k domain.
     let d = 500u64;
     let model = RandomRelationModel::degenerate(d, d).unwrap();
     let n = (d as f64 * d as f64 / 1.1).round() as u64;
-    group.throughput(Throughput::Elements(n));
-    group.bench_function("fig1_point_d500", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| model.sample(&mut rng, n).unwrap())
-    });
-    group.finish();
-}
+    let mut rng = StdRng::seed_from_u64(4);
+    let draw = time_median(budget, || model.sample(&mut rng, n).unwrap());
+    json.record("sampling/random_relation_model/fig1_point_d500", draw);
 
-criterion_group!(benches, bench_strategies, bench_model_sampling);
-criterion_main!(benches);
+    json.emit(&BenchJson::default_path("sampling"));
+}

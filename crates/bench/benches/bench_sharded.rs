@@ -1,27 +1,34 @@
 //! Sharded relation benchmark: shard-local grouping + shard-order merge
-//! versus the flat kernel, and a full analysis sweep over sharded input.
+//! versus the flat kernel, and a full analysis over sharded input.
 //!
-//! Three workloads on 100k-row relations:
+//! Three workloads:
 //!
-//! * `shard_group_dense_100k` — 4 small-domain columns (each shard groups
-//!   through the dense mixed-radix kernel) at 1 / 4 / 16 / 64 shards;
-//! * `shard_group_hash_100k`  — 4 correlated wide-domain columns (each
-//!   shard groups through the packed-`u64` hashing kernel);
-//! * `shard_analyze_30k`      — a full `Analyzer::analyze` sweep over a
-//!   sharded warehouse-style relation, flat vs 8 shards.
+//! * `shard_group_dense_100k` — 100k rows, 4 small-domain columns (each
+//!   shard groups through the dense mixed-radix kernel) at 1 / 4 / 16 / 64
+//!   shards;
+//! * `shard_group_hash_100k`  — 100k rows, 4 correlated wide-domain
+//!   columns (each shard groups through the packed-`u64` hashing kernel);
+//! * `shard_analyze_30k`      — a cold `Analyzer::analyze` over a 30k-row
+//!   warehouse-style relation, flat vs 8 shards.
 //!
-//! Before timing anything the sharded results are asserted **bit-identical**
-//! to the flat kernel at every shard count and budget — scale never at the
-//! cost of the determinism guarantee.  Results are printed and written to
-//! `BENCH_sharded.json` (path overridable via `AJD_BENCH_JSON`); each
-//! sharded record carries the flat median as its baseline, so the JSON
-//! records the shard overhead/speedup directly.
+//! A `ShardedRelation` keeps its per-shard group tables, so cold and warm
+//! are separate records.  The cold grouping records (`sN`) regroup every
+//! shard through `group_ids_uncached_with`; the `sN_warm` records read warm
+//! per-shard tables and so time only the shard-order merge.  The cold
+//! analysis (`s8`) builds fresh shards in every iteration; `s8_rebuild`
+//! times that rebuild alone, and `s8_warm` analyzes over warm shards.
+//!
+//! Before timing anything the sharded results, cached and uncached, are
+//! asserted **bit-identical** to the flat kernel at every shard count and
+//! budget — scale never at the cost of the determinism guarantee.  Results
+//! go to `BENCH_sharded.json` (see `ajd_bench::perf`); each sharded record
+//! carries the flat median as its baseline, so the JSON records the shard
+//! overhead/speedup directly.
 //!
 //! Wall-clock ratios on shared CI runners are recorded, never gated: the
 //! point of sharding is the memory model (shard-local buffers, bounded
 //! merge state), not single-node speed.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use ajd_bench::{time_median, BenchJson};
@@ -32,13 +39,6 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 const SHARDS: [usize; 4] = [1, 4, 16, 64];
-
-/// Output path: `$AJD_BENCH_JSON` or `BENCH_sharded.json`.
-fn out_path() -> PathBuf {
-    std::env::var_os("AJD_BENCH_JSON")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_sharded.json"))
-}
 
 fn bag(ids: &[u32]) -> AttrSet {
     AttrSet::from_ids(ids.iter().copied())
@@ -97,22 +97,25 @@ fn warehouse_relation(n: u32) -> Relation {
     r
 }
 
-/// Panics unless the sharded grouping is bit-identical to the flat kernel
-/// on this exact workload, at every benchmarked shard count and at serial
-/// and default budgets.
+/// Panics unless the sharded grouping, cached and uncached, is
+/// bit-identical to the flat kernel on this exact workload, at every
+/// benchmarked shard count and at serial and default budgets.
 fn assert_deterministic(flat: &Relation, sharded: &[ShardedRelation], attrs: &AttrSet) {
     let serial = flat.group_ids(attrs).unwrap();
     for s in sharded {
         for budget in [ThreadBudget::serial(), ThreadBudget::default()] {
-            let got = s.group_ids_with(attrs, budget).unwrap();
-            assert_eq!(
-                got.row_ids(),
-                serial.row_ids(),
-                "row_ids differ at {} shards",
-                s.num_shards()
-            );
-            assert_eq!(got.counts(), serial.counts());
-            assert_eq!(got.group_codes(), serial.group_codes());
+            let cached = s.group_ids_with(attrs, budget).unwrap();
+            let uncached = s.group_ids_uncached_with(attrs, budget).unwrap();
+            for got in [cached, uncached] {
+                assert_eq!(
+                    got.row_ids(),
+                    serial.row_ids(),
+                    "row_ids differ at {} shards",
+                    s.num_shards()
+                );
+                assert_eq!(got.counts(), serial.counts());
+                assert_eq!(got.group_codes(), serial.group_codes());
+            }
         }
     }
 }
@@ -121,11 +124,6 @@ fn main() {
     let budget = Duration::from_millis(400);
     let n = 100_000usize;
     let mut json = BenchJson::new();
-    println!("sharded grouping vs flat kernel, N = {n} rows");
-    println!(
-        "{:<26} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "flat", "s1", "s4", "s16", "s64"
-    );
 
     // --- grouping workloads -------------------------------------------------
     let workloads: Vec<(&str, Relation)> = vec![
@@ -133,32 +131,28 @@ fn main() {
         ("shard_group_hash_100k", correlated_relation(n, 5000)),
     ];
     let attrs = bag(&[0, 1, 2, 3]);
+    let kernel_budget = ThreadBudget::default();
     for (name, flat) in &workloads {
         let sharded: Vec<ShardedRelation> = SHARDS
             .iter()
             .map(|&s| flat.clone().into_shards(s).unwrap())
             .collect();
+        // Also warms every per-shard table for the `_warm` records.
         assert_deterministic(flat, &sharded, &attrs);
 
-        let kernel_budget = ThreadBudget::default();
         let flat_median = time_median(budget, || {
             flat.group_ids_with(&attrs, kernel_budget).unwrap()
         });
         json.record(&format!("sharded/{name}/flat"), flat_median);
-        let mut medians = Vec::with_capacity(SHARDS.len());
         for s in &sharded {
-            let m = time_median(budget, || s.group_ids_with(&attrs, kernel_budget).unwrap());
-            json.record_vs_baseline(
-                &format!("sharded/{name}/s{}", s.num_shards()),
-                m,
-                flat_median,
-            );
-            medians.push(m);
+            let shards = s.num_shards();
+            let cold = time_median(budget, || {
+                s.group_ids_uncached_with(&attrs, kernel_budget).unwrap()
+            });
+            json.record_vs_baseline(&format!("sharded/{name}/s{shards}"), cold, flat_median);
+            let warm = time_median(budget, || s.group_ids_with(&attrs, kernel_budget).unwrap());
+            json.record_vs_baseline(&format!("sharded/{name}/s{shards}_warm"), warm, flat_median);
         }
-        println!(
-            "{name:<26} {flat_median:>12.2?} {:>12.2?} {:>12.2?} {:>12.2?} {:>12.2?}",
-            medians[0], medians[1], medians[2], medians[3]
-        );
     }
 
     // --- end-to-end analysis over sharded input -----------------------------
@@ -174,22 +168,19 @@ fn main() {
     assert_eq!(a.j_measure.to_bits(), b.j_measure.to_bits());
     assert_eq!(a.kl_nats.to_bits(), b.kl_nats.to_bits());
 
+    let name = format!("sharded/shard_analyze_{}k", wn / 1000);
     let flat_median = time_median(budget, || Analyzer::new(&flat).analyze(&tree).unwrap());
-    let sharded_median = time_median(budget, || Analyzer::new(&sharded).analyze(&tree).unwrap());
-    json.record(
-        &format!("sharded/shard_analyze_{}k/flat", wn / 1000),
-        flat_median,
-    );
-    json.record_vs_baseline(
-        &format!("sharded/shard_analyze_{}k/s8", wn / 1000),
-        sharded_median,
-        flat_median,
-    );
-    println!(
-        "{:<26} {flat_median:>12.2?} {sharded_median:>12.2?} (8 shards, cold analyzer)",
-        format!("shard_analyze_{}k", wn / 1000)
-    );
+    json.record(&format!("{name}/flat"), flat_median);
+    let rebuild = time_median(budget, || flat.clone().into_shards(8).unwrap());
+    json.record(&format!("{name}/s8_rebuild"), rebuild);
+    let cold = time_median(budget, || {
+        let fresh = flat.clone().into_shards(8).unwrap();
+        Analyzer::new(&fresh).analyze(&tree).unwrap()
+    });
+    json.record_vs_baseline(&format!("{name}/s8"), cold, flat_median);
+    let warm = time_median(budget, || Analyzer::new(&sharded).analyze(&tree).unwrap());
+    json.record_vs_baseline(&format!("{name}/s8_warm"), warm, flat_median);
 
-    json.emit(&out_path());
+    json.emit(&BenchJson::default_path("sharded"));
     println!("sharded grouping is bit-identical to the flat kernel at every shard count ✓");
 }

@@ -8,8 +8,9 @@
 //! is additionally treated as an experiment whose empirical "shape" we
 //! regenerate.  Each experiment is a binary under `src/bin/` that prints a
 //! column-aligned table (and writes a CSV next to it when `--csv DIR` is
-//! given); the Criterion benches under `benches/` measure the performance of
-//! the substrate operations and the counting-vs-materialising ablation.
+//! given).  The benches under `benches/` are plain binaries on the
+//! [`perf`] harness: they time the substrate operations and the
+//! counting-vs-materialising ablation, and write `BENCH_<name>.json`.
 //!
 //! | Binary | Paper artefact |
 //! |--------|----------------|

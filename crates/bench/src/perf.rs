@@ -1,9 +1,11 @@
-//! Machine-readable benchmark output and a tiny timing helper.
+//! The bench harness: a median timer and machine-readable output.
 //!
-//! The bench-smoke CI workflow runs the perf benches on every PR; to track
-//! the perf trajectory over time the key comparisons are additionally
-//! written to a JSON file (`BENCH_columnar.json` by default, overridable via
-//! the `AJD_BENCH_JSON` environment variable).  The file holds one record
+//! Every bench under `benches/` is a plain `fn main()` that times its
+//! routines with [`time_median`] and collects the results in a
+//! [`BenchJson`], which prints one line per record as it is taken and
+//! finally writes the records to a JSON file: `BENCH_<name>.json` for the
+//! bench `bench_<name>`, or the path in the `AJD_BENCH_JSON` environment
+//! variable (see [`BenchJson::default_path`]).  The file holds one record
 //! per benchmark:
 //!
 //! ```json
@@ -12,10 +14,11 @@
 //! ]}
 //! ```
 //!
-//! Several bench binaries append to the same file: [`BenchJson::emit`]
-//! merges by benchmark name (latest wins) using a line-oriented rewrite, so
-//! no JSON parser is needed.
+//! Several bench binaries may share one file (`AJD_BENCH_JSON` pointed at
+//! it): [`BenchJson::emit`] merges by benchmark name (latest wins) using a
+//! line-oriented rewrite, so no JSON parser is needed.
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -67,30 +70,37 @@ impl BenchJson {
         Self::default()
     }
 
-    /// The output path: `$AJD_BENCH_JSON`, or `BENCH_columnar.json` in the
-    /// current directory.
-    pub fn default_path() -> PathBuf {
-        std::env::var_os("AJD_BENCH_JSON")
-            .map(PathBuf::from)
-            .unwrap_or_else(|| PathBuf::from("BENCH_columnar.json"))
+    /// The output path of the bench `bench_<name>`: `$AJD_BENCH_JSON`, or
+    /// `BENCH_<name>.json` in the current directory.  Cargo runs benches
+    /// with the package directory (`crates/bench`) as the current
+    /// directory, so set an absolute `AJD_BENCH_JSON` to collect the file
+    /// elsewhere.
+    pub fn default_path(name: &str) -> PathBuf {
+        path_for(name, std::env::var_os("AJD_BENCH_JSON"))
     }
 
     /// Records a standalone measurement.
     pub fn record(&mut self, bench: &str, median: Duration) {
-        self.records.push(BenchRecord {
-            bench: bench.to_owned(),
-            median_ns: median.as_nanos(),
-            baseline_ns: None,
-        });
+        self.push(bench, median, None);
     }
 
     /// Records a measurement next to the baseline it is compared against.
     pub fn record_vs_baseline(&mut self, bench: &str, median: Duration, baseline: Duration) {
-        self.records.push(BenchRecord {
+        self.push(bench, median, Some(baseline));
+    }
+
+    /// Prints the record as one line and keeps it for [`BenchJson::emit`].
+    fn push(&mut self, bench: &str, median: Duration, baseline: Option<Duration>) {
+        let record = BenchRecord {
             bench: bench.to_owned(),
             median_ns: median.as_nanos(),
-            baseline_ns: Some(baseline.as_nanos()),
-        });
+            baseline_ns: baseline.map(|b| b.as_nanos()),
+        };
+        match (baseline, record.speedup()) {
+            (Some(b), Some(s)) => println!("{bench:<48} {median:>12.3?}  vs {b:.3?} ({s:.2}x)"),
+            _ => println!("{bench:<48} {median:>12.3?}"),
+        }
+        self.records.push(record);
     }
 
     /// The records collected so far.
@@ -142,9 +152,18 @@ impl BenchJson {
     }
 }
 
-/// Times `routine` over repeated batches and returns the median
-/// per-iteration duration (same scheme as the criterion shim, exposed so
-/// bench binaries can feed [`BenchJson`] without a harness).
+/// The rule behind [`BenchJson::default_path`], with the environment value
+/// passed in.
+fn path_for(name: &str, env: Option<OsString>) -> PathBuf {
+    env.map_or_else(
+        || PathBuf::from(format!("BENCH_{name}.json")),
+        PathBuf::from,
+    )
+}
+
+/// Times `routine` and returns the median per-iteration duration.  One
+/// warm-up call sizes the batches so that five of them fill `budget`; the
+/// result is the median of the five batch means.
 pub fn time_median<R, F: FnMut() -> R>(budget: Duration, mut routine: F) -> Duration {
     let warmup = Instant::now();
     std::hint::black_box(routine());
@@ -208,6 +227,18 @@ mod tests {
         assert!(text.starts_with("{\"records\": ["));
         assert!(text.trim_end().ends_with("]}"));
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn output_path_is_the_override_or_named_after_the_bench() {
+        assert_eq!(
+            path_for("sharded", None),
+            PathBuf::from("BENCH_sharded.json")
+        );
+        assert_eq!(
+            path_for("context", Some(OsString::from("out/all.json"))),
+            PathBuf::from("out/all.json")
+        );
     }
 
     #[test]

@@ -14,8 +14,11 @@ use ajd_info::{
 };
 use ajd_jointree::mvd::{ordered_support, support};
 use ajd_jointree::{count_acyclic_join, JoinTree};
+use ajd_random::generators::markov_chain_relation;
 use ajd_relation::{AttrId, AttrSet, Relation, Value};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn relation_strategy(
     arity: usize,
@@ -167,5 +170,26 @@ proptest! {
             prop_assert!(batched.join_size >= batched.distinct_n as u128);
             prop_assert!(batched.rho >= 0.0);
         }
+    }
+}
+
+/// A sweep fanned out over worker threads is bit-identical at every thread
+/// budget, on a relation large enough for the chunked grouping kernel.
+#[test]
+fn j_measures_are_bit_identical_at_every_thread_budget() {
+    let r =
+        markov_chain_relation(&mut StdRng::seed_from_u64(5), 4, 10, 20_000, 0.3, false).unwrap();
+    let trees = sweep_trees();
+    let j_bits = |threads: usize| -> Vec<u64> {
+        Analyzer::new(&r)
+            .with_threads(threads)
+            .j_measures(&trees)
+            .into_iter()
+            .map(|j| j.unwrap().to_bits())
+            .collect()
+    };
+    let serial = j_bits(1);
+    for threads in [2, 4, 8] {
+        assert_eq!(j_bits(threads), serial, "J differs at {threads} threads");
     }
 }

@@ -14,7 +14,7 @@
 
 use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer, LossEngine, SchemaMiner};
 use ajd_jointree::JoinTree;
-use ajd_random::generators::random_relation;
+use ajd_random::generators::{markov_chain_relation, random_relation};
 use ajd_relation::{AttrId, AttrSet, Relation, ThreadBudget, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -201,4 +201,35 @@ fn empirical_error_stays_within_planned_epsilon() {
         cmi_violations <= budget,
         "{cmi_violations}/{trials} CMI estimates strayed past their ε"
     );
+}
+
+/// The estimation bench's check at test size: on a Markov-chain relation
+/// with heavy tuple repetition, the sampled entropy and J-measure of each
+/// seeded instance stay within their planned ε.
+#[test]
+fn sampled_entropy_and_j_measure_stay_within_planned_epsilon() {
+    let tree = JoinTree::new(vec![bag(&[0, 2]), bag(&[1, 2])], vec![(0, 1)]).unwrap();
+    for seed in 0..5u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let r = markov_chain_relation(&mut rng, 3, 8, 20_000, 0.25, false).unwrap();
+        let exact = Analyzer::new(&r);
+        let cfg = EstimateConfig::default().with_epsilon(0.25).with_seed(seed);
+        let est = EstimatedAnalyzer::new(&r, cfg).unwrap();
+        assert!(!est.is_fallback());
+
+        let h = est.entropy(&bag(&[0, 1])).unwrap();
+        let h_err = (h.value - exact.entropy(&bag(&[0, 1])).unwrap()).abs();
+        assert!(
+            h_err <= h.epsilon,
+            "seed {seed}: entropy error {h_err} > ε = {}",
+            h.epsilon
+        );
+        let j = est.j_measure(&tree).unwrap();
+        let j_err = (j.value - exact.j_measure(&tree).unwrap()).abs();
+        assert!(
+            j_err <= j.epsilon,
+            "seed {seed}: J error {j_err} > ε = {}",
+            j.epsilon
+        );
+    }
 }
