@@ -24,7 +24,8 @@
 //!
 //! An analyzer is a cheap handle: the cache lives in a shared
 //! [`ajd_relation::AnalysisContext`], and the [`ThreadBudget`] belongs to
-//! the handle.  The shared context holds no budget: each handle passes its
+//! the handle.  The context also memoizes entropies and join sizes, so a
+//! repeated `j_measure` or `loss` is a lookup, not a recomputation.  The shared context holds no budget: each handle passes its
 //! own on every miss, so [`Analyzer::with_threads`] re-budgets one handle
 //! and a throwaway `analyzer.clone().with_threads(1)` cannot retune the
 //! analyzer it was cloned from.
@@ -407,8 +408,14 @@ impl<S: GroupKernel> Analyzer<S> {
     /// parallelism (e.g. per-trial analyzers inside a parallel experiment
     /// loop).
     pub fn with_thread_budget(src: S, budget: ThreadBudget) -> Self {
+        Self::from_context(Arc::new(AnalysisContext::new(src)), budget)
+    }
+
+    /// A handle on an existing shared context (such as a memoized sample
+    /// from a context's sample tier).
+    pub(crate) fn from_context(ctx: Arc<AnalysisContext<S>>, budget: ThreadBudget) -> Self {
         Analyzer {
-            ctx: Arc::new(AnalysisContext::new(src)),
+            ctx,
             threads: budget,
         }
     }
@@ -662,6 +669,15 @@ impl<S: GroupKernel> GroupSource for Analyzer<S> {
 
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
         self.ctx.projection_with(attrs, self.threads)
+    }
+
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+        self.ctx
+            .entropy_tier(attrs, || Ok(formula(&*self.group_counts(attrs)?)))
+    }
+
+    fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
+        self.ctx.join_size_tier(bags, count)
     }
 }
 

@@ -32,14 +32,19 @@
 //!    bit-identical at any budget), and the deviation bound for the actual
 //!    sample size is attached to the answer.
 //!
+//! Draw and gather run once per `(seed, planned n)` and source analyzer:
+//! [`EstimatedAnalyzer::from_analyzer`] memoizes the sample, with its own
+//! warm caches, in the analyzer context's sample tier.  A repeated build
+//! re-plans `n` and does nothing else.
+//!
 //! ## Fallback
 //!
 //! When the planned sample size is at least the relation size (or the
 //! planner reports the target unreachable), the analyzer transparently
-//! holds an exact [`Analyzer`] over the original source: every answer is
-//! then **bit-identical** to the exact path and reports `ε = 0` with
-//! [`BoundKind::Exact`].  Small inputs therefore never pay for, or wobble
-//! from, sampling.
+//! answers through the exact [`Analyzer`] it was built from: every answer
+//! is then **bit-identical** to the exact path, read from that analyzer's
+//! caches, and reports `ε = 0` with [`BoundKind::Exact`].  Small inputs
+//! therefore never pay for, or wobble from, sampling.
 //!
 //! ## Sketches
 //!
@@ -253,20 +258,6 @@ impl<T> Estimate<T> {
     }
 }
 
-/// The two operating modes of an [`EstimatedAnalyzer`].
-enum Engine<S> {
-    /// Planned sample ≥ relation (or target unreachable): hold an exact
-    /// [`Analyzer`] over the original source.  Bit-identical to the exact
-    /// path by construction.
-    Exact(Analyzer<S>),
-    /// Sampled: the original source (kept for sketches and metadata) plus
-    /// an exact [`Analyzer`] over the gathered sample relation.
-    Sampled {
-        source: S,
-        analyzer: Analyzer<Relation>,
-    },
-}
-
 /// Sampling-based analyzer answering `entropy` / `cmi` / `j_measure` /
 /// `loss` within a planned ±ε, deterministically from an explicit seed.
 ///
@@ -289,7 +280,12 @@ enum Engine<S> {
 /// assert_eq!(h.sample_rows, 12);
 /// ```
 pub struct EstimatedAnalyzer<S> {
-    engine: Engine<S>,
+    /// The exact analyzer over the whole source: it answers on fallback,
+    /// streams the sketches, and its context holds the sample tier.
+    exact: Analyzer<S>,
+    /// Sampled mode: an exact analyzer over the gathered sample; `None` on
+    /// fallback.
+    sample: Option<Analyzer<Relation>>,
     config: EstimateConfig,
     /// Rows of the underlying relation.
     total_rows: u64,
@@ -306,33 +302,49 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
 
     /// [`EstimatedAnalyzer::new`] with an explicit [`ThreadBudget`] for the
     /// measure kernel.  The budget never affects values — only wall-clock.
+    ///
+    /// This is [`EstimatedAnalyzer::from_analyzer`] over a fresh
+    /// [`Analyzer`], so nothing is cached from an earlier build.
     pub fn with_thread_budget(
         source: S,
         config: EstimateConfig,
         budget: ThreadBudget,
     ) -> Result<Self> {
+        Self::from_analyzer(&Analyzer::with_thread_budget(source, budget), config)
+    }
+
+    /// Builds over an existing analyzer, sharing its context: the fallback
+    /// answers from that context's caches, and the sample (with its own
+    /// warm caches) is memoized in the context's sample tier per
+    /// `(seed, planned n)` ([`ajd_relation::AnalysisContext::sample_tier`]).
+    /// A repeated build with the same seed and planned size then only
+    /// re-plans `n`: it draws, gathers and groups nothing, and answers
+    /// bit-identically.  Measures run under the analyzer's thread budget.
+    pub fn from_analyzer(analyzer: &Analyzer<S>, config: EstimateConfig) -> Result<Self> {
         config.validate()?;
-        let total_rows = source.num_rows() as u64;
-        let planned = plan_sample_size(&source, &config, total_rows)?;
-        if planned.is_none_or(|n| n >= total_rows) {
+        let exact = analyzer.clone();
+        let total_rows = exact.num_rows() as u64;
+        let planned = plan_sample_size(exact.source(), &config, total_rows)?;
+        let Some(n) = planned.filter(|&n| n < total_rows) else {
             // Whole-relation fallback: exact kernel over the original source.
             return Ok(EstimatedAnalyzer {
-                engine: Engine::Exact(Analyzer::with_thread_budget(source, budget)),
+                exact,
+                sample: None,
                 config,
                 total_rows,
                 sample_rows: total_rows,
             });
-        }
-        let n = planned.expect("checked Some above");
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut indices = sample_distinct(&mut rng, total_rows, n)?;
-        indices.sort_unstable();
-        let sample = source.gather_rows(&indices)?;
+        };
+        let sample = exact.context().sample_tier(config.seed, n, || {
+            let mut rng = StdRng::seed_from_u64(config.seed);
+            let mut indices = sample_distinct(&mut rng, total_rows, n)?;
+            indices.sort_unstable();
+            Ok(indices)
+        })?;
+        let budget = exact.thread_budget();
         Ok(EstimatedAnalyzer {
-            engine: Engine::Sampled {
-                source,
-                analyzer: Analyzer::with_thread_budget(sample, budget),
-            },
+            exact,
+            sample: Some(Analyzer::from_context(sample, budget)),
             config,
             total_rows,
             sample_rows: n,
@@ -358,44 +370,39 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
     /// `true` if the planned sample covered the whole relation and the
     /// analyzer operates in exact mode.
     pub fn is_fallback(&self) -> bool {
-        matches!(self.engine, Engine::Exact(_))
+        self.sample.is_none()
     }
 
     /// The original source.
     pub fn source(&self) -> &S {
-        match &self.engine {
-            Engine::Exact(a) => a.source(),
-            Engine::Sampled { source, .. } => source,
-        }
+        self.exact.source()
     }
 
     /// Shannon entropy `H(attrs)` of the empirical distribution (nats).
     pub fn entropy(&self, attrs: &AttrSet) -> Result<Estimate<f64>> {
-        match &self.engine {
-            Engine::Exact(a) => Ok(Estimate::exact(a.entropy(attrs)?, self.total_rows)),
-            Engine::Sampled { analyzer, .. } => {
-                let value = analyzer.entropy(attrs)?;
-                self.entropy_union_estimate(
-                    value,
-                    std::slice::from_ref(attrs),
-                    BoundKind::McDiarmid,
-                )
-            }
+        match &self.sample {
+            None => Ok(Estimate::exact(self.exact.entropy(attrs)?, self.total_rows)),
+            Some(sample) => self.entropy_union_estimate(
+                sample,
+                sample.entropy(attrs)?,
+                std::slice::from_ref(attrs),
+                BoundKind::McDiarmid,
+            ),
         }
     }
 
     /// Mutual information `I(A;B)` (nats): a union bound over its three
     /// entropy terms.
     pub fn mutual_information(&self, a: &AttrSet, b: &AttrSet) -> Result<Estimate<f64>> {
-        match &self.engine {
-            Engine::Exact(an) => Ok(Estimate::exact(
-                an.mutual_information(a, b)?,
+        match &self.sample {
+            None => Ok(Estimate::exact(
+                self.exact.mutual_information(a, b)?,
                 self.total_rows,
             )),
-            Engine::Sampled { analyzer, .. } => {
-                let value = analyzer.mutual_information(a, b)?;
+            Some(sample) => {
                 let terms = [a.clone(), b.clone(), a.union(b)];
-                self.entropy_union_estimate(value, &terms, BoundKind::McDiarmidUnion)
+                let value = sample.mutual_information(a, b)?;
+                self.entropy_union_estimate(sample, value, &terms, BoundKind::McDiarmidUnion)
             }
         }
     }
@@ -403,12 +410,12 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
     /// Conditional mutual information `I(A;B|C)` (nats): a union bound over
     /// its four entropy terms.
     pub fn cmi(&self, a: &AttrSet, b: &AttrSet, c: &AttrSet) -> Result<Estimate<f64>> {
-        match &self.engine {
-            Engine::Exact(an) => Ok(Estimate::exact(an.cmi(a, b, c)?, self.total_rows)),
-            Engine::Sampled { analyzer, .. } => {
-                let value = analyzer.cmi(a, b, c)?;
+        match &self.sample {
+            None => Ok(Estimate::exact(self.exact.cmi(a, b, c)?, self.total_rows)),
+            Some(sample) => {
                 let terms = [a.union(c), b.union(c), a.union(b).union(c), c.clone()];
-                self.entropy_union_estimate(value, &terms, BoundKind::McDiarmidUnion)
+                let value = sample.cmi(a, b, c)?;
+                self.entropy_union_estimate(sample, value, &terms, BoundKind::McDiarmidUnion)
             }
         }
     }
@@ -416,12 +423,15 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
     /// The J-measure `J(T)` of a join tree (nats): a union bound over its
     /// bag, separator and whole-relation entropy terms.
     pub fn j_measure(&self, tree: &JoinTree) -> Result<Estimate<f64>> {
-        match &self.engine {
-            Engine::Exact(a) => Ok(Estimate::exact(a.j_measure(tree)?, self.total_rows)),
-            Engine::Sampled { analyzer, .. } => {
-                let value = analyzer.j_measure(tree)?;
+        match &self.sample {
+            None => Ok(Estimate::exact(
+                self.exact.j_measure(tree)?,
+                self.total_rows,
+            )),
+            Some(sample) => {
+                let value = sample.j_measure(tree)?;
                 let terms = j_entropy_terms(tree);
-                self.entropy_union_estimate(value, &terms, BoundKind::McDiarmidUnion)
+                self.entropy_union_estimate(sample, value, &terms, BoundKind::McDiarmidUnion)
             }
         }
     }
@@ -434,14 +444,12 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
     /// — it bounds the deviation of the information-theoretic surrogate,
     /// not of ρ itself.
     pub fn loss(&self, tree: &JoinTree) -> Result<Estimate<f64>> {
-        match &self.engine {
-            Engine::Exact(a) => Ok(Estimate::exact(a.loss(tree)?, self.total_rows)),
-            Engine::Sampled { analyzer, .. } => {
-                let value = analyzer.loss(tree)?;
+        match &self.sample {
+            None => Ok(Estimate::exact(self.exact.loss(tree)?, self.total_rows)),
+            Some(sample) => {
+                let value = sample.loss(tree)?;
                 let terms = j_entropy_terms(tree);
-                let mut est = self.entropy_union_estimate(value, &terms, BoundKind::Log1pLoss)?;
-                est.value = value;
-                Ok(est)
+                self.entropy_union_estimate(sample, value, &terms, BoundKind::Log1pLoss)
             }
         }
     }
@@ -474,14 +482,11 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
     /// observed-support plug-in bias allowance, summed over the terms.
     fn entropy_union_estimate(
         &self,
+        sample: &Analyzer<Relation>,
         value: f64,
         terms: &[AttrSet],
         bound: BoundKind,
     ) -> Result<Estimate<f64>> {
-        let analyzer = match &self.engine {
-            Engine::Sampled { analyzer, .. } => analyzer,
-            Engine::Exact(_) => unreachable!("sampled-path helper called in fallback mode"),
-        };
         let n = self.sample_rows;
         let per_delta = self.config.delta / terms.len() as f64;
         let deviation = terms.len() as f64 * entropy_mcdiarmid_epsilon(n, per_delta);
@@ -491,7 +496,7 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         // SamplePlanner::Theorem51 is the rigorous mode).
         let mut bias = 0.0;
         for attrs in terms {
-            let k = analyzer.group_counts(attrs)?.num_groups() as f64;
+            let k = sample.group_counts(attrs)?.num_groups() as f64;
             bias += ((k - 1.0).max(0.0) / n as f64).ln_1p();
         }
         Ok(Estimate {

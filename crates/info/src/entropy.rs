@@ -24,9 +24,11 @@ use ajd_relation::{AttrSet, GroupCounts, GroupSource, Relation, Result};
 /// relation on the attribute set `attrs`.
 ///
 /// `H(∅) = 0` by convention (all tuples project to the same empty tuple).
+/// A memoizing source answers from its entropy tier (see
+/// [`GroupSource::memo_entropy`]), whose miss path applies
+/// [`entropy_from_counts`] to the same count table.
 pub fn entropy<S: GroupSource>(src: &S, attrs: &AttrSet) -> Result<f64> {
-    let counts = src.group_counts(attrs)?;
-    Ok(entropy_from_counts(&counts))
+    src.memo_entropy(attrs, entropy_from_counts)
 }
 
 /// Entropy (in nats) computed from pre-grouped counts.

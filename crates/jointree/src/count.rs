@@ -62,9 +62,17 @@ fn check_tree_covered(relation_attrs: &AttrSet, tree: &JoinTree) -> Result<()> {
 ///
 /// Returns [`RelationError::CountOverflow`] if the exact join size exceeds
 /// `u128`.
+///
+/// A memoizing source answers from its join-size tier (see
+/// [`GroupSource::memo_join_size`]), keyed by the schema: the join size
+/// does not depend on which join tree of the schema is counted over.
 pub fn count_acyclic_join<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<u128> {
     check_tree_covered(&src.attrs(), tree)?;
+    src.memo_join_size(tree.bags(), &|| count_over_tree(src, tree))
+}
 
+/// The message-passing count of [`count_acyclic_join`] over `tree`.
+fn count_over_tree<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<u128> {
     let bag_ids: Vec<_> = tree
         .bags()
         .iter()

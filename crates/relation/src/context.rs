@@ -12,7 +12,8 @@
 //!
 //! * [`GroupSource`] — the capability every measure in the workspace is
 //!   written against: "give me group counts / interned group ids / a
-//!   projection for this attribute set".  A plain [`Relation`] implements it
+//!   projection / an entropy for this attribute set, or the join size of
+//!   this schema".  A plain [`Relation`] implements it
 //!   by computing fresh (the one-shot path); an [`AnalysisContext`]
 //!   implements it by memoizing (the shared path).  Because both
 //!   implementations call the *same* columnar kernel, a measure computed
@@ -30,6 +31,16 @@
 //!   same expensive grouping N times.  Misses are computed through a
 //!   [`ThreadBudget`] (the chunked parallel kernel) given per call, which
 //!   keeps results bit-identical to the serial path at any budget.
+//!
+//! Above those caches a context keeps three **memo tiers** in the same
+//! single-flight maps, so a warm measure is a lookup rather than a sum:
+//! the entropy `H(Y)` per attribute set (the entropy oracle over the
+//! attribute lattice), the acyclic join size per schema, and the seeded
+//! estimation sample per `(seed, n)`.  [`GroupSource::memo_entropy`] and
+//! [`GroupSource::memo_join_size`] are the hooks the measures in
+//! `ajd-info` and `ajd-jointree` call; a plain source computes, a context
+//! answers from its tier.  A context lives for one epoch of its source, so
+//! no tier can answer for rows it has not seen.
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
@@ -38,7 +49,8 @@ use crate::parallel::ThreadBudget;
 use crate::relation::{GroupCounts, GroupIds, Relation};
 use crate::sketch::KmvSketch;
 use ajd_sync::atomic::{AtomicU64, Ordering};
-use ajd_sync::{OnceSlot, RwLock};
+use ajd_sync::{Mutex, OnceSlot, RwLock};
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -76,6 +88,32 @@ pub trait GroupSource {
 
     /// Set-semantic projection `Π_attrs(R)`.
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>>;
+
+    /// The entropy `H(attrs)`, with `formula` turning a count table into
+    /// its entropy.  A plain source applies `formula` to
+    /// [`GroupSource::group_counts`]; an [`AnalysisContext`] answers from
+    /// its entropy tier ([`AnalysisContext::entropy_tier`]), whose miss
+    /// path does exactly that.
+    ///
+    /// The tier is keyed by `attrs` alone, so every caller must pass the
+    /// same formula: `ajd_info::entropy_from_counts`, the one definition of
+    /// the entropy sum (it lives above this crate, hence the parameter).
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+        Ok(formula(&*self.group_counts(attrs)?))
+    }
+
+    /// The size `|⋈ᵢ R[Ωᵢ]|` of the acyclic join of the projections onto
+    /// `bags`, with `count` computing it from this source's groupings.  A
+    /// plain source runs `count`; an [`AnalysisContext`] answers from its
+    /// join-size tier ([`AnalysisContext::join_size_tier`]), keyed by the
+    /// sorted bag list.
+    ///
+    /// The join size depends only on the schema, not on the join tree
+    /// (Observation after eq. 7 of the paper), so `count` may run the
+    /// message passing over any join tree of `bags`.
+    fn memo_join_size(&self, _bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
+        count()
+    }
 
     /// The attribute set of the source (schema as a set).
     fn attrs(&self) -> AttrSet {
@@ -236,6 +274,14 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
         (**self).projection(attrs)
     }
+
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+        (**self).memo_entropy(attrs, formula)
+    }
+
+    fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
+        (**self).memo_join_size(bags, count)
+    }
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for &S {
@@ -288,6 +334,14 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
         (**self).projection(attrs)
     }
+
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+        (**self).memo_entropy(attrs, formula)
+    }
+
+    fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
+        (**self).memo_join_size(bags, count)
+    }
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
@@ -320,12 +374,14 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered without running the grouping kernel: served from a
-    /// cache, or a count table decoded from a resident id table.
+    /// cache or a memo tier, or a count table decoded from a resident id
+    /// table.
     pub hits: u64,
     /// Kernel runs: lookups that had to group (or project) the source and
     /// then memoized the result.  A caller that asks for a set's ids before
     /// its counts (as `ajd_core::Analyzer::analyze` does) pays exactly one
-    /// miss per distinct attribute set it groups.
+    /// miss per distinct attribute set it groups.  Memo-tier fills are not
+    /// kernel runs; the lookups they make count for themselves.
     pub misses: u64,
     /// Number of memoized [`GroupCounts`] entries.
     pub group_count_entries: usize,
@@ -333,6 +389,24 @@ pub struct CacheStats {
     pub group_id_entries: usize,
     /// Number of memoized projection entries.
     pub projection_entries: usize,
+    /// The entropy tier ([`AnalysisContext::entropy_tier`]).
+    pub entropy: TierStats,
+    /// The join-size tier ([`AnalysisContext::join_size_tier`]).
+    pub join_size: TierStats,
+    /// The sample tier ([`AnalysisContext::sample_tier`]).
+    pub sample: TierStats,
+}
+
+/// Exact counters of one memo tier of an [`AnalysisContext`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TierStats {
+    /// Lookups served from the tier (also counted in [`CacheStats::hits`]).
+    pub hits: u64,
+    /// Lookups that filled the tier (the fill's own lookups are counted by
+    /// the caches they hit).
+    pub misses: u64,
+    /// Number of resident entries.
+    pub entries: usize,
 }
 
 impl CacheStats {
@@ -357,32 +431,47 @@ const CACHE_STRIPES: usize = 16;
 /// not on the shard map — until the leader finishes.
 type Slot<T> = Arc<OnceSlot<Result<Arc<T>>>>;
 
-/// A striped, single-flight memoization map keyed by [`AttrSet`].
+/// The key of the sample tier: the draw's seed and its planned size.
+type SampleKey = (u64, u64);
+
+/// A striped, single-flight memoization map, with exact counters of its
+/// own traffic.
 #[derive(Debug)]
-struct StripedCache<T> {
-    shards: Vec<RwLock<FxHashMap<AttrSet, Slot<T>>>>,
+struct StripedCache<K, T> {
+    shards: Vec<RwLock<FxHashMap<K, Slot<T>>>>,
+    /// Lookups served from a slot (done or in flight).
+    hits: AtomicU64,
+    /// Slots filled by a leader.
+    fills: AtomicU64,
 }
 
-impl<T> StripedCache<T> {
+impl<K: Hash + Eq, T> StripedCache<K, T> {
     fn new() -> Self {
         StripedCache {
             shards: (0..CACHE_STRIPES)
                 .map(|_| RwLock::new(FxHashMap::default()))
                 .collect(),
+            hits: AtomicU64::new(0),
+            fills: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, attrs: &AttrSet) -> &RwLock<FxHashMap<AttrSet, Slot<T>>> {
+    fn shard(&self, key: &K) -> &RwLock<FxHashMap<K, Slot<T>>> {
         let mut h = FxHasher::default();
-        attrs.hash(&mut h);
+        key.hash(&mut h);
         &self.shards[(h.finish() as usize) & (CACHE_STRIPES - 1)]
     }
 
-    /// The completed, successful value for `attrs`, if one is resident.
+    /// The completed, successful value for `key`, if one is resident.
     /// Never installs a slot and never waits on an in-flight one.
-    fn resident(&self, attrs: &AttrSet) -> Option<Arc<T>> {
-        let slot = self.shard(attrs).read().get(attrs).cloned()?;
+    fn resident(&self, key: &K) -> Option<Arc<T>> {
+        let slot = self.shard(key).read().get(key).cloned()?;
         slot.get()?.as_ref().ok().cloned()
+    }
+
+    /// Drops the slot of `key`; holders of its value keep it alive.
+    fn evict(&self, key: &K) {
+        self.shard(key).write().remove(key);
     }
 
     /// Number of *completed, successful* entries (in-flight slots and
@@ -398,10 +487,30 @@ impl<T> StripedCache<T> {
             })
             .sum()
     }
+
+    /// The tier counters of this cache.
+    fn tier_stats(&self) -> TierStats {
+        TierStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.fills.load(Ordering::Relaxed),
+            entries: self.entries(),
+        }
+    }
+}
+
+/// How a leader filled a slot, for the context's counters.
+enum Fill {
+    /// Ran the grouping kernel: one [`CacheStats::misses`].
+    Kernel,
+    /// Decoded a resident id table without a kernel run: one hit.
+    Decoded,
+    /// Filled a memo tier: a tier miss only.
+    Tier,
 }
 
 /// Memoized group counts, interned group ids and projections of one
-/// relation — the shared-computation substrate of the measurement stack.
+/// relation, plus memo tiers over them — the shared-computation substrate
+/// of the measurement stack.
 ///
 /// A context **owns** its source, which in practice is a cheap handle: a
 /// `&Relation` borrow for one-shot analysis, or an `Arc<ShardedRelation>`
@@ -427,6 +536,22 @@ impl<T> StripedCache<T> {
 /// Callers that need both for a set — the full analysis — ask for the ids
 /// first.  [`CacheStats::misses`] counts kernel runs only; a decoded count
 /// table counts as a hit.
+///
+/// Three **memo tiers** sit on top of the caches, each single-flight
+/// through the same slot machinery and counted in [`TierStats`]:
+///
+/// * the **entropy tier** — `H(Y)` per [`AttrSet`]
+///   ([`AnalysisContext::entropy_tier`]);
+/// * the **join-size tier** — `|⋈ᵢ R[Ωᵢ]|` per sorted bag list
+///   ([`AnalysisContext::join_size_tier`]);
+/// * the **sample tier** — a gathered row sample with its own context, per
+///   `(seed, planned size)` ([`AnalysisContext::sample_tier`]).  Its
+///   samples hold at most as many rows as the source in total; a fill past
+///   that evicts the oldest sample.
+///
+/// A tier's fill computes from the caches below it, so a tier value is
+/// bit-identical to its uncached computation.  A tier hit is a lookup that
+/// ran no kernel, so it also counts in [`CacheStats::hits`].
 ///
 /// Each cache has one accessor, which takes the [`ThreadBudget`] a miss is
 /// computed under ([`AnalysisContext::group_counts_with`],
@@ -456,9 +581,14 @@ impl<T> StripedCache<T> {
 #[derive(Debug)]
 pub struct AnalysisContext<S = Relation> {
     source: S,
-    group_counts: StripedCache<GroupCounts>,
-    group_ids: StripedCache<GroupIds>,
-    projections: StripedCache<Relation>,
+    group_counts: StripedCache<AttrSet, GroupCounts>,
+    group_ids: StripedCache<AttrSet, GroupIds>,
+    projections: StripedCache<AttrSet, Relation>,
+    entropies: StripedCache<AttrSet, f64>,
+    join_sizes: StripedCache<Vec<AttrSet>, u128>,
+    samples: StripedCache<SampleKey, AnalysisContext<Relation>>,
+    /// Resident samples, oldest first, with their row counts.
+    sample_order: Mutex<VecDeque<(SampleKey, usize)>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -476,6 +606,10 @@ impl<S: GroupKernel> AnalysisContext<S> {
             group_counts: StripedCache::new(),
             group_ids: StripedCache::new(),
             projections: StripedCache::new(),
+            entropies: StripedCache::new(),
+            join_sizes: StripedCache::new(),
+            samples: StripedCache::new(),
+            sample_order: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -501,10 +635,16 @@ impl<S: GroupKernel> AnalysisContext<S> {
         attrs: &AttrSet,
         budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
-        self.memoized(&self.group_counts, attrs, |r, a| {
-            match self.group_ids.resident(a) {
-                Some(ids) => Ok((Arc::new(r.decode_group_counts(&ids)), false)),
-                None => Ok((Arc::new(r.group_counts_with(a, budget)?), true)),
+        self.memoized(&self.group_counts, attrs, || {
+            match self.group_ids.resident(attrs) {
+                Some(ids) => Ok((
+                    Arc::new(self.source.decode_group_counts(&ids)),
+                    Fill::Decoded,
+                )),
+                None => Ok((
+                    Arc::new(self.source.group_counts_with(attrs, budget)?),
+                    Fill::Kernel,
+                )),
             }
         })
     }
@@ -512,17 +652,94 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// Memoized interned group keys (see [`GroupIds`]) for `attrs`,
     /// computed under `budget` on a miss.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
-        self.memoized(&self.group_ids, attrs, |r, a| {
-            Ok((Arc::new(r.group_ids_with(a, budget)?), true))
+        self.memoized(&self.group_ids, attrs, || {
+            Ok((
+                Arc::new(self.source.group_ids_with(attrs, budget)?),
+                Fill::Kernel,
+            ))
         })
     }
 
     /// Memoized set-semantic projection `Π_attrs(R)`, computed under
     /// `budget` on a miss.
     pub fn projection_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<Relation>> {
-        self.memoized(&self.projections, attrs, |r, a| {
-            Ok((Arc::new(r.project_with(a, budget)?), true))
+        self.memoized(&self.projections, attrs, || {
+            Ok((
+                Arc::new(self.source.project_with(attrs, budget)?),
+                Fill::Kernel,
+            ))
         })
+    }
+
+    /// The entropy tier: memoized `H(attrs)`, computed by `fill` on a miss.
+    ///
+    /// `fill` must compute the entropy of `attrs` over this context's
+    /// source — [`GroupSource::memo_entropy`] passes the entropy formula
+    /// applied to the cached count table, so a tier value is bit-identical
+    /// to the uncached one (the same counts, summed in the same order).
+    pub fn entropy_tier(&self, attrs: &AttrSet, fill: impl FnOnce() -> Result<f64>) -> Result<f64> {
+        self.memoized(&self.entropies, attrs, || {
+            Ok((Arc::new(fill()?), Fill::Tier))
+        })
+        .map(|h| *h)
+    }
+
+    /// The join-size tier: memoized `|⋈ᵢ R[Ωᵢ]|` of the schema `bags`,
+    /// computed by `fill` on a miss.
+    ///
+    /// The key is the sorted bag list: the join size depends only on the
+    /// schema (Observation after eq. 7), so two join trees of one schema
+    /// share one entry.
+    pub fn join_size_tier(
+        &self,
+        bags: &[AttrSet],
+        fill: impl FnOnce() -> Result<u128>,
+    ) -> Result<u128> {
+        let mut key = bags.to_vec();
+        key.sort_unstable();
+        self.memoized(&self.join_sizes, &key, || {
+            Ok((Arc::new(fill()?), Fill::Tier))
+        })
+        .map(|size| *size)
+    }
+
+    /// The sample tier: the source rows at the indices `draw` returns,
+    /// gathered ([`GroupKernel::gather_rows`]) into a fresh relation with
+    /// its own context, memoized per `(seed, n)`.
+    ///
+    /// `draw` must return the sorted, strictly increasing row indices of
+    /// the seeded draw of `n` rows — the same indices for the same
+    /// `(seed, n)` — so an evicted sample is re-drawn bit-identically.
+    /// The resident samples hold at most as many rows as the source in
+    /// total: a fill past that evicts the oldest samples (never the one it
+    /// adds).
+    pub fn sample_tier(
+        &self,
+        seed: u64,
+        n: u64,
+        draw: impl FnOnce() -> Result<Vec<u64>>,
+    ) -> Result<Arc<AnalysisContext<Relation>>> {
+        let key = (seed, n);
+        self.memoized(&self.samples, &key, || {
+            let sample = self.source.gather_rows(&draw()?)?;
+            self.admit_sample(key, sample.len());
+            Ok((Arc::new(AnalysisContext::new(sample)), Fill::Tier))
+        })
+    }
+
+    /// Records a new sample of `rows` rows and evicts the oldest samples
+    /// until the resident ones hold at most the source's row count.
+    fn admit_sample(&self, key: SampleKey, rows: usize) {
+        let mut order = self.sample_order.lock();
+        order.push_back((key, rows));
+        let mut resident: usize = order.iter().map(|&(_, r)| r).sum();
+        while resident > self.source.num_rows() && order.len() > 1 {
+            let Some((old, r)) = order.pop_front() else {
+                break;
+            };
+            resident -= r;
+            self.samples.evict(&old);
+        }
     }
 
     /// Snapshot of cache sizes and hit/miss counters.
@@ -533,7 +750,16 @@ impl<S: GroupKernel> AnalysisContext<S> {
             group_count_entries: self.group_counts.entries(),
             group_id_entries: self.group_ids.entries(),
             projection_entries: self.projections.entries(),
+            entropy: self.entropies.tier_stats(),
+            join_size: self.join_sizes.tier_stats(),
+            sample: self.samples.tier_stats(),
         }
+    }
+
+    /// A lookup served from `cache` without work.
+    fn hit<K, T>(&self, cache: &StripedCache<K, T>) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        cache.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Striped single-flight memoization.
@@ -541,30 +767,31 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// Lookup takes a read lock on the key's shard only; a cold key
     /// installs an empty [`Slot`] under a brief shard write lock and then
     /// races on the slot's [`OnceSlot`] **outside any map lock** — exactly
-    /// one thread (the leader) runs `compute`, every other thread blocks on
+    /// one thread (the leader) runs `fill`, every other thread blocks on
     /// that slot alone and receives the leader's `Arc`.  Errors are not
     /// memoized: the leader removes the failed slot so later calls retry
     /// (threads already blocked on it still observe the error).
     ///
-    /// `compute` returns the value and whether it ran the kernel; only a
-    /// kernel run counts as a miss, a fill without one counts as a hit.
-    fn memoized<T>(
+    /// `fill` returns the value and how it was made ([`Fill`]); only a
+    /// kernel run counts as a miss, a decoded fill counts as a hit and a
+    /// tier fill as a tier miss.
+    fn memoized<K: Hash + Eq + Clone, T>(
         &self,
-        cache: &StripedCache<T>,
-        attrs: &AttrSet,
-        compute: impl FnOnce(&S, &AttrSet) -> Result<(Arc<T>, bool)>,
+        cache: &StripedCache<K, T>,
+        key: &K,
+        fill: impl FnOnce() -> Result<(Arc<T>, Fill)>,
     ) -> Result<Arc<T>> {
-        let shard = cache.shard(attrs);
+        let shard = cache.shard(key);
         let slot: Slot<T> = {
-            let fast = shard.read().get(attrs).cloned();
+            let fast = shard.read().get(key).cloned();
             match fast {
                 Some(slot) => slot,
-                None => Arc::clone(shard.write().entry(attrs.clone()).or_default()),
+                None => Arc::clone(shard.write().entry(key.clone()).or_default()),
             }
         };
         if let Some(done) = slot.get() {
             if done.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hit(cache);
             }
             return done.clone();
         }
@@ -572,9 +799,16 @@ impl<S: GroupKernel> AnalysisContext<S> {
         let result = slot
             .get_or_init(|| {
                 led = true;
-                compute(&self.source, attrs).map(|(value, grouped)| {
-                    let counter = if grouped { &self.misses } else { &self.hits };
-                    counter.fetch_add(1, Ordering::Relaxed);
+                fill().map(|(value, how)| {
+                    cache.fills.fetch_add(1, Ordering::Relaxed);
+                    let counter = match how {
+                        Fill::Kernel => Some(&self.misses),
+                        Fill::Decoded => Some(&self.hits),
+                        Fill::Tier => None,
+                    };
+                    if let Some(counter) = counter {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    }
                     value
                 })
             })
@@ -583,14 +817,14 @@ impl<S: GroupKernel> AnalysisContext<S> {
             // Either the fast path raced with a completing leader or this
             // thread blocked on the in-flight slot: served without work.
             if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hit(cache);
             }
         } else if result.is_err() {
             // Do not memoize failures; drop the slot (only if it is still
             // ours — a retry may have installed a fresh one meanwhile).
             let mut guard = shard.write();
-            if guard.get(attrs).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
-                guard.remove(attrs);
+            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
+                guard.remove(key);
             }
         }
         result
@@ -664,6 +898,14 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
 
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
         self.projection_with(attrs, ThreadBudget::default())
+    }
+
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+        self.entropy_tier(attrs, || Ok(formula(&*self.group_counts(attrs)?)))
+    }
+
+    fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
+        self.join_size_tier(bags, count)
     }
 }
 
@@ -991,6 +1233,74 @@ mod tests {
                 assert_eq!(a.group_codes(), other.group_codes());
             }
         }
+    }
+
+    /// The join-size tier keys by the sorted bag list, so the same schema
+    /// in another bag order is a hit; a tier hit is also a cache hit, and a
+    /// tier fill is neither a hit nor a kernel run.
+    #[test]
+    fn join_size_tier_keys_by_the_sorted_bag_list() {
+        let r = sample();
+        let ctx = AnalysisContext::new(&r);
+        let fills = std::cell::Cell::new(0);
+        let fill = || {
+            fills.set(fills.get() + 1);
+            Ok(7)
+        };
+        let ab = [bag(&[0, 1]), bag(&[1, 2])];
+        let ba = [bag(&[1, 2]), bag(&[0, 1])];
+        assert_eq!(ctx.join_size_tier(&ab, fill).unwrap(), 7);
+        assert_eq!(ctx.join_size_tier(&ba, fill).unwrap(), 7);
+        assert_eq!(fills.get(), 1);
+        let stats = ctx.stats();
+        let tier = TierStats {
+            hits: 1,
+            misses: 1,
+            entries: 1,
+        };
+        assert_eq!(stats.join_size, tier);
+        assert_eq!((stats.hits, stats.misses), (1, 0));
+    }
+
+    /// A failed tier fill is not memoized: the next lookup fills again.
+    #[test]
+    fn tier_errors_retry_instead_of_poisoning() {
+        let r = sample();
+        let ctx = AnalysisContext::new(&r);
+        let y = bag(&[9]);
+        for _ in 0..2 {
+            assert!(ctx.memo_entropy(&y, |c| c.total as f64).is_err());
+        }
+        assert_eq!(ctx.stats().entropy, TierStats::default());
+        let fine = ctx.entropy_tier(&y, || Ok(1.5)).unwrap();
+        assert_eq!(fine, 1.5);
+        assert_eq!(ctx.stats().entropy.misses, 1);
+    }
+
+    /// The sample tier gathers the drawn rows once per `(seed, n)` and keeps
+    /// at most the source's row count resident, evicting the oldest.
+    #[test]
+    fn sample_tier_memoizes_and_evicts_the_oldest() {
+        let r = sample(); // 5 rows
+        let ctx = AnalysisContext::new(&r);
+        let first = ctx.sample_tier(1, 2, || Ok(vec![0, 3])).unwrap();
+        assert_eq!(first.source().len(), 2);
+        assert_eq!(first.source().row(1), r.row(3));
+        let again = ctx.sample_tier(1, 2, || unreachable!("memoized")).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        ctx.sample_tier(2, 2, || Ok(vec![1, 2])).unwrap();
+        assert_eq!(ctx.stats().sample.entries, 2);
+        // 2 + 2 + 2 rows > 5: the oldest sample (seed 1) goes.
+        ctx.sample_tier(3, 2, || Ok(vec![2, 4])).unwrap();
+        let stats = ctx.stats();
+        assert_eq!(stats.sample.entries, 2);
+        assert_eq!((stats.sample.hits, stats.sample.misses), (1, 3));
+        let redrawn = ctx.sample_tier(1, 2, || Ok(vec![0, 3])).unwrap();
+        assert_eq!(ctx.stats().sample.misses, 4);
+        assert!(redrawn.source().set_eq(first.source()));
+        // Bad indices surface as errors and leave nothing behind.
+        assert!(ctx.sample_tier(4, 1, || Ok(vec![99])).is_err());
+        assert_eq!(ctx.stats().sample.entries, 2);
     }
 
     #[test]

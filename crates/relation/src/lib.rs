@@ -91,7 +91,7 @@ pub mod snapshot;
 
 pub use attr::{AttrId, AttrSet};
 pub use catalog::{Catalog, ValueDict};
-pub use context::{AnalysisContext, CacheStats, GroupKernel, GroupSource};
+pub use context::{AnalysisContext, CacheStats, GroupKernel, GroupSource, TierStats};
 pub use error::{RelationError, Result};
 pub use io::{
     read_delimited, read_delimited_from, read_delimited_sharded, write_delimited,

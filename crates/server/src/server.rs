@@ -38,7 +38,7 @@ use ajd_core::{
 };
 use ajd_jointree::JoinTree;
 use ajd_relation::{
-    AttrSet, CacheStats, Catalog, Relation, ShardCacheStats, ShardedStore, ThreadBudget,
+    AttrSet, CacheStats, Catalog, Relation, ShardCacheStats, ShardedStore, ThreadBudget, TierStats,
 };
 use ajd_sync::atomic::{AtomicBool, Ordering};
 use ajd_sync::RwLock;
@@ -403,9 +403,10 @@ impl<'a> Server<'a> {
                         ),
                     }
                 };
-                let budget = ThreadBudget::new(self.config.point_threads);
+                // Through the entry's analyzer: a fallback answers from its
+                // warm caches, a sample comes from its context's sample tier.
                 let est = with_analyzer!(entry, |an| {
-                    let ea = EstimatedAnalyzer::with_thread_budget(an.source(), cfg, budget)
+                    let ea = EstimatedAnalyzer::from_analyzer(an, cfg)
                         .map_err(|e| Failure::from_relation_error(&e))?;
                     match &resolved {
                         Resolved::Entropy(set) => ea.entropy(set),
@@ -717,6 +718,22 @@ fn cache_json(stats: &CacheStats) -> Json {
             "projection_entries",
             Json::Num(stats.projection_entries as f64),
         ),
+        (
+            "tiers",
+            Json::obj([
+                ("entropy", tier_json(&stats.entropy)),
+                ("join_size", tier_json(&stats.join_size)),
+                ("sample", tier_json(&stats.sample)),
+            ]),
+        ),
+    ])
+}
+
+fn tier_json(stats: &TierStats) -> Json {
+    Json::obj([
+        ("hits", Json::Num(stats.hits as f64)),
+        ("misses", Json::Num(stats.misses as f64)),
+        ("entries", Json::Num(stats.entries as f64)),
     ])
 }
 
@@ -1039,6 +1056,138 @@ os,bob,r2
         assert_eq!(ok_get(&frame, "value").as_f64(), Some(0.0));
         assert_eq!(ok_get(&frame, "exact").as_bool(), Some(true));
         assert_eq!(ok_get(&frame, "measure").as_str(), Some("loss"));
+    }
+
+    /// The `cache` object of one entry's `stats` frame.
+    fn entry_cache(server: &Server<'_>, name: &str) -> Json {
+        let frame = server.handle_line(&format!(r#"{{"op":"stats","relation":"{name}"}}"#));
+        let relations = ok_get(&frame, "relations").as_arr().unwrap();
+        relations[0].get("cache").expect("cache").clone()
+    }
+
+    /// A counter of the `cache` object: `path` is `["misses"]` or a tier
+    /// path such as `["tiers", "entropy", "hits"]`.
+    fn counter(cache: &Json, path: &[&str]) -> u64 {
+        path.iter()
+            .try_fold(cache, |obj, key| obj.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no counter {path:?} in {cache}"))
+    }
+
+    /// Regression: a fallback `estimate` used to wrap the bare source in a
+    /// fresh analyzer and regroup every bag.  It now answers through the
+    /// entry's analyzer: after a warm `j`, the estimate of the same schema
+    /// runs no kernel, reads every entropy from the entry's tier, and
+    /// equals `j_nats` bit for bit.
+    #[test]
+    fn fallback_estimate_answers_from_the_entrys_warm_cache() {
+        let stores = stores();
+        let server = Server::new(&stores, ServerConfig::default()).unwrap();
+        let schema = r#"[["course","teacher"],["course","room"]]"#;
+        let j = server.handle_line(&format!(
+            r#"{{"op":"j","relation":"courses","schema":{schema}}}"#
+        ));
+        let j_nats = ok_get(&j, "j_nats").as_f64().unwrap();
+        let before = entry_cache(&server, "courses");
+        let est = server.handle_line(&format!(
+            r#"{{"op":"estimate","relation":"courses","measure":"j","schema":{schema}}}"#
+        ));
+        let after = entry_cache(&server, "courses");
+        assert_eq!(ok_get(&est, "exact").as_bool(), Some(true));
+        let value = ok_get(&est, "value").as_f64().unwrap();
+        assert_eq!(value.to_bits(), j_nats.to_bits());
+        assert_eq!(
+            counter(&after, &["misses"]),
+            counter(&before, &["misses"]),
+            "a fallback estimate after a warm j must not group"
+        );
+        // Two bags, one separator and the whole relation: four tier hits.
+        let hits = |c: &Json| counter(c, &["tiers", "entropy", "hits"]);
+        assert_eq!(hits(&after) - hits(&before), 4);
+        assert_eq!(counter(&after, &["tiers", "sample", "misses"]), 0);
+    }
+
+    /// No memo tier outlives its epoch: on a live entry large enough to
+    /// sample, warm `j`, `loss` and `estimate`, append, and ask again.  Every
+    /// answer matches a cold server over the grown rows bit for bit, and
+    /// the tier counters show the new epoch filling each tier afresh.
+    #[test]
+    fn no_memo_tier_outlives_its_epoch() {
+        let row = |i: u32| format!("{},{},{}\n", i % 5, (i * 7 + i / 3) % 4, (i / 2) % 3);
+        let mut initial = String::from("a,b,c\n");
+        for i in 0..60 {
+            initial.push_str(&row(i));
+        }
+        let (catalog, relation) =
+            ajd_relation::io::read_delimited(&initial, ReadOptions::default()).unwrap();
+        let stores =
+            vec![
+                RelationStore::sharded("events", catalog, relation.into_shards(2).unwrap())
+                    .unwrap(),
+            ];
+        let server = Server::new(&stores, ServerConfig::default()).unwrap();
+        let schema = r#"[["a","b"],["b","c"]]"#;
+        let lines = [
+            format!(r#"{{"op":"j","relation":"events","schema":{schema}}}"#),
+            format!(r#"{{"op":"loss","relation":"events","schema":{schema}}}"#),
+            // ε = 2 plans an 8-row sample of the 60 (and later 75) rows.
+            format!(
+                r#"{{"op":"estimate","relation":"events","measure":"j","schema":{schema},"epsilon":2,"seed":5}}"#
+            ),
+        ];
+        for line in &lines {
+            server.handle_line(line);
+            server.handle_line(line);
+        }
+        let warm = entry_cache(&server, "events");
+        for tier in ["entropy", "join_size", "sample"] {
+            assert!(
+                counter(&warm, &["tiers", tier, "hits"]) > 0,
+                "{tier}: {warm}"
+            );
+        }
+        let sampled = server.handle_line(&lines[2]);
+        assert_eq!(ok_get(&sampled, "exact").as_bool(), Some(false));
+        assert_eq!(ok_get(&sampled, "sample_rows").as_u64(), Some(8));
+
+        let appended: Vec<String> = (60..75).map(row).collect();
+        let rows_json: Vec<String> = appended
+            .iter()
+            .map(|r| {
+                let cells: Vec<String> = r
+                    .trim_end()
+                    .split(',')
+                    .map(|c| format!("\"{c}\""))
+                    .collect();
+                format!("[{}]", cells.join(","))
+            })
+            .collect();
+        let frame = server.handle_line(&format!(
+            r#"{{"op":"append","relation":"events","rows":[{}]}}"#,
+            rows_json.join(",")
+        ));
+        assert_eq!(ok_get(&frame, "rows").as_u64(), Some(75));
+
+        let mut grown = initial.clone();
+        grown.extend(appended);
+        let cold_stores =
+            vec![RelationStore::from_delimited("events", &grown, ReadOptions::default()).unwrap()];
+        let cold_server = Server::new(&cold_stores, ServerConfig::default()).unwrap();
+        for line in &lines {
+            assert_eq!(
+                server.handle_line(line).to_string(),
+                cold_server.handle_line(line).to_string(),
+                "{line}"
+            );
+        }
+        let fresh = entry_cache(&server, "events");
+        // j reads four entropies (two bags, the separator, the whole
+        // relation); the sampled j reads its own sample's tier.
+        assert_eq!(counter(&fresh, &["tiers", "entropy", "misses"]), 4);
+        assert_eq!(counter(&fresh, &["tiers", "entropy", "hits"]), 0);
+        assert_eq!(counter(&fresh, &["tiers", "join_size", "misses"]), 1);
+        assert_eq!(counter(&fresh, &["tiers", "sample", "misses"]), 1);
+        assert_eq!(counter(&fresh, &["tiers", "sample", "hits"]), 0);
     }
 
     #[test]
