@@ -23,12 +23,11 @@
 //!    conditional mutual information.
 
 use crate::analysis::Analyzer;
-use crate::engine::LossEngine;
 use ajd_bounds::j_lower_bound_on_loss;
 use ajd_info::{conditional_mutual_information, mutual_information};
 use ajd_jointree::{JoinTree, Mvd};
 use ajd_relation::{
-    AnalysisContext, AttrId, AttrSet, GroupSource, Relation, RelationError, Result,
+    AnalysisContext, AttrId, AttrSet, GroupKernel, GroupSource, Relation, RelationError, Result,
 };
 use serde::{Deserialize, Serialize};
 
@@ -102,19 +101,9 @@ impl SchemaMiner {
     pub fn chow_liu_tree(&self, r: &Relation) -> Result<JoinTree> {
         // A throwaway context so each singleton marginal is grouped once
         // instead of `n − 1` times across the O(n²) pairwise MIs.
-        self.chow_liu_tree_with(&AnalysisContext::new(r))
+        chow_liu(&AnalysisContext::new(r))
     }
 
-    /// The Chow–Liu construction over any [`GroupSource`].
-    fn chow_liu_tree_with<S: GroupSource>(&self, src: &S) -> Result<JoinTree> {
-        if src.is_empty() {
-            return Err(RelationError::EmptyInput("relation for schema discovery"));
-        }
-        let attrs: Vec<AttrId> = src.attrs().iter().collect();
-        chow_liu_from_pairwise(&attrs, |x, y| {
-            mutual_information(src, &AttrSet::singleton(x), &AttrSet::singleton(y))
-        })
-    }
     /// Mines an acyclic schema: Chow–Liu tree followed by greedy edge
     /// contraction until the J-measure drops below the configured threshold
     /// (or no admissible contraction remains).
@@ -136,33 +125,21 @@ impl SchemaMiner {
         self.mine_with(&Analyzer::new(r))
     }
 
-    /// [`SchemaMiner::mine`] over any [`LossEngine`] — the same Chow–Liu +
-    /// greedy-contraction pipeline, scored through the engine's
-    /// [`Estimate`](crate::Estimate)-returning measures.
+    /// [`SchemaMiner::mine`] over an existing [`Analyzer`] — the same
+    /// Chow–Liu + greedy-contraction pipeline, scored through the
+    /// analyzer's measures.
     ///
-    /// Passing an exact [`Analyzer`] reproduces [`SchemaMiner::mine`]
-    /// bit-for-bit while sharing the analyzer's cache and thread budget
-    /// with any other analysis of the same source, flat or sharded.
-    /// Passing an [`EstimatedAnalyzer`](crate::EstimatedAnalyzer) mines on
-    /// its seeded row sample, trading exactness for sublinear scoring on
-    /// large relations (deterministic for a fixed seed).  The mined
-    /// `j_measure` / `rho_lower_bound` are then point values of whatever
-    /// tier the engine answers from.
-    pub fn mine_with<E: LossEngine>(&self, engine: &E) -> Result<MinedSchema> {
-        if engine.relation_is_empty() {
-            return Err(RelationError::EmptyInput("relation for schema discovery"));
-        }
-        let attrs: Vec<AttrId> = engine.relation_attrs().iter().collect();
-        let mut tree = chow_liu_from_pairwise(&attrs, |x, y| {
-            Ok(engine
-                .mutual_information_estimate(&AttrSet::singleton(x), &AttrSet::singleton(y))?
-                .value)
-        })?;
-        let mut j = engine.j_measure_estimate(&tree)?.value;
+    /// It reproduces [`SchemaMiner::mine`] bit-for-bit while sharing the
+    /// analyzer's cache and thread budget with any other analysis of the
+    /// same source, flat or sharded.  To mine a sample instead, build the
+    /// analyzer over the sampled rows.
+    pub fn mine_with<S: GroupKernel>(&self, analyzer: &Analyzer<S>) -> Result<MinedSchema> {
+        let mut tree = chow_liu(analyzer)?;
+        let mut j = analyzer.j_measure(&tree)?;
 
         while j > self.config.j_threshold && tree.num_edges() > 0 {
-            // Score every admissible contraction and keep the one with the
-            // smallest resulting J (in parallel when the engine fans out).
+            // Score every admissible contraction in parallel and keep the
+            // one with the smallest resulting J.
             let mut candidates: Vec<JoinTree> = Vec::with_capacity(tree.num_edges());
             for e in 0..tree.num_edges() {
                 let (u, v) = tree.edges()[e];
@@ -173,12 +150,8 @@ impl SchemaMiner {
                 candidates.push(tree.contract_edge(e)?);
             }
             let mut best: Option<(usize, f64)> = None;
-            for (i, cj) in engine
-                .j_measures_estimate(&candidates)
-                .into_iter()
-                .enumerate()
-            {
-                let cj = cj?.value;
+            for (i, cj) in analyzer.j_measures(&candidates).into_iter().enumerate() {
+                let cj = cj?;
                 if best.is_none_or(|(_, bj)| cj < bj) {
                     best = Some((i, cj));
                 }
@@ -274,14 +247,15 @@ impl SchemaMiner {
     }
 }
 
-/// Maximum-spanning-tree (Kruskal) Chow–Liu construction over a caller-
-/// supplied pairwise mutual-information oracle.  Shared by the exact
-/// [`GroupSource`] path and the [`LossEngine`]-generic miner so both build
-/// the identical tree from identical scores.
-fn chow_liu_from_pairwise(
-    attrs: &[AttrId],
-    mut mi: impl FnMut(AttrId, AttrId) -> Result<f64>,
-) -> Result<JoinTree> {
+/// Maximum-spanning-tree (Kruskal) Chow–Liu construction over the pairwise
+/// mutual information of `src`'s attributes.  Shared by
+/// [`SchemaMiner::chow_liu_tree`] and the miner, so both build the
+/// identical tree from identical scores.
+fn chow_liu<S: GroupSource>(src: &S) -> Result<JoinTree> {
+    if src.is_empty() {
+        return Err(RelationError::EmptyInput("relation for schema discovery"));
+    }
+    let attrs: Vec<AttrId> = src.attrs().iter().collect();
     let n = attrs.len();
     if n == 1 {
         return JoinTree::new(vec![AttrSet::singleton(attrs[0])], vec![]);
@@ -291,7 +265,8 @@ fn chow_liu_from_pairwise(
     let mut edges: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
-            edges.push((mi(attrs[i], attrs[j])?, i, j));
+            let (x, y) = (AttrSet::singleton(attrs[i]), AttrSet::singleton(attrs[j]));
+            edges.push((mutual_information(src, &x, &y)?, i, j));
         }
     }
     // Maximum spanning tree (Kruskal with a tiny union-find).

@@ -12,13 +12,9 @@
 //!
 //! ## The sampling pipeline
 //!
-//! 1. **Plan** — a [`SamplePlanner`] inverts a concentration bound into the
-//!    sample size `n` needed for the configured `(ε, δ)`:
-//!    [`SamplePlanner::Practical`] inverts the McDiarmid plug-in-entropy
-//!    deviation ([`ajd_bounds::sample_size_for_entropy_epsilon`]);
-//!    [`SamplePlanner::Theorem51`] inverts the paper's `ε*(φ, N, δ)`
-//!    ([`ajd_bounds::required_n_for_epsilon`]), which is rigorous but so
-//!    conservative it almost always falls back to exact.
+//! 1. **Plan** — the McDiarmid plug-in-entropy deviation is inverted into
+//!    the sample size `n` needed for the configured `(ε, δ)`
+//!    ([`ajd_bounds::sample_size_for_entropy_epsilon`]).
 //! 2. **Draw** — `n` distinct row indices are drawn without replacement by
 //!    [`ajd_random::sample_distinct`] from a [`rand::rngs::StdRng`] seeded
 //!    with the explicit [`EstimateConfig::seed`] (no ambient entropy — the
@@ -40,23 +36,14 @@
 //! ## Fallback
 //!
 //! When the planned sample size is at least the relation size (or the
-//! planner reports the target unreachable), the analyzer transparently
+//! target is unreachable below it), the analyzer transparently
 //! answers through the exact [`Analyzer`] it was built from: every answer
 //! is then **bit-identical** to the exact path, read from that analyzer's
 //! caches, and reports `ε = 0` with [`BoundKind::Exact`].  Small inputs
 //! therefore never pay for, or wobble from, sampling.
-//!
-//! ## Sketches
-//!
-//! Where only *how many distinct groups* is needed, no sample or group
-//! table is materialised at all: [`EstimatedAnalyzer::distinct_groups`]
-//! streams the full source through a seeded
-//! [`ajd_relation::KmvSketch`] in `O(k)` memory.
 
 use crate::analysis::Analyzer;
-use ajd_bounds::{
-    entropy_mcdiarmid_epsilon, required_n_for_epsilon, sample_size_for_entropy_epsilon,
-};
+use ajd_bounds::{entropy_mcdiarmid_epsilon, sample_size_for_entropy_epsilon};
 use ajd_jointree::JoinTree;
 use ajd_random::sample_distinct;
 use ajd_relation::{
@@ -65,27 +52,8 @@ use ajd_relation::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Which concentration bound the sample-size planner inverts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SamplePlanner {
-    /// Invert the McDiarmid plug-in-entropy deviation
-    /// ([`ajd_bounds::entropy_mcdiarmid_epsilon`]).  Practical sample sizes
-    /// (≈10⁵ for ε = 0.1 nats), the default.
-    #[default]
-    Practical,
-    /// Invert the paper's Theorem 5.1 deviation `ε*(φ, N, δ)`
-    /// ([`ajd_bounds::required_n_for_epsilon`]), instantiated with the
-    /// source's largest single-attribute domains.  Rigorous for the
-    /// conditional-mutual-information measures the theorem covers, but its
-    /// constants are so conservative that realistic targets plan samples
-    /// far beyond the relation — i.e. this mode usually falls back to the
-    /// exact kernel.
-    Theorem51,
-}
-
-/// Configuration of an [`EstimatedAnalyzer`]: the (ε, δ) target, the
-/// explicit sampling seed, the planner that turns the target into a sample
-/// size, and the `k` of distinct-count sketches.
+/// Configuration of an [`EstimatedAnalyzer`]: the (ε, δ) target and the
+/// explicit sampling seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimateConfig {
     /// Target deviation for a single entropy query, in nats (must be > 0).
@@ -94,14 +62,9 @@ pub struct EstimateConfig {
     /// Failure probability: each answer's deviation bound holds with
     /// probability at least `1 − δ` (must be in `(0, 1)`).
     pub delta: f64,
-    /// Seed of the row draw and of sketch hashing.  The same
-    /// `(relation, seed, ε, δ)` always reproduces bit-identical estimates.
+    /// Seed of the row draw.  The same `(relation, seed, ε, δ)` always
+    /// reproduces bit-identical estimates.
     pub seed: u64,
-    /// Sample-size planner (see [`SamplePlanner`]).
-    pub planner: SamplePlanner,
-    /// Number of minimum values retained by [`EstimatedAnalyzer::distinct_groups`]
-    /// sketches (relative error `≈ 1/√(δ·(k−2))`).
-    pub sketch_k: usize,
 }
 
 impl Default for EstimateConfig {
@@ -110,8 +73,6 @@ impl Default for EstimateConfig {
             epsilon: 0.1,
             delta: 0.05,
             seed: 0,
-            planner: SamplePlanner::default(),
-            sketch_k: 1024,
         }
     }
 }
@@ -132,12 +93,6 @@ impl EstimateConfig {
     /// This configuration with a different sampling seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// This configuration with a different sample-size planner.
-    pub fn with_planner(mut self, planner: SamplePlanner) -> Self {
-        self.planner = planner;
         self
     }
 
@@ -176,9 +131,6 @@ pub enum BoundKind {
     /// Lemma 4.1 correspondence `J(T) ≤ ln(1+ρ)`: ε bounds the deviation of
     /// the information-theoretic surrogate, not of ρ itself.
     Log1pLoss,
-    /// K-minimum-values distinct-count sketch with a Chebyshev tail
-    /// ([`ajd_relation::KmvSketch::relative_epsilon`]); ε is *relative*.
-    Kmv,
     /// The paper's Theorem 5.1 deviation `ε*(φ, N, δ)` (used by
     /// [`crate::LossReport::confidence_bounds`]).
     Theorem51,
@@ -193,7 +145,6 @@ impl BoundKind {
             BoundKind::McDiarmid => "mcdiarmid",
             BoundKind::McDiarmidUnion => "mcdiarmid-union",
             BoundKind::Log1pLoss => "log1p-loss",
-            BoundKind::Kmv => "kmv",
             BoundKind::Theorem51 => "theorem-5.1",
         }
     }
@@ -202,22 +153,20 @@ impl BoundKind {
 /// A point estimate together with the (ε, δ) it comes with, the sampling
 /// provenance, and the concentration bound justifying it.
 ///
-/// Every answer of the estimation tier — and, through
-/// [`crate::LossEngine`], of the exact tier — is an `Estimate`, never a
-/// bare number.  Exact answers use `ε = δ = 0`, no seed, and
+/// Every answer of the estimation tier is an `Estimate`, never a bare
+/// number.  Exact answers use `ε = δ = 0`, no seed, and
 /// `sample_rows == total_rows`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate<T> {
     /// The point value.
     pub value: T,
-    /// Deviation bound in the units of [`BoundKind`] (nats for entropy
-    /// bounds, relative for [`BoundKind::Kmv`]); `0` when exact.
+    /// Deviation bound in nats; `0` when exact.
     pub epsilon: f64,
     /// Failure probability of the deviation bound; `0` when exact.
     pub delta: f64,
-    /// The sampling / sketching seed, `None` when exact.
+    /// The sampling seed, `None` when exact.
     pub seed: Option<u64>,
-    /// Rows (or retained sketch hashes) the value was computed from.
+    /// Rows the value was computed from.
     pub sample_rows: u64,
     /// Rows of the underlying relation.
     pub total_rows: u64,
@@ -281,7 +230,7 @@ impl<T> Estimate<T> {
 /// ```
 pub struct EstimatedAnalyzer<S> {
     /// The exact analyzer over the whole source: it answers on fallback,
-    /// streams the sketches, and its context holds the sample tier.
+    /// and its context holds the sample tier.
     exact: Analyzer<S>,
     /// Sampled mode: an exact analyzer over the gathered sample; `None` on
     /// fallback.
@@ -324,7 +273,10 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         config.validate()?;
         let exact = analyzer.clone();
         let total_rows = exact.num_rows() as u64;
-        let planned = plan_sample_size(exact.source(), &config, total_rows)?;
+        // `None` (the target is unreachable below the relation size, which
+        // includes every relation under 8 rows) and a plan covering every
+        // row both fall back.
+        let planned = sample_size_for_entropy_epsilon(config.epsilon, config.delta, total_rows);
         let Some(n) = planned.filter(|&n| n < total_rows) else {
             // Whole-relation fallback: exact kernel over the original source.
             return Ok(EstimatedAnalyzer {
@@ -454,29 +406,6 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         }
     }
 
-    /// Number of distinct `attrs`-groups, from a K-minimum-values sketch
-    /// streamed over the **full** source in `O(sketch_k)` memory — no group
-    /// table, no sample.  ε is *relative* ([`BoundKind::Kmv`]); the answer
-    /// is exact (ε = 0) when the source has fewer than `sketch_k` distinct
-    /// groups.
-    pub fn distinct_groups(&self, attrs: &AttrSet) -> Result<Estimate<f64>> {
-        let sketch =
-            self.source()
-                .distinct_sketch(attrs, self.config.sketch_k, self.config.seed)?;
-        if sketch.is_exact() {
-            return Ok(Estimate::exact(sketch.estimate(), self.total_rows));
-        }
-        Ok(Estimate {
-            value: sketch.estimate(),
-            epsilon: sketch.relative_epsilon(self.config.delta),
-            delta: self.config.delta,
-            seed: Some(self.config.seed),
-            sample_rows: sketch.len() as u64,
-            total_rows: self.total_rows,
-            bound: BoundKind::Kmv,
-        })
-    }
-
     /// Builds the sampled-path estimate for a value composed of the given
     /// entropy terms: per-term McDiarmid deviation at `δ/terms` plus the
     /// observed-support plug-in bias allowance, summed over the terms.
@@ -492,8 +421,7 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         let deviation = terms.len() as f64 * entropy_mcdiarmid_epsilon(n, per_delta);
         // Plug-in entropy is biased low by at most ln(1 + (k−1)/n) for true
         // support k; the observed sample support is the best available
-        // stand-in for k (a lower bound, so this allowance is indicative —
-        // SamplePlanner::Theorem51 is the rigorous mode).
+        // stand-in for k (a lower bound, so this allowance is indicative).
         let mut bias = 0.0;
         for attrs in terms {
             let k = sample.group_counts(attrs)?.num_groups() as f64;
@@ -518,40 +446,4 @@ fn j_entropy_terms(tree: &JoinTree) -> Vec<AttrSet> {
     terms.extend(tree.separators());
     terms.push(tree.attributes());
     terms
-}
-
-/// Runs the configured planner: `Ok(None)` means "target unreachable below
-/// the relation size" (→ fallback), `Ok(Some(n))` the planned sample size.
-fn plan_sample_size<S: GroupKernel>(
-    source: &S,
-    config: &EstimateConfig,
-    total_rows: u64,
-) -> Result<Option<u64>> {
-    if total_rows == 0 {
-        return Ok(None);
-    }
-    Ok(match config.planner {
-        SamplePlanner::Practical => {
-            sample_size_for_entropy_epsilon(config.epsilon, config.delta, total_rows)
-        }
-        SamplePlanner::Theorem51 => {
-            // Instantiate φ = (A, B | C) with the largest single-attribute
-            // active domains: d_a, d_b the top two, d_c the (capped)
-            // product of the rest — the hardest single-attribute MVD this
-            // source can pose to Theorem 5.1.
-            let mut domains: Vec<u64> = Vec::with_capacity(source.arity());
-            for a in source.attrs().iter() {
-                domains.push(source.active_domain_size(a)? as u64);
-            }
-            domains.sort_unstable_by(|x, y| y.cmp(x));
-            let d_a = domains.first().copied().unwrap_or(1).max(1);
-            let d_b = domains.get(1).copied().unwrap_or(1).max(1);
-            let d_c = domains[2.min(domains.len())..]
-                .iter()
-                // ajd: allow(silent-arithmetic, "planning heuristic, not a count: the domain product only sizes the Theorem 5.1 sample and is clamped to total_rows on the next line, so saturation cannot change any reported quantity")
-                .fold(1u64, |acc, &d| acc.saturating_mul(d.max(1)))
-                .min(total_rows);
-            required_n_for_epsilon(d_a, d_b, d_c, config.delta, config.epsilon, total_rows)
-        }
-    })
 }

@@ -42,10 +42,9 @@
 //! planned-size row sample in sublinear time, returning every answer as an
 //! [`Estimate`] carrying its (ε, δ, seed, sample size) and concentration
 //! bound; it falls back to the exact kernel (bit-identically) when the
-//! planned sample would cover the relation.  The [`LossEngine`] trait is
-//! the one API over both tiers — [`Analyzer`] and [`EstimatedAnalyzer`]
-//! both implement it, with the exact path reporting `ε = 0` — so consumers
-//! like [`SchemaMiner::mine_with`] never fork on exact-vs-estimated.
+//! planned sample would cover the relation.  It is built over an
+//! [`Analyzer`] ([`EstimatedAnalyzer::from_analyzer`]) and shares that
+//! analyzer's caches, so repeated estimates reuse one memoized sample.
 //!
 //! ```
 //! use ajd_core::Analyzer;
@@ -71,12 +70,10 @@
 
 pub mod analysis;
 pub mod discovery;
-pub mod engine;
 pub mod estimate;
 pub mod live;
 
 pub use analysis::{Analyzer, ConfidenceBounds, LossReport, MvdLoss};
 pub use discovery::{DiscoveryConfig, MinedSchema, SchemaMiner};
-pub use engine::LossEngine;
-pub use estimate::{BoundKind, Estimate, EstimateConfig, EstimatedAnalyzer, SamplePlanner};
+pub use estimate::{BoundKind, Estimate, EstimateConfig, EstimatedAnalyzer};
 pub use live::{LiveAnalyzer, LiveStats};

@@ -12,10 +12,10 @@
 //!    error stays within the planned ε at (well above) the claimed
 //!    confidence, over a seeded, fully deterministic trial loop.
 
-use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer, LossEngine, SchemaMiner};
+use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer};
 use ajd_jointree::JoinTree;
 use ajd_random::generators::{markov_chain_relation, random_relation};
-use ajd_relation::{AttrId, AttrSet, Relation, ThreadBudget, Value};
+use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ThreadBudget, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -72,20 +72,27 @@ proptest! {
             prop_assert_eq!(e.total_rows, r.len() as u64);
         }
     }
+}
 
-    /// The `LossEngine` view of the estimator and of the exact analyzer
-    /// agree on the fallback path — so `mine_with` over either tier
-    /// reproduces `mine` exactly on small inputs.
-    #[test]
-    fn mine_with_agrees_across_tiers_on_fallback(r in relation_strategy(3, 3, 40)) {
-        let miner = SchemaMiner::default();
-        let exact = miner.mine(&r).unwrap();
-        let est = EstimatedAnalyzer::new(&r, EstimateConfig::default()).unwrap();
-        let mined = miner.mine_with(&est).unwrap();
-        prop_assert_eq!(exact.tree.bags(), mined.tree.bags());
-        prop_assert_eq!(exact.j_measure.to_bits(), mined.j_measure.to_bits());
-        prop_assert_eq!(exact.rho_lower_bound.to_bits(), mined.rho_lower_bound.to_bits());
+/// Every bit of the entropy, CMI, J and loss estimates of `est`: value,
+/// ε, δ, seed and row counts.
+fn fingerprint<S: GroupKernel>(est: &EstimatedAnalyzer<S>, tree: &JoinTree) -> Vec<u64> {
+    let h = est.entropy(&bag(&[0, 1])).unwrap();
+    let c = est.cmi(&bag(&[0]), &bag(&[1]), &bag(&[2])).unwrap();
+    let j = est.j_measure(tree).unwrap();
+    let l = est.loss(tree).unwrap();
+    let mut out = Vec::new();
+    for e in [h, c, j, l] {
+        out.extend([
+            e.value.to_bits(),
+            e.epsilon.to_bits(),
+            e.delta.to_bits(),
+            e.seed.unwrap(),
+            e.sample_rows,
+            e.total_rows,
+        ]);
     }
+    out
 }
 
 /// A fixed `(relation, seed, ε)` must produce bit-identical estimates no
@@ -99,37 +106,16 @@ fn sampled_estimates_are_deterministic_across_budgets_and_shardings() {
     let cfg = EstimateConfig::default().with_epsilon(0.5).with_seed(9);
     let tree = JoinTree::new(vec![bag(&[0, 2]), bag(&[1, 2])], vec![(0, 1)]).unwrap();
 
-    let fingerprint = |est: &dyn LossEngine| -> Vec<u64> {
-        let h = est.entropy_estimate(&bag(&[0, 1])).unwrap();
-        let c = est
-            .cmi_estimate(&bag(&[0]), &bag(&[1]), &bag(&[2]))
-            .unwrap();
-        let j = est.j_measure_estimate(&tree).unwrap();
-        let l = est.loss_estimate(&tree).unwrap();
-        let mut out = Vec::new();
-        for e in [h, c, j, l] {
-            out.extend([
-                e.value.to_bits(),
-                e.epsilon.to_bits(),
-                e.delta.to_bits(),
-                e.seed.unwrap(),
-                e.sample_rows,
-                e.total_rows,
-            ]);
-        }
-        out
-    };
-
     let flat_serial =
         EstimatedAnalyzer::with_thread_budget(&r, cfg, ThreadBudget::serial()).unwrap();
     assert!(!flat_serial.is_fallback(), "ε = 0.5 must sample 6k rows");
-    let reference = fingerprint(&flat_serial);
+    let reference = fingerprint(&flat_serial, &tree);
 
     let flat_parallel =
         EstimatedAnalyzer::with_thread_budget(&r, cfg, ThreadBudget::new(4)).unwrap();
     assert_eq!(
         reference,
-        fingerprint(&flat_parallel),
+        fingerprint(&flat_parallel, &tree),
         "thread budget leaked"
     );
 
@@ -139,20 +125,20 @@ fn sampled_estimates_are_deterministic_across_budgets_and_shardings() {
             EstimatedAnalyzer::with_thread_budget(&sharded, cfg, ThreadBudget::new(2)).unwrap();
         assert_eq!(
             reference,
-            fingerprint(&est),
+            fingerprint(&est, &tree),
             "sharding into {shards} changed a sampled estimate"
         );
     }
 
     // Same construction twice: bit-identical (no ambient entropy anywhere).
     let again = EstimatedAnalyzer::with_thread_budget(&r, cfg, ThreadBudget::serial()).unwrap();
-    assert_eq!(reference, fingerprint(&again));
+    assert_eq!(reference, fingerprint(&again, &tree));
 
     // A different seed draws a different sample (the seed is load-bearing).
     let other =
         EstimatedAnalyzer::with_thread_budget(&r, cfg.with_seed(10), ThreadBudget::serial())
             .unwrap();
-    assert_ne!(reference, fingerprint(&other));
+    assert_ne!(reference, fingerprint(&other, &tree));
 }
 
 /// Calibration on random-model instances: over a deterministic loop of

@@ -47,7 +47,6 @@ use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
 use crate::relation::{GroupCounts, GroupIds, Relation};
-use crate::sketch::KmvSketch;
 use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{Mutex, OnceSlot, RwLock};
 use std::collections::VecDeque;
@@ -187,15 +186,6 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     /// Errors with [`crate::RelationError::InvalidParameter`] if the indices
     /// are out of range, unsorted, or contain duplicates.
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation>;
-
-    /// Streams the `attrs`-projection of every row through a seeded
-    /// [`KmvSketch`] with `k` minimum values, without materialising a group
-    /// table.
-    ///
-    /// The sketch hashes decoded values and its merge is order-independent,
-    /// so flat and sharded sources produce **identical** sketches for the
-    /// same `(rows, attrs, k, seed)`.
-    fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch>;
 }
 
 impl GroupSource for Relation {
@@ -243,10 +233,6 @@ impl GroupKernel for Relation {
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         Relation::gather_rows(self, sorted_rows)
-    }
-
-    fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        Relation::distinct_sketch(self, attrs, k, seed)
     }
 }
 
@@ -304,10 +290,6 @@ impl<S: GroupKernel + ?Sized> GroupKernel for &S {
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         (**self).gather_rows(sorted_rows)
     }
-
-    fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        (**self).distinct_sketch(attrs, k, seed)
-    }
 }
 
 impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
@@ -363,10 +345,6 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         (**self).gather_rows(sorted_rows)
-    }
-
-    fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        (**self).distinct_sketch(attrs, k, seed)
     }
 }
 

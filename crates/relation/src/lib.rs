@@ -86,7 +86,6 @@ pub mod join;
 pub mod parallel;
 pub mod relation;
 pub mod shard;
-pub mod sketch;
 pub mod snapshot;
 
 pub use attr::{AttrId, AttrSet};
@@ -100,5 +99,4 @@ pub use io::{
 pub use parallel::ThreadBudget;
 pub use relation::{GroupCounts, GroupIds, Relation, RowIter, Value};
 pub use shard::{RelationShard, ShardCacheStats, ShardedRelation};
-pub use sketch::KmvSketch;
 pub use snapshot::ShardedStore;

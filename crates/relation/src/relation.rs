@@ -27,7 +27,6 @@ use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap};
 use crate::parallel::{chunk_bounds, ThreadBudget};
-use crate::sketch::KmvSketch;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::fmt;
@@ -502,22 +501,6 @@ impl Relation {
             out.push_row(self.row(i as usize))?;
         }
         Ok(out)
-    }
-
-    /// Streams the `attrs`-projection of every row through a seeded
-    /// [`KmvSketch`] with `k` minimum values (see
-    /// [`crate::GroupKernel::distinct_sketch`]).
-    pub fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        let positions = self.attr_positions(attrs)?;
-        let mut sketch = KmvSketch::new(k, seed);
-        let mut key = vec![0 as Value; positions.len()];
-        for row in self.iter_rows() {
-            for (slot, &p) in key.iter_mut().zip(&positions) {
-                *slot = row[p];
-            }
-            sketch.observe(&key);
-        }
-        Ok(sketch)
     }
 
     // ------------------------------------------------------------------

@@ -60,7 +60,6 @@ use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, ThreadBudget, MAX_CHUNK_WORKERS};
 use crate::relation::{bit_width, merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
-use crate::sketch::KmvSketch;
 use ajd_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ajd_sync::{OnceSlot, RwLock};
 use std::fmt;
@@ -772,24 +771,6 @@ impl ShardedRelation {
         }
         Ok(out)
     }
-
-    /// Streams the `attrs`-projection of every shard through a seeded
-    /// [`KmvSketch`] and merges the shard-local sketches in shard order.
-    ///
-    /// The sketch hashes *decoded* values and its merge is
-    /// order-independent, so the result is **identical** to
-    /// [`Relation::distinct_sketch`] on the collected flat relation at any
-    /// shard count.
-    pub fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        // Validate against the global schema first so an unknown attribute
-        // errors identically to the flat path even with zero shards.
-        self.attr_positions(attrs)?;
-        let mut merged = KmvSketch::new(k, seed);
-        for shard in &self.shards {
-            merged.merge(&shard.local.distinct_sketch(attrs, k, seed)?);
-        }
-        Ok(merged)
-    }
 }
 
 impl Relation {
@@ -860,10 +841,6 @@ impl GroupKernel for ShardedRelation {
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         ShardedRelation::gather_rows(self, sorted_rows)
-    }
-
-    fn distinct_sketch(&self, attrs: &AttrSet, k: usize, seed: u64) -> Result<KmvSketch> {
-        ShardedRelation::distinct_sketch(self, attrs, k, seed)
     }
 }
 

@@ -42,7 +42,7 @@ use ajd_relation::{
 };
 use ajd_sync::atomic::{AtomicBool, Ordering};
 use ajd_sync::RwLock;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -619,19 +619,53 @@ impl<'a> Server<'a> {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
-        let reader = BufReader::new(read_half);
+        let mut reader = BufReader::new(read_half);
         let mut writer = BufWriter::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { return };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let frame = self.handle_line(&line);
+        // Reads the rest of the current line, but at most one byte past the
+        // cap, which tells a full-length line from a longer one.  `false` at
+        // end of input or on a read error.
+        let mut next_chunk = |line: &mut Vec<u8>| {
+            line.clear();
+            let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+            matches!(capped.read_until(b'\n', line), Ok(1..))
+        };
+        let mut line = Vec::new();
+        while next_chunk(&mut line) {
+            let over_cap = line.len() > MAX_LINE_BYTES && line.last() != Some(&b'\n');
+            let frame = if over_cap {
+                bad_line(format!(
+                    "request line exceeds the {MAX_LINE_BYTES}-byte limit"
+                ))
+            } else {
+                let bytes = line.strip_suffix(b"\n").unwrap_or(&line);
+                let bytes = bytes.strip_suffix(b"\r").unwrap_or(bytes);
+                match std::str::from_utf8(bytes) {
+                    Ok(text) if text.trim().is_empty() => continue,
+                    Ok(text) => self.handle_line(text),
+                    Err(err) => bad_line(format!("request line is not valid UTF-8: {err}")),
+                }
+            };
             if writeln!(writer, "{frame}").is_err() || writer.flush().is_err() {
                 return;
             }
+            // Discard the rest of an over-cap line, one capped chunk at a time.
+            while over_cap && line.last() != Some(&b'\n') {
+                if !next_chunk(&mut line) {
+                    return;
+                }
+            }
         }
     }
+}
+
+/// The longest request line the server reads, newline excluded (16 MiB).
+/// A longer line is answered with a `bad_request` frame and discarded in
+/// cap-sized reads, so one endless line cannot grow a connection's memory.
+const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// The `bad_request` frame for a line that never reached the parser.
+fn bad_line(message: String) -> Json {
+    error_frame(None, &Failure::new(ErrorCode::BadRequest, message))
 }
 
 /// Splits a delimited `text` payload into rows of field labels: one row
@@ -1044,6 +1078,18 @@ os,bob,r2
         );
         // Determinism: the response frame is byte-identical on re-issue.
         assert_eq!(frame.to_string(), server.handle_line(line).to_string());
+        // The compound measures name their own bounds.
+        for (measure, operands, bound) in [
+            ("cmi", r#""a":["a"],"b":["b"],"c":[]"#, "mcdiarmid-union"),
+            ("j", r#""schema":[["a"],["b"]]"#, "mcdiarmid-union"),
+            ("loss", r#""schema":[["a"],["b"]]"#, "log1p-loss"),
+        ] {
+            let frame = server.handle_line(&format!(
+                r#"{{"op":"estimate","relation":"big","measure":"{measure}",{operands},"epsilon":0.5,"seed":42}}"#
+            ));
+            assert_eq!(ok_get(&frame, "exact").as_bool(), Some(false), "{measure}");
+            assert_eq!(ok_get(&frame, "bound").as_str(), Some(bound), "{measure}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 
 use ajd_relation::ReadOptions;
 use ajd_server::{Client, Json, RelationStore, Server, ServerConfig, ShutdownToken};
-use std::net::{SocketAddr, TcpListener};
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Barrier;
 
 /// A relation with enough rows that a cold grouping is real work, and a
@@ -277,6 +278,72 @@ fn errors_never_close_the_connection() {
         assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(frame.get("rho").and_then(Json::as_f64), Some(0.0));
     });
+}
+
+/// Sends `bad` and then a `catalog` request as raw bytes on one socket,
+/// and returns the two response frames; `None` stands for a frame that
+/// never came.  Nothing here panics: a panic inside [`with_server`] would
+/// skip the shutdown and hang the test instead of failing it.
+fn raw_exchange(stores: &[RelationStore], bad: &[u8]) -> [Option<Json>; 2] {
+    let mut frames = [None, None];
+    with_server(stores, ServerConfig::default(), |addr| {
+        let Ok(mut stream) = TcpStream::connect(addr) else {
+            return;
+        };
+        let _ = stream
+            .write_all(bad)
+            .and_then(|()| stream.write_all(b"{\"op\":\"catalog\"}\n"));
+        let Ok(read_half) = stream.try_clone() else {
+            return;
+        };
+        let mut reader = BufReader::new(read_half);
+        for frame in &mut frames {
+            let mut line = String::new();
+            *frame = match reader.read_line(&mut line) {
+                Ok(1..) => Json::parse(&line).ok(),
+                _ => None,
+            };
+        }
+    });
+    frames
+}
+
+fn ok_field(frame: &Option<Json>) -> Option<bool> {
+    frame.as_ref()?.get("ok").and_then(Json::as_bool)
+}
+
+fn error_field<'a>(frame: &'a Option<Json>, key: &str) -> Option<&'a str> {
+    frame
+        .as_ref()?
+        .get("error")?
+        .get(key)
+        .and_then(Json::as_str)
+}
+
+/// A line that is not UTF-8 gets a `bad_request` frame; the connection
+/// stays open and answers the next request.
+#[test]
+fn non_utf8_line_is_answered_and_keeps_the_connection() {
+    let [bad, next] = raw_exchange(&demo_stores(), b"\xff\xfe\n");
+    assert_eq!(ok_field(&bad), Some(false), "{bad:?}");
+    assert_eq!(error_field(&bad, "code"), Some("bad_request"));
+    assert_eq!(ok_field(&next), Some(true), "{next:?}");
+}
+
+/// A valid request padded past the 16 MiB line cap is refused with a
+/// `bad_request` frame naming the cap, its tail is skipped, and the next
+/// request on the connection is answered.
+#[test]
+fn over_cap_line_is_refused_and_keeps_the_connection() {
+    let mut padded = b"{\"op\":\"catalog\"}".to_vec();
+    padded.resize(padded.len() + (16 << 20), b' ');
+    padded.push(b'\n');
+    let [bad, next] = raw_exchange(&demo_stores(), &padded);
+    assert_eq!(ok_field(&bad), Some(false), "{bad:?}");
+    assert_eq!(error_field(&bad, "code"), Some("bad_request"));
+    let message = error_field(&bad, "message").unwrap_or_default();
+    assert!(message.contains("16777216"), "{message}");
+    assert_eq!(ok_field(&next), Some(true), "{next:?}");
 }
 
 /// Request ids of any JSON type are echoed verbatim, and pipelined

@@ -19,8 +19,8 @@
 //! * [`core`] (`ajd-core`) — the context-first [`core::Analyzer`] API:
 //!   one owner for the cached state of a relation, one entry point for
 //!   every measure, batch fan-out and approximate schema discovery — plus
-//!   the sublinear estimation tier ([`core::EstimatedAnalyzer`]) behind
-//!   the unified [`core::LossEngine`] API.
+//!   the sublinear estimation tier ([`core::EstimatedAnalyzer`]), whose
+//!   answers are [`core::Estimate`]s carrying their (ε, δ).
 //! * [`server`] (`ajd-server`) — loss-as-a-service: a threaded TCP query
 //!   front-end over a catalog of relations, speaking the line-delimited
 //!   JSON protocol of `docs/PROTOCOL.md`, with budget-aware admission
@@ -63,8 +63,7 @@ pub mod prelude {
     };
     pub use ajd_core::{
         Analyzer, BoundKind, ConfidenceBounds, DiscoveryConfig, Estimate, EstimateConfig,
-        EstimatedAnalyzer, LiveAnalyzer, LiveStats, LossEngine, LossReport, MvdLoss, SamplePlanner,
-        SchemaMiner,
+        EstimatedAnalyzer, LiveAnalyzer, LiveStats, LossReport, MvdLoss, SchemaMiner,
     };
     pub use ajd_info::{conditional_mutual_information, entropy, j_measure, kl_divergence_to_tree};
     pub use ajd_jointree::{count_acyclic_join, JoinTree, Mvd, Schema};
