@@ -636,14 +636,6 @@ impl<S: GroupKernel> Analyzer<S> {
     }
 }
 
-impl<'a> Analyzer<&'a Relation> {
-    /// The flat relation being analysed (for analyzers over an
-    /// [`ajd_relation::ShardedRelation`], use [`Analyzer::source`]).
-    pub fn relation(&self) -> &'a Relation {
-        self.ctx.relation()
-    }
-}
-
 /// Answers from the shared cache, computing misses under this handle's
 /// [`ThreadBudget`].
 impl<S: GroupKernel> GroupSource for Analyzer<S> {

@@ -46,7 +46,7 @@
 
 use crate::analysis::Analyzer;
 use ajd_relation::{
-    CacheStats, Relation, Result, ShardCacheStats, ShardedRelation, ShardedStore, ThreadBudget,
+    CacheStats, Relation, Result, ShardedRelation, ShardedStore, ThreadBudget, TierStats,
 };
 use ajd_sync::RwLock;
 use std::sync::Arc;
@@ -64,7 +64,7 @@ pub struct LiveStats {
     /// snapshot's shards.  Survives epoch bumps — after an append, a warm
     /// attribute set re-groups exactly the new shard (one miss), every
     /// existing shard answering from its warm table (hits).
-    pub shards: ShardCacheStats,
+    pub shards: TierStats,
 }
 
 /// An analyzer over a live, append-only sharded relation: readers pin
@@ -345,7 +345,7 @@ mod tests {
         let zero = live.stats();
         assert_eq!(zero.epoch, 1);
         assert_eq!(zero.merged, CacheStats::default());
-        assert_eq!(zero.shards, ShardCacheStats::default());
+        assert_eq!(zero.shards, TierStats::default());
         live.pin().entropy(&bag(&[0])).unwrap();
         let warm = live.stats();
         assert_eq!(warm.merged.misses, 1);

@@ -46,7 +46,7 @@ use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
-use crate::relation::{GroupCounts, GroupIds, Relation};
+use crate::relation::{GroupCounts, GroupIds, Relation, Value};
 use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{Mutex, OnceSlot, RwLock};
 use std::collections::VecDeque;
@@ -150,26 +150,17 @@ pub trait GroupSource {
 ///
 /// Implemented by the two storage layouts of the workspace — the flat
 /// [`Relation`] (chunked row-scan kernel) and the [`crate::ShardedRelation`]
-/// (shard-local grouping + shard-order merge).  Both are **bit-identical**
-/// to the serial flat kernel at any budget, so a context over either layout
-/// serves the same values.  Kernels are `Send + Sync` so handles over them
-/// can fan out across worker threads.
+/// (shard-local grouping + shard-order merge).  A layout supplies the three
+/// methods that differ between them: the grouping, the sampled-row gather
+/// and the code → value dictionary of a schema position.  Count decoding,
+/// counts under a budget and projection are provided methods, written once
+/// on top of those.  Both groupings are **bit-identical** to the serial
+/// flat kernel at any budget, so a context over either layout serves the
+/// same values.  Kernels are `Send + Sync` so handles over them can fan out
+/// across worker threads.
 pub trait GroupKernel: GroupSource + Send + Sync {
-    /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`].
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts>;
-
     /// [`GroupSource::group_ids`] computed under a [`ThreadBudget`].
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds>;
-
-    /// [`GroupSource::projection`] computed under a [`ThreadBudget`].
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation>;
-
-    /// Decodes a grouping of this source into its count table without
-    /// grouping again: the result is bit-identical to
-    /// [`GroupKernel::group_counts_with`] on `ids.attrs()`.
-    ///
-    /// `ids` must have been computed from this source.
-    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts;
 
     /// Materialises the rows at the given **sorted, strictly increasing**
     /// global row indices as a fresh flat [`Relation`].
@@ -186,6 +177,71 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     /// Errors with [`crate::RelationError::InvalidParameter`] if the indices
     /// are out of range, unsorted, or contain duplicates.
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation>;
+
+    /// The code → value dictionary of schema position `pos`: the group
+    /// codes of [`GroupKernel::group_ids_with`] index into it.
+    ///
+    /// Panics if `pos` is not a position of the schema.
+    fn dictionary(&self, pos: usize) -> &[Value];
+
+    /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
+    /// grouping decoded by [`GroupKernel::decode_group_counts`].
+    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
+        Ok(self.decode_group_counts(&self.group_ids_with(attrs, budget)?))
+    }
+
+    /// Decodes a grouping of this source into its count table without
+    /// grouping again: the result is bit-identical to
+    /// [`GroupKernel::group_counts_with`] on `ids.attrs()`.
+    ///
+    /// `ids` must have been computed from this source.
+    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
+        let dicts = dictionaries(self, ids.attrs())
+            .expect("grouping was built from this source's attributes");
+        let mut keys: Vec<Value> = Vec::with_capacity(ids.group_codes().len());
+        for g in 0..ids.num_groups() {
+            for (&c, d) in ids.group_code(g).iter().zip(&dicts) {
+                keys.push(d[c as usize]);
+            }
+        }
+        GroupCounts::from_parts(
+            ids.attrs().clone(),
+            self.num_rows() as u128,
+            keys,
+            ids.group_codes().to_vec(),
+            ids.counts().to_vec(),
+        )
+    }
+
+    /// [`GroupSource::projection`] computed under a [`ThreadBudget`]: the
+    /// deduplicating grouping runs under `budget`, and each distinct group
+    /// is decoded once into one output row.  Bit-identical at any budget.
+    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
+        let dicts = dictionaries(self, attrs)?;
+        let ids = self.group_ids_with(attrs, budget)?;
+        let mut out = Relation::with_capacity(attrs.as_slice().to_vec(), ids.num_groups())?;
+        let mut row: Vec<Value> = vec![0; dicts.len()];
+        for g in 0..ids.num_groups() {
+            for ((v, &c), d) in row.iter_mut().zip(ids.group_code(g)).zip(&dicts) {
+                *v = d[c as usize];
+            }
+            out.push_row(&row)?;
+        }
+        Ok(out)
+    }
+}
+
+/// The dictionaries of the schema positions of `attrs`, in ascending
+/// attribute order (the order of a grouping's code tuples).
+fn dictionaries<'a, K: GroupKernel + ?Sized>(
+    src: &'a K,
+    attrs: &AttrSet,
+) -> Result<Vec<&'a [Value]>> {
+    Ok(src
+        .attr_positions(attrs)?
+        .into_iter()
+        .map(|p| src.dictionary(p))
+        .collect())
 }
 
 impl GroupSource for Relation {
@@ -215,24 +271,17 @@ impl GroupSource for Relation {
 }
 
 impl GroupKernel for Relation {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        Relation::group_counts_with(self, attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         Relation::group_ids_with(self, attrs, budget)
     }
 
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        Relation::project_with(self, attrs, budget)
-    }
-
-    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        Relation::decode_group_counts(self, ids)
-    }
-
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         Relation::gather_rows(self, sorted_rows)
+    }
+
+    fn dictionary(&self, pos: usize) -> &[Value] {
+        self.domain(self.schema()[pos])
+            .expect("a schema attribute has a column dictionary")
     }
 }
 
@@ -271,24 +320,16 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for &S {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        (**self).group_counts_with(attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         (**self).group_ids_with(attrs, budget)
     }
 
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        (**self).project_with(attrs, budget)
-    }
-
-    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        (**self).decode_group_counts(ids)
-    }
-
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         (**self).gather_rows(sorted_rows)
+    }
+
+    fn dictionary(&self, pos: usize) -> &[Value] {
+        (**self).dictionary(pos)
     }
 }
 
@@ -327,24 +368,16 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        (**self).group_counts_with(attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         (**self).group_ids_with(attrs, budget)
     }
 
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        (**self).project_with(attrs, budget)
-    }
-
-    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        (**self).decode_group_counts(ids)
-    }
-
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         (**self).gather_rows(sorted_rows)
+    }
+
+    fn dictionary(&self, pos: usize) -> &[Value] {
+        (**self).dictionary(pos)
     }
 }
 
@@ -375,13 +408,17 @@ pub struct CacheStats {
     pub sample: TierStats,
 }
 
-/// Exact counters of one memo tier of an [`AnalysisContext`].
+/// Exact counters of one single-flight cache: a memo tier of an
+/// [`AnalysisContext`], or the per-shard group-table cache of a
+/// [`crate::RelationShard`] (summed by
+/// [`crate::ShardedRelation::shard_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
-    /// Lookups served from the tier (also counted in [`CacheStats::hits`]).
+    /// Lookups served from the cache (for a memo tier, also counted in
+    /// [`CacheStats::hits`]).
     pub hits: u64,
-    /// Lookups that filled the tier (the fill's own lookups are counted by
-    /// the caches they hit).
+    /// Lookups that filled the cache (a tier fill's own lookups are counted
+    /// by the caches they hit; a shard fill is one shard-local grouping).
     pub misses: u64,
     /// Number of resident entries.
     pub entries: usize,
@@ -413,9 +450,11 @@ type Slot<T> = Arc<OnceSlot<Result<Arc<T>>>>;
 type SampleKey = (u64, u64);
 
 /// A striped, single-flight memoization map, with exact counters of its
-/// own traffic.
+/// own traffic — the one slot machinery behind every cache of an
+/// [`AnalysisContext`] and the per-shard group-table cache of a
+/// [`crate::RelationShard`].
 #[derive(Debug)]
-struct StripedCache<K, T> {
+pub(crate) struct StripedCache<K, T> {
     shards: Vec<RwLock<FxHashMap<K, Slot<T>>>>,
     /// Lookups served from a slot (done or in flight).
     hits: AtomicU64,
@@ -423,8 +462,8 @@ struct StripedCache<K, T> {
     fills: AtomicU64,
 }
 
-impl<K: Hash + Eq, T> StripedCache<K, T> {
-    fn new() -> Self {
+impl<K: Hash + Eq + Clone, T> StripedCache<K, T> {
+    pub(crate) fn new() -> Self {
         StripedCache {
             shards: (0..CACHE_STRIPES)
                 .map(|_| RwLock::new(FxHashMap::default()))
@@ -438,6 +477,53 @@ impl<K: Hash + Eq, T> StripedCache<K, T> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) & (CACHE_STRIPES - 1)]
+    }
+
+    /// Striped single-flight lookup: the value of `key`, computed by `fill`
+    /// on a cold key, and whether this call ran `fill` (led).
+    ///
+    /// A lookup read-locks the key's stripe only; a cold key installs an
+    /// empty [`Slot`] under a brief write lock, and the racers then meet on
+    /// the slot **outside any map lock**: exactly one (the leader) runs
+    /// `fill`, the others block on that slot alone and share its `Arc`.
+    /// Counts a hit per successful lookup that did not lead and a fill per
+    /// successful fill.  Errors are not memoized: the leader drops its
+    /// failed slot so later calls retry.
+    pub(crate) fn get_or_fill(
+        &self,
+        key: &K,
+        fill: impl FnOnce() -> Result<Arc<T>>,
+    ) -> (Result<Arc<T>>, bool) {
+        let shard = self.shard(key);
+        let fast = shard.read().get(key).cloned();
+        let slot =
+            fast.unwrap_or_else(|| Arc::clone(shard.write().entry(key.clone()).or_default()));
+        let mut led = false;
+        let result = match slot.get() {
+            Some(done) => done.clone(),
+            None => slot
+                .get_or_init(|| {
+                    led = true;
+                    let out = fill();
+                    if out.is_ok() {
+                        self.fills.fetch_add(1, Ordering::Relaxed);
+                    }
+                    out
+                })
+                .clone(),
+        };
+        if !led {
+            if result.is_ok() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+        } else if result.is_err() {
+            // Only if the slot is still ours: a retry may have replaced it.
+            let mut guard = shard.write();
+            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
+                guard.remove(key);
+            }
+        }
+        (result, led)
     }
 
     /// The completed, successful value for `key`, if one is resident.
@@ -466,8 +552,8 @@ impl<K: Hash + Eq, T> StripedCache<K, T> {
             .sum()
     }
 
-    /// The tier counters of this cache.
-    fn tier_stats(&self) -> TierStats {
+    /// The counters of this cache.
+    pub(crate) fn tier_stats(&self) -> TierStats {
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.fills.load(Ordering::Relaxed),
@@ -734,76 +820,30 @@ impl<S: GroupKernel> AnalysisContext<S> {
         }
     }
 
-    /// A lookup served from `cache` without work.
-    fn hit<K, T>(&self, cache: &StripedCache<K, T>) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        cache.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Striped single-flight memoization.
-    ///
-    /// Lookup takes a read lock on the key's shard only; a cold key
-    /// installs an empty [`Slot`] under a brief shard write lock and then
-    /// races on the slot's [`OnceSlot`] **outside any map lock** — exactly
-    /// one thread (the leader) runs `fill`, every other thread blocks on
-    /// that slot alone and receives the leader's `Arc`.  Errors are not
-    /// memoized: the leader removes the failed slot so later calls retry
-    /// (threads already blocked on it still observe the error).
-    ///
-    /// `fill` returns the value and how it was made ([`Fill`]); only a
-    /// kernel run counts as a miss, a decoded fill counts as a hit and a
-    /// tier fill as a tier miss.
+    /// [`StripedCache::get_or_fill`] plus the context's counters: a kernel
+    /// fill ([`Fill`]) is a miss, a decoded fill or a lookup that did not
+    /// lead is a hit, and a tier fill counts only in its tier.
     fn memoized<K: Hash + Eq + Clone, T>(
         &self,
         cache: &StripedCache<K, T>,
         key: &K,
         fill: impl FnOnce() -> Result<(Arc<T>, Fill)>,
     ) -> Result<Arc<T>> {
-        let shard = cache.shard(key);
-        let slot: Slot<T> = {
-            let fast = shard.read().get(key).cloned();
-            match fast {
-                Some(slot) => slot,
-                None => Arc::clone(shard.write().entry(key.clone()).or_default()),
-            }
-        };
-        if let Some(done) = slot.get() {
-            if done.is_ok() {
-                self.hit(cache);
-            }
-            return done.clone();
-        }
-        let mut led = false;
-        let result = slot
-            .get_or_init(|| {
-                led = true;
-                fill().map(|(value, how)| {
-                    cache.fills.fetch_add(1, Ordering::Relaxed);
-                    let counter = match how {
-                        Fill::Kernel => Some(&self.misses),
-                        Fill::Decoded => Some(&self.hits),
-                        Fill::Tier => None,
-                    };
-                    if let Some(counter) = counter {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                    value
-                })
+        let (result, led) = cache.get_or_fill(key, || {
+            fill().map(|(value, how)| {
+                let counter = match how {
+                    Fill::Kernel => Some(&self.misses),
+                    Fill::Decoded => Some(&self.hits),
+                    Fill::Tier => None,
+                };
+                if let Some(counter) = counter {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                value
             })
-            .clone();
-        if !led {
-            // Either the fast path raced with a completing leader or this
-            // thread blocked on the in-flight slot: served without work.
-            if result.is_ok() {
-                self.hit(cache);
-            }
-        } else if result.is_err() {
-            // Do not memoize failures; drop the slot (only if it is still
-            // ours — a retry may have installed a fresh one meanwhile).
-            let mut guard = shard.write();
-            if guard.get(key).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
-                guard.remove(key);
-            }
+        });
+        if !led && result.is_ok() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
@@ -841,15 +881,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
         let _ = slot.set(out.clone());
         shard.write().insert(attrs.clone(), slot);
         out
-    }
-}
-
-impl<'a> AnalysisContext<&'a Relation> {
-    /// The flat relation this context memoizes computations over (for
-    /// contexts over a [`crate::ShardedRelation`], use
-    /// [`AnalysisContext::source`]).
-    pub fn relation(&self) -> &'a Relation {
-        self.source
     }
 }
 

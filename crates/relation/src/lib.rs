@@ -98,5 +98,5 @@ pub use io::{
 };
 pub use parallel::ThreadBudget;
 pub use relation::{GroupCounts, GroupIds, Relation, RowIter, Value};
-pub use shard::{RelationShard, ShardCacheStats, ShardedRelation};
+pub use shard::{RelationShard, ShardedRelation};
 pub use snapshot::ShardedStore;

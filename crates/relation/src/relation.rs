@@ -24,6 +24,7 @@
 //! the two and [`Relation::distinct`] converts.
 
 use crate::attr::{AttrId, AttrSet};
+use crate::context::GroupKernel;
 use crate::error::{RelationError, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap};
 use crate::parallel::{chunk_bounds, ThreadBudget};
@@ -175,6 +176,21 @@ impl GroupIds {
         }
     }
 
+    /// The grouping by zero attributes: every one of `rows` rows projects
+    /// to the empty tuple, so they form one group (none when `rows` is 0).
+    pub(crate) fn empty_tuple(rows: usize) -> Self {
+        GroupIds {
+            attrs: AttrSet::empty(),
+            row_ids: vec![0; rows],
+            counts: if rows == 0 {
+                Vec::new()
+            } else {
+                vec![rows as u64]
+            },
+            group_codes: Vec::new(),
+        }
+    }
+
     /// Decomposes the grouping into `(row_ids, counts, group_codes)` — the
     /// sharded merge consumes per-shard groupings wholesale instead of
     /// copying their vectors.
@@ -309,9 +325,9 @@ impl GroupCounts {
         Ok(())
     }
 
-    /// Assembles a decoded count table from its parts (used by the sharded
-    /// relation, which decodes group codes through its global dictionaries;
-    /// the flat path goes through [`Relation::decode_group_counts`]).
+    /// Assembles a decoded count table from its parts (used by
+    /// [`GroupKernel::decode_group_counts`], which decodes group codes
+    /// through the source's dictionaries).
     pub(crate) fn from_parts(
         attrs: AttrSet,
         total: u128,
@@ -646,16 +662,7 @@ impl Relation {
 
         // Zero attributes: every row projects to the empty tuple.
         if k == 0 {
-            return Ok(GroupIds {
-                attrs: attrs.clone(),
-                row_ids: vec![0; self.rows],
-                counts: if self.rows == 0 {
-                    Vec::new()
-                } else {
-                    vec![self.rows as u64]
-                },
-                group_codes: Vec::new(),
-            });
+            return Ok(GroupIds::empty_tuple(self.rows));
         }
 
         // One attribute: the code column is already a dense first-appearance
@@ -766,44 +773,9 @@ impl Relation {
 
     /// Groups the tuples by their projection onto `attrs`, returning the
     /// multiplicity of every distinct group (`R(Y=y)` cardinalities) with
-    /// decoded keys.
+    /// decoded keys; the serial [`GroupKernel::group_counts_with`].
     pub fn group_counts(&self, attrs: &AttrSet) -> Result<GroupCounts> {
-        let ids = self.group_ids(attrs)?;
-        Ok(self.decode_group_counts(&ids))
-    }
-
-    /// [`Relation::group_counts`] under a [`ThreadBudget`] (see
-    /// [`Relation::group_ids_with`]); bit-identical to the serial result at
-    /// any budget.
-    pub fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        let ids = self.group_ids_with(attrs, budget)?;
-        Ok(self.decode_group_counts(&ids))
-    }
-
-    /// Decodes a [`GroupIds`] of this relation into a [`GroupCounts`]
-    /// (per-group decoded keys plus a point-lookup index).
-    pub fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        let positions = self
-            .attr_positions(ids.attrs())
-            .expect("grouping was built from this relation's attributes");
-        let arity = positions.len();
-        let groups = ids.num_groups();
-        let mut keys: Vec<Value> = Vec::with_capacity(groups * arity);
-        for g in 0..groups {
-            for (j, &p) in positions.iter().enumerate() {
-                let code = ids.group_codes[g * arity + j];
-                keys.push(self.columns[p].values[code as usize]);
-            }
-        }
-        GroupCounts {
-            attrs: ids.attrs().clone(),
-            total: self.rows as u128,
-            arity,
-            keys,
-            key_codes: ids.group_codes.clone(),
-            counts: ids.counts.clone(),
-            index: ajd_sync::OnceSlot::new(),
-        }
+        self.group_counts_with(attrs, ThreadBudget::serial())
     }
 
     // ------------------------------------------------------------------
@@ -924,32 +896,12 @@ impl Relation {
     // Projection / selection
     // ------------------------------------------------------------------
 
-    /// Projection `Π_Y(R)` with set semantics (duplicates removed).
-    ///
-    /// Runs on the grouping kernel: the output rows are exactly the distinct
-    /// groups, decoded once each.  Errors if `attrs` is not a subset of the
-    /// schema — library code never panics on caller input.
+    /// Projection `Π_Y(R)` with set semantics (duplicates removed): the
+    /// serial [`GroupKernel::project_with`], which decodes each distinct
+    /// group once.  Errors if `attrs` is not a subset of the schema —
+    /// library code never panics on caller input.
     pub fn project(&self, attrs: &AttrSet) -> Result<Relation> {
         self.project_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`Relation::project`] under a [`ThreadBudget`]: the deduplicating
-    /// grouping pass runs on the parallel kernel, the (identical) distinct
-    /// groups are decoded serially.  Output is bit-identical to
-    /// [`Relation::project`] at any budget.
-    pub fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        let positions = self.attr_positions(attrs)?;
-        let ids = self.group_ids_with(attrs, budget)?;
-        let arity = positions.len();
-        let mut out = Relation::with_capacity(attrs.as_slice().to_vec(), ids.num_groups())?;
-        let mut buf: Vec<Value> = vec![0; arity];
-        for g in 0..ids.num_groups() {
-            for (j, &p) in positions.iter().enumerate() {
-                buf[j] = self.columns[p].values[ids.group_codes[g * arity + j] as usize];
-            }
-            out.push_row(&buf)?;
-        }
-        Ok(out)
     }
 
     /// Projection with multiset (bag) semantics: keeps one output tuple per

@@ -24,16 +24,24 @@
 //!   [`Relation::group_ids_with`] kernel, fanned out over the
 //!   [`ThreadBudget`]) and the per-shard group tables are merged in shard
 //!   order through the exact same `merge_spans` discipline the chunked
-//!   kernel uses — so [`ShardedRelation::group_ids`] /
-//!   [`ShardedRelation::group_counts`] are **bit-identical** to the flat
-//!   [`Relation`] at any shard count and any thread budget (property-tested
-//!   in `tests/prop_sharded.rs`).
+//!   kernel uses — so [`ShardedRelation::group_ids`] is **bit-identical**
+//!   to the flat [`Relation`] at any shard count and any thread budget
+//!   (property-tested in `tests/prop_sharded.rs`);
+//! * a sharded relation implements only the three layout-specific
+//!   [`GroupKernel`] methods — the merged grouping, the sampled-row
+//!   gather and the global dictionary of a schema position.  Count tables
+//!   and projections are [`GroupKernel`]'s provided derivations, the same
+//!   code the flat relation runs, so they decode through the global
+//!   dictionaries exactly as the flat relation decodes through its own.
 //!
 //! # Incremental maintenance
 //!
 //! Every shard embeds a **per-shard group-table cache**: the globally
 //! remapped span table of each grouped `AttrSet`, computed once per shard
-//! (single-flight under races) and reused by every later grouping.  Shards
+//! and reused by every later grouping.  The cache is the crate's one
+//! striped single-flight map (the one behind every
+//! [`crate::AnalysisContext`] cache), so racing cold lookups on a shard run
+//! the kernel once, and its counters are the same [`TierStats`].  Shards
 //! are immutable and `Arc`-shared, and [`ShardedRelation::append_shard`]
 //! only pushes a new shard (copy-on-append: clones share every existing
 //! shard), so **appends keep all warm tables**: re-grouping after an append
@@ -55,13 +63,13 @@
 //! over a flat relation.
 
 use crate::attr::{AttrId, AttrSet};
-use crate::context::{GroupKernel, GroupSource};
+use crate::context::{GroupKernel, GroupSource, StripedCache, TierStats};
 use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, ThreadBudget, MAX_CHUNK_WORKERS};
 use crate::relation::{bit_width, merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
-use ajd_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use ajd_sync::{OnceSlot, RwLock};
+use ajd_sync::atomic::{AtomicUsize, Ordering};
+use ajd_sync::OnceSlot;
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,23 +98,6 @@ impl GlobalDict {
         Ok(code)
     }
 }
-
-/// Counters of the per-shard group-table caches: the layer that makes
-/// appends incremental (warm shards are pure `hits`; only shards that have
-/// never grouped a given `AttrSet` count a `miss`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardCacheStats {
-    /// Shard-level span lookups answered from a warm table.
-    pub hits: u64,
-    /// Shard-level span computations (one per cold `(shard, AttrSet)`).
-    pub misses: u64,
-    /// Completed cached span tables across all shards.
-    pub entries: usize,
-}
-
-/// One memoization slot of a shard's span cache: filled exactly once by the
-/// thread that computes the table; racing threads block on the slot alone.
-type SpanSlot = Arc<OnceSlot<Result<Arc<SpanGroups>>>>;
 
 /// One shard of a [`ShardedRelation`]: a self-contained columnar span with
 /// its own dictionaries, its global row offset, a stable id, its
@@ -138,9 +129,7 @@ pub struct RelationShard {
     /// table, single-flight on cold keys.  Keying by `AttrSet` alone is
     /// sound because column positions are determined by the schema and the
     /// kernel is bit-identical at every thread budget.
-    spans: RwLock<FxHashMap<AttrSet, SpanSlot>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    spans: StripedCache<AttrSet, SpanGroups>,
 }
 
 impl RelationShard {
@@ -175,65 +164,8 @@ impl RelationShard {
     }
 
     /// This shard's cache counters (the per-`(shard_id, AttrSet)` tier).
-    pub fn cache_stats(&self) -> ShardCacheStats {
-        ShardCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .spans
-                .read()
-                .values()
-                .filter(|slot| slot.get().is_some_and(|r| r.is_ok()))
-                .count(),
-        }
-    }
-
-    /// The shard's globally remapped span table for `attrs`, served from
-    /// the cache; cold keys are computed **single-flight** (racing threads
-    /// block on the entry's slot, never on the whole map, and exactly one
-    /// runs the kernel).  Errors are not memoized: the leader removes the
-    /// failed slot so later calls retry.
-    fn span(
-        &self,
-        attrs: &AttrSet,
-        positions: &[usize],
-        budget: ThreadBudget,
-    ) -> Result<Arc<SpanGroups>> {
-        let slot: SpanSlot = {
-            let fast = self.spans.read().get(attrs).cloned();
-            match fast {
-                Some(slot) => slot,
-                None => Arc::clone(self.spans.write().entry(attrs.clone()).or_default()),
-            }
-        };
-        if let Some(done) = slot.get() {
-            if done.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return done.clone();
-        }
-        let mut led = false;
-        let result = slot
-            .get_or_init(|| {
-                led = true;
-                let out = self.compute_span(attrs, positions, budget);
-                if out.is_ok() {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                out
-            })
-            .clone();
-        if !led {
-            if result.is_ok() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-        } else if result.is_err() {
-            let mut guard = self.spans.write();
-            if guard.get(attrs).is_some_and(|cur| Arc::ptr_eq(cur, &slot)) {
-                guard.remove(attrs);
-            }
-        }
-        result
+    pub fn cache_stats(&self) -> TierStats {
+        self.spans.tier_stats()
     }
 
     /// Groups this shard through the flat kernel and remaps its group codes
@@ -392,9 +324,7 @@ impl ShardedRelation {
             row_offset,
             id,
             remap,
-            spans: RwLock::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            spans: StripedCache::new(),
         }));
         Ok(())
     }
@@ -477,8 +407,8 @@ impl ShardedRelation {
     /// all shards.  After an append, re-grouping a warm `AttrSet` adds
     /// exactly **one** miss (the new shard) and one hit per existing shard —
     /// the counter signature of incremental maintenance.
-    pub fn shard_cache_stats(&self) -> ShardCacheStats {
-        let mut total = ShardCacheStats::default();
+    pub fn shard_cache_stats(&self) -> TierStats {
+        let mut total = TierStats::default();
         for shard in &self.shards {
             let s = shard.cache_stats();
             total.hits += s.hits;
@@ -494,12 +424,6 @@ impl ShardedRelation {
             .iter()
             .position(|&a| a == attr)
             .ok_or(RelationError::UnknownAttribute(attr))
-    }
-
-    /// Positions (column indices) of each attribute of `attrs`, in the
-    /// order of `attrs` (ascending attribute id).
-    pub fn attr_positions(&self, attrs: &AttrSet) -> Result<Vec<usize>> {
-        attrs.iter().map(|a| self.attr_pos(a)).collect()
     }
 
     /// The global active domain of an attribute: the distinct values it
@@ -560,16 +484,7 @@ impl ShardedRelation {
         let k = positions.len();
         // Zero attributes: every row projects to the empty tuple.
         if k == 0 {
-            return Ok(GroupIds::from_parts(
-                attrs.clone(),
-                vec![0; self.rows],
-                if self.rows == 0 {
-                    Vec::new()
-                } else {
-                    vec![self.rows as u64]
-                },
-                Vec::new(),
-            ));
+            return Ok(GroupIds::empty_tuple(self.rows));
         }
         let spans = self.shard_spans(attrs, &positions, budget, cached)?;
         let bits: Vec<u32> = positions
@@ -590,7 +505,7 @@ impl ShardedRelation {
     /// from the shard's local dictionaries into the global code space (row
     /// ids stay shard-local; the merge rewrites them).  With `cached`,
     /// warm shards are pure cache reads and cold shards compute
-    /// single-flight.
+    /// single-flight ([`StripedCache::get_or_fill`]).
     fn shard_spans(
         &self,
         attrs: &AttrSet,
@@ -599,10 +514,12 @@ impl ShardedRelation {
         cached: bool,
     ) -> Result<Vec<Arc<SpanGroups>>> {
         let span_of = |s: usize, share: ThreadBudget| {
+            let shard = &self.shards[s];
+            let compute = || shard.compute_span(attrs, positions, share);
             if cached {
-                self.shards[s].span(attrs, positions, share)
+                shard.spans.get_or_fill(attrs, compute).0
             } else {
-                self.shards[s].compute_span(attrs, positions, share)
+                compute()
             }
         };
         let nshards = self.shards.len();
@@ -638,72 +555,6 @@ impl ShardedRelation {
                     .expect("every shard slot is filled by exactly one worker")
             })
             .collect()
-    }
-
-    /// Groups by `attrs` and decodes the distinct groups through the global
-    /// dictionaries; bit-identical to [`Relation::group_counts`] on the
-    /// collected flat relation.
-    pub fn group_counts(&self, attrs: &AttrSet) -> Result<GroupCounts> {
-        self.group_counts_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`ShardedRelation::group_counts`] under a [`ThreadBudget`] (see
-    /// [`ShardedRelation::group_ids_with`]).
-    pub fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        let ids = self.group_ids_with(attrs, budget)?;
-        Ok(self.decode_group_counts(&ids))
-    }
-
-    /// Decodes a [`GroupIds`] of this sharded relation into a
-    /// [`GroupCounts`] through the global dictionaries.
-    pub fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        let positions = self
-            .attr_positions(ids.attrs())
-            .expect("grouping was built from this relation's attributes");
-        let arity = positions.len();
-        let groups = ids.num_groups();
-        let mut keys: Vec<Value> = Vec::with_capacity(groups * arity);
-        for g in 0..groups {
-            for (j, &p) in positions.iter().enumerate() {
-                let code = ids.group_codes()[g * arity + j];
-                keys.push(self.dicts[p].values[code as usize]);
-            }
-        }
-        GroupCounts::from_parts(
-            ids.attrs().clone(),
-            self.rows as u128,
-            keys,
-            ids.group_codes().to_vec(),
-            ids.counts().to_vec(),
-        )
-    }
-
-    // ------------------------------------------------------------------
-    // Set semantics / projection
-    // ------------------------------------------------------------------
-
-    /// Projection `Π_Y(R)` with set semantics, as a flat [`Relation`]
-    /// (distinct projections are almost always far smaller than the
-    /// input); bit-identical to [`Relation::project`] on the collected
-    /// flat relation.
-    pub fn project(&self, attrs: &AttrSet) -> Result<Relation> {
-        self.project_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`ShardedRelation::project`] under a [`ThreadBudget`].
-    pub fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        let positions = self.attr_positions(attrs)?;
-        let ids = self.group_ids_with(attrs, budget)?;
-        let arity = positions.len();
-        let mut out = Relation::with_capacity(attrs.as_slice().to_vec(), ids.num_groups())?;
-        let mut buf: Vec<Value> = vec![0; arity];
-        for g in 0..ids.num_groups() {
-            for (j, &p) in positions.iter().enumerate() {
-                buf[j] = self.dicts[p].values[ids.group_codes()[g * arity + j] as usize];
-            }
-            out.push_row(&buf)?;
-        }
-        Ok(out)
     }
 
     /// `true` if the concatenated tuples are pairwise distinct.
@@ -810,7 +661,8 @@ impl GroupSource for ShardedRelation {
     }
 
     fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        ShardedRelation::group_counts(self, attrs).map(Arc::new)
+        self.group_counts_with(attrs, ThreadBudget::serial())
+            .map(Arc::new)
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
@@ -818,29 +670,22 @@ impl GroupSource for ShardedRelation {
     }
 
     fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        ShardedRelation::project(self, attrs).map(Arc::new)
+        self.project_with(attrs, ThreadBudget::serial())
+            .map(Arc::new)
     }
 }
 
 impl GroupKernel for ShardedRelation {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        ShardedRelation::group_counts_with(self, attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         ShardedRelation::group_ids_with(self, attrs, budget)
     }
 
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        ShardedRelation::project_with(self, attrs, budget)
-    }
-
-    fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        ShardedRelation::decode_group_counts(self, ids)
-    }
-
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         ShardedRelation::gather_rows(self, sorted_rows)
+    }
+
+    fn dictionary(&self, pos: usize) -> &[Value] {
+        &self.dicts[pos].values
     }
 }
 
@@ -961,7 +806,7 @@ mod tests {
         let sharded = flat.clone().into_shards(2).unwrap();
         let attrs = bag(&[0, 1]);
         let pa = flat.project(&attrs).unwrap();
-        let pb = sharded.project(&attrs).unwrap();
+        let pb = sharded.projection(&attrs).unwrap();
         assert_eq!(pa.len(), pb.len());
         for (a, b) in pa.iter_rows().zip(pb.iter_rows()) {
             assert_eq!(a, b);
@@ -1210,7 +1055,7 @@ mod tests {
         assert!(sharded.is_set());
         let ids = sharded.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
-        assert_eq!(sharded.project(&bag(&[0])).unwrap().len(), 0);
+        assert_eq!(sharded.projection(&bag(&[0])).unwrap().len(), 0);
         assert_eq!(sharded.collect().unwrap().len(), 0);
         // An empty relation still shards (into empty shards).
         let empty = Relation::new(vec![AttrId(0)])
@@ -1252,9 +1097,9 @@ mod tests {
         let sharded = sample().into_shards(2).unwrap();
         assert!(sharded.group_ids(&bag(&[9])).is_err());
         assert!(sharded.group_counts(&bag(&[9])).is_err());
-        assert!(sharded.project(&bag(&[9])).is_err());
+        assert!(sharded.projection(&bag(&[9])).is_err());
         // Failed lookups leave no cache entries behind.
-        assert_eq!(sharded.shard_cache_stats(), ShardCacheStats::default());
+        assert_eq!(sharded.shard_cache_stats(), TierStats::default());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 #![cfg(ajd_model)]
 
 use ajd_model::{Model, ViolationKind};
-use ajd_relation::{AnalysisContext, AttrId, AttrSet, GroupCounts, Relation, ThreadBudget};
+use ajd_relation::{
+    AnalysisContext, AttrId, AttrSet, GroupCounts, GroupKernel, Relation, ThreadBudget,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn sample() -> Relation {

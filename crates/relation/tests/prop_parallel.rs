@@ -9,7 +9,7 @@
 //! values drive the packed-`u64` hashing path.
 
 use ajd_relation::relation::GroupIds;
-use ajd_relation::{AttrId, AttrSet, Relation, ThreadBudget, Value};
+use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ThreadBudget, Value};
 use proptest::prelude::*;
 
 /// Multiplies values by a large odd constant so raw values are scattered

@@ -37,9 +37,7 @@ use ajd_core::{
     SchemaMiner,
 };
 use ajd_jointree::JoinTree;
-use ajd_relation::{
-    AttrSet, CacheStats, Catalog, Relation, ShardCacheStats, ShardedStore, ThreadBudget, TierStats,
-};
+use ajd_relation::{AttrSet, CacheStats, Catalog, Relation, ShardedStore, ThreadBudget, TierStats};
 use ajd_sync::atomic::{AtomicBool, Ordering};
 use ajd_sync::RwLock;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -545,7 +543,7 @@ impl<'a> Server<'a> {
                         ("name", Json::str(entry.store.name())),
                         ("epoch", Json::Num(stats.epoch as f64)),
                         ("cache", cache_json(&stats.merged)),
-                        ("shard_cache", shard_cache_json(&stats.shards)),
+                        ("shard_cache", tier_json(&stats.shards)),
                     ])
                 }
             })
@@ -764,14 +762,6 @@ fn cache_json(stats: &CacheStats) -> Json {
 }
 
 fn tier_json(stats: &TierStats) -> Json {
-    Json::obj([
-        ("hits", Json::Num(stats.hits as f64)),
-        ("misses", Json::Num(stats.misses as f64)),
-        ("entries", Json::Num(stats.entries as f64)),
-    ])
-}
-
-fn shard_cache_json(stats: &ShardCacheStats) -> Json {
     Json::obj([
         ("hits", Json::Num(stats.hits as f64)),
         ("misses", Json::Num(stats.misses as f64)),

@@ -6,7 +6,8 @@ use ajd_relation::ReadOptions;
 use ajd_server::{Client, Json, RelationStore, Server, ServerConfig, ShutdownToken};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
+use std::time::Duration;
 
 /// A relation with enough rows that a cold grouping is real work, and a
 /// lossless 2-bag schema (`a` determines `b`) plus lossy alternatives.
@@ -23,21 +24,55 @@ fn demo_stores() -> Vec<RelationStore> {
 }
 
 /// Runs `body` against a server listening on an ephemeral port; shuts the
-/// server down cleanly afterwards.
+/// server down cleanly afterwards — also when `body` panics, so a failed
+/// assertion fails the test instead of leaving the scope waiting on the
+/// accept loop forever.
 fn with_server<F>(stores: &[RelationStore], config: ServerConfig, body: F)
 where
     F: FnOnce(SocketAddr),
 {
+    /// Signals shutdown when dropped, on return and on unwind alike.
+    struct StopOnDrop<'t> {
+        shutdown: &'t ShutdownToken,
+        addr: SocketAddr,
+    }
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.shutdown.signal(self.addr);
+        }
+    }
+
     let server = Server::new(stores, config).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let shutdown = ShutdownToken::new();
     std::thread::scope(|scope| {
         let handle = scope.spawn(|| server.serve(listener, &shutdown));
+        let stop = StopOnDrop {
+            shutdown: &shutdown,
+            addr,
+        };
         body(addr);
-        shutdown.signal(addr);
+        drop(stop);
         handle.join().unwrap();
     });
+}
+
+/// Regression: a panic inside `with_server`'s body must propagate (failing
+/// the test) within a bounded time, not hang on the serve thread.
+#[test]
+fn with_server_fails_fast_when_the_body_panics() {
+    let (tx, rx) = mpsc::channel();
+    // Joined only after it has answered: a hanging `with_server` never
+    // returns, and the timeout below fails the test instead.
+    let helper = std::thread::spawn(move || {
+        let stores = demo_stores();
+        let run = || with_server(&stores, ServerConfig::default(), |_| panic!("failed"));
+        let _ = tx.send(std::panic::catch_unwind(run).is_err());
+    });
+    let panicked = rx.recv_timeout(Duration::from_secs(30));
+    assert_eq!(panicked, Ok(true), "with_server hung or lost the panic");
+    helper.join().expect("the helper catches the body's panic");
 }
 
 fn misses(client: &mut Client, relation: &str) -> u64 {

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use ajd_random::{generators, ProductDomain, RandomRelationModel};
     pub use ajd_relation::{
         AnalysisContext, AttrId, AttrSet, Catalog, GroupKernel, GroupSource, ReadOptions, Relation,
-        RelationShard, ShardCacheStats, ShardPolicy, ShardedRelation, ShardedStore, Value,
+        RelationShard, ShardPolicy, ShardedRelation, ShardedStore, Value,
     };
     pub use ajd_server::{RelationStore, Server, ServerConfig, ShutdownToken};
 }
