@@ -1,6 +1,7 @@
 //! Experiment plumbing: command-line arguments and parallel trials.
 
-use ajd_sync::Mutex;
+use ajd_relation::parallel::fan_out;
+use ajd_relation::ThreadBudget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -69,42 +70,18 @@ impl ExperimentArgs {
 }
 
 /// Runs `trials` independent trials of `f` (each with its own seeded RNG),
-/// spreading them over `std::thread::available_parallelism()` threads, and
-/// returns the results in trial order.
+/// spreading them over the machine's available parallelism through the
+/// shared ordered fan-out ([`fan_out`]), and returns the results in trial
+/// order.
 pub fn parallel_trials<T, F>(trials: usize, base_seed: u64, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &mut StdRng) -> T + Sync,
 {
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(trials));
-    let num_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(trials.max(1));
-    let next: Mutex<usize> = Mutex::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..num_threads {
-            scope.spawn(|| loop {
-                let i = {
-                    let mut guard = next.lock();
-                    if *guard >= trials {
-                        break;
-                    }
-                    let i = *guard;
-                    *guard += 1;
-                    i
-                };
-                let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(i as u64));
-                let out = f(i, &mut rng);
-                results.lock().push((i, out));
-            });
-        }
-    });
-
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(i, _)| *i);
-    collected.into_iter().map(|(_, t)| t).collect()
+    fan_out(trials, ThreadBudget::available(), |i, _| {
+        let mut rng = StdRng::seed_from_u64(base_seed.wrapping_add(i as u64));
+        f(i, &mut rng)
+    })
 }
 
 #[cfg(test)]

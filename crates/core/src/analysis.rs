@@ -45,11 +45,11 @@ use ajd_info::{conditional_entropy, conditional_mutual_information, entropy};
 use ajd_info::{kl_divergence_to_tree, kl_report, mutual_information, mvd_cmi, KlReport};
 use ajd_jointree::mvd::ordered_support;
 use ajd_jointree::{count_acyclic_join, loss_acyclic, JoinTree, Mvd};
+use ajd_relation::parallel::fan_out;
 use ajd_relation::{
     AnalysisContext, AttrId, AttrSet, CacheStats, GroupCounts, GroupIds, GroupKernel, GroupSource,
     Relation, RelationError, Result, ThreadBudget,
 };
-use ajd_sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -580,47 +580,25 @@ impl<S: GroupKernel> Analyzer<S> {
         self.parallel_map(trees, count_acyclic_join)
     }
 
-    /// Work-stealing fan-out over `std::thread::scope`: workers pull tree
-    /// indices from a shared counter, so a few expensive trees do not stall
-    /// the rest behind a static partition.
+    /// The shared ordered fan-out ([`fan_out`]) over `trees`: workers pull
+    /// tree indices from a shared counter, so a few expensive trees do not
+    /// stall the rest behind a static partition, and the results come back
+    /// in input order.
     ///
-    /// The `w` workers evaluate through a clone of this handle carrying the
-    /// per-worker kernel share `threads / w`, so the fan-out and the
-    /// grouping kernel split one budget instead of multiplying.  A single
-    /// worker (budget 1, or at most one tree) runs inline with no thread
-    /// spawn.
+    /// Each of the `w` workers evaluates through a clone of this handle
+    /// carrying the per-worker kernel share `threads / w`, so the fan-out
+    /// and the grouping kernel split one budget instead of multiplying.  A
+    /// single worker (budget 1, or at most one tree) runs inline with no
+    /// thread spawn, and no budget spawns more than
+    /// [`ajd_relation::parallel::MAX_CHUNK_WORKERS`] workers.
     fn parallel_map<T, F>(&self, trees: &[JoinTree], f: F) -> Vec<Result<T>>
     where
         T: Send,
         F: Fn(&Self, &JoinTree) -> Result<T> + Sync,
     {
-        let workers = self.threads.get().min(trees.len()).max(1);
-        if workers == 1 {
-            return trees.iter().map(|tree| f(self, tree)).collect();
-        }
-        let worker = self.clone().with_threads(self.threads.get() / workers);
-        let results: Mutex<Vec<(usize, Result<T>)>> = Mutex::new(Vec::with_capacity(trees.len()));
-        let next: Mutex<usize> = Mutex::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = {
-                        let mut guard = next.lock();
-                        if *guard >= trees.len() {
-                            break;
-                        }
-                        let i = *guard;
-                        *guard += 1;
-                        i
-                    };
-                    let out = f(&worker, &trees[i]);
-                    results.lock().push((i, out));
-                });
-            }
-        });
-        let mut collected = results.into_inner();
-        collected.sort_by_key(|(i, _)| *i);
-        collected.into_iter().map(|(_, t)| t).collect()
+        fan_out(trees.len(), self.threads, |i, share| {
+            f(&self.clone().with_threads(share.get()), &trees[i])
+        })
     }
 
     /// Mines an approximate acyclic schema (Chow–Liu + greedy coarsening,
@@ -657,10 +635,6 @@ impl<S: GroupKernel> GroupSource for Analyzer<S> {
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.ctx.group_ids_with(attrs, self.threads)
-    }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.ctx.projection_with(attrs, self.threads)
     }
 
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {

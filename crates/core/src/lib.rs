@@ -18,9 +18,10 @@
 //!   groupings;
 //! * [`Analyzer::analyze_all`] (and [`Analyzer::j_measures`],
 //!   [`Analyzer::losses`], [`Analyzer::join_sizes`]) fans many trees out
-//!   over `std::thread::scope` workers sharing the same cache, splitting
-//!   the analyzer's one [`ajd_relation::ThreadBudget`] between the fan-out
-//!   and the grouping kernel;
+//!   over the workers of `ajd_relation::parallel::fan_out`, sharing the
+//!   same cache and splitting the analyzer's one
+//!   [`ajd_relation::ThreadBudget`] between the fan-out and the grouping
+//!   kernel;
 //! * [`Analyzer::mine`] runs *approximate acyclic schema discovery* — the
 //!   motivating application (Kenig et al., SIGMOD 2020): a Chow–Liu style
 //!   spanning-tree miner over pairwise mutual information, followed by

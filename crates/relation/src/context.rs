@@ -4,33 +4,34 @@
 //! J-measure of eq. 7, the KL-divergence of Theorem 3.2, the per-MVD
 //! conditional mutual informations and losses of eq. 28) reduces to *group
 //! counts* of the same relation `R` on various attribute subsets `Y ⊆ Ω`,
-//! and every loss computation reduces to *projections* of `R` onto bags.
-//! Evaluating many measures — or many candidate join trees, as schema
-//! discovery does — therefore recomputes the same groupings over and over.
+//! and the loss `ρ` of eq. 1 reduces to the acyclic join size, which
+//! message passing counts from the groupings of the bags without ever
+//! materialising a projection.  Evaluating many measures — or many
+//! candidate join trees, as schema discovery does — therefore recomputes
+//! the same groupings over and over.
 //!
 //! Two pieces live here:
 //!
 //! * [`GroupSource`] — the capability every measure in the workspace is
-//!   written against: "give me group counts / interned group ids / a
-//!   projection / an entropy for this attribute set, or the join size of
-//!   this schema".  A plain [`Relation`] implements it
-//!   by computing fresh (the one-shot path); an [`AnalysisContext`]
-//!   implements it by memoizing (the shared path).  Because both
-//!   implementations call the *same* columnar kernel, a measure computed
-//!   through a context is **bit-identical** to its uncached counterpart — a
-//!   property the workspace's tests assert.
+//!   written against: "give me group counts / interned group ids / an
+//!   entropy for this attribute set, or the join size of this schema".  A
+//!   plain [`Relation`] implements it by computing fresh (the one-shot
+//!   path); an [`AnalysisContext`] implements it by memoizing (the shared
+//!   path).  Because both implementations call the *same* columnar kernel,
+//!   a measure computed through a context is **bit-identical** to its
+//!   uncached counterpart — a property the workspace's tests assert.
 //! * [`AnalysisContext`] — the memoization layer, in the spirit of the
 //!   lattice-level entropy caching of Kenig et al. (*Mining Approximate
-//!   Acyclic Schemes from Relations*, 2019): caches of [`GroupCounts`],
-//!   interned [`GroupIds`] and set-semantic projections keyed by
-//!   [`AttrSet`], **striped** across several `RwLock`-guarded shards (so
-//!   writes on unrelated attribute sets do not contend) with **per-key
-//!   single-flight** misses: when several threads race on the same cold
-//!   `AttrSet`, exactly one computes the grouping and the rest block on
-//!   that entry alone — never on the whole map, and never recomputing the
-//!   same expensive grouping N times.  Misses are computed through a
-//!   [`ThreadBudget`] (the chunked parallel kernel) given per call, which
-//!   keeps results bit-identical to the serial path at any budget.
+//!   Acyclic Schemes from Relations*, 2019): caches of [`GroupCounts`] and
+//!   interned [`GroupIds`] keyed by [`AttrSet`], **striped** across
+//!   several `RwLock`-guarded shards (so writes on unrelated attribute sets
+//!   do not contend) with **per-key single-flight** misses: when several
+//!   threads race on the same cold `AttrSet`, exactly one computes the
+//!   grouping and the rest block on that entry alone — never on the whole
+//!   map, and never recomputing the same expensive grouping N times.
+//!   Misses are computed through a [`ThreadBudget`] (the chunked parallel
+//!   kernel) given per call, which keeps results bit-identical to the
+//!   serial path at any budget.
 //!
 //! Above those caches a context keeps three **memo tiers** in the same
 //! single-flight maps, so a warm measure is a lookup rather than a sum:
@@ -84,9 +85,6 @@ pub trait GroupSource {
 
     /// Interned group keys for `attrs` (see [`GroupIds`]).
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>>;
-
-    /// Set-semantic projection `Π_attrs(R)`.
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>>;
 
     /// The entropy `H(attrs)`, with `formula` turning a count table into
     /// its entropy.  A plain source applies `formula` to
@@ -153,11 +151,11 @@ pub trait GroupSource {
 /// (shard-local grouping + shard-order merge).  A layout supplies the three
 /// methods that differ between them: the grouping, the sampled-row gather
 /// and the code → value dictionary of a schema position.  Count decoding,
-/// counts under a budget and projection are provided methods, written once
-/// on top of those.  Both groupings are **bit-identical** to the serial
-/// flat kernel at any budget, so a context over either layout serves the
-/// same values.  Kernels are `Send + Sync` so handles over them can fan out
-/// across worker threads.
+/// counts under a budget and the set-semantic projection are provided
+/// methods, written once on top of those.  Both groupings are
+/// **bit-identical** to the serial flat kernel at any budget, so a context
+/// over either layout serves the same values.  Kernels are `Send + Sync`
+/// so handles over them can fan out across worker threads.
 pub trait GroupKernel: GroupSource + Send + Sync {
     /// [`GroupSource::group_ids`] computed under a [`ThreadBudget`].
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds>;
@@ -213,9 +211,10 @@ pub trait GroupKernel: GroupSource + Send + Sync {
         )
     }
 
-    /// [`GroupSource::projection`] computed under a [`ThreadBudget`]: the
-    /// deduplicating grouping runs under `budget`, and each distinct group
-    /// is decoded once into one output row.  Bit-identical at any budget.
+    /// The set-semantic projection `Π_attrs(R)` computed under a
+    /// [`ThreadBudget`]: the deduplicating grouping runs under `budget`, and
+    /// each distinct group is decoded once into one output row, in
+    /// first-appearance order.  Bit-identical at any budget.
     fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
         let dicts = dictionaries(self, attrs)?;
         let ids = self.group_ids_with(attrs, budget)?;
@@ -264,10 +263,6 @@ impl GroupSource for Relation {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         Relation::group_ids(self, attrs).map(Arc::new)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        Relation::project(self, attrs).map(Arc::new)
-    }
 }
 
 impl GroupKernel for Relation {
@@ -304,10 +299,6 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         (**self).group_ids(attrs)
-    }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        (**self).projection(attrs)
     }
 
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
@@ -354,10 +345,6 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
         (**self).group_ids(attrs)
     }
 
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        (**self).projection(attrs)
-    }
-
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
         (**self).memo_entropy(attrs, formula)
     }
@@ -388,18 +375,16 @@ pub struct CacheStats {
     /// cache or a memo tier, or a count table decoded from a resident id
     /// table.
     pub hits: u64,
-    /// Kernel runs: lookups that had to group (or project) the source and
-    /// then memoized the result.  A caller that asks for a set's ids before
-    /// its counts (as `ajd_core::Analyzer::analyze` does) pays exactly one
-    /// miss per distinct attribute set it groups.  Memo-tier fills are not
+    /// Kernel runs: lookups that had to group the source and then memoized
+    /// the result.  A caller that asks for a set's ids before its counts
+    /// (as `ajd_core::Analyzer::analyze` does) pays exactly one miss per
+    /// distinct attribute set it groups.  Memo-tier fills are not
     /// kernel runs; the lookups they make count for themselves.
     pub misses: u64,
     /// Number of memoized [`GroupCounts`] entries.
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
     pub group_id_entries: usize,
-    /// Number of memoized projection entries.
-    pub projection_entries: usize,
     /// The entropy tier ([`AnalysisContext::entropy_tier`]).
     pub entropy: TierStats,
     /// The join-size tier ([`AnalysisContext::join_size_tier`]).
@@ -572,9 +557,9 @@ enum Fill {
     Tier,
 }
 
-/// Memoized group counts, interned group ids and projections of one
-/// relation, plus memo tiers over them — the shared-computation substrate
-/// of the measurement stack.
+/// Memoized group counts and interned group ids of one relation, plus memo
+/// tiers over them — the shared-computation substrate of the measurement
+/// stack.
 ///
 /// A context **owns** its source, which in practice is a cheap handle: a
 /// `&Relation` borrow for one-shot analysis, or an `Arc<ShardedRelation>`
@@ -585,11 +570,11 @@ enum Fill {
 /// shards carry their own per-shard tables that survive into later epochs).
 /// A context is cheap to create (empty caches); it pays for itself as soon
 /// as two measures — or two candidate join trees — touch the same attribute
-/// subset.  It is `Sync`: `ajd-core`'s
-/// `Analyzer` fan-out shares one context across `std::thread::scope`
-/// workers, and concurrent misses on the same attribute set are
-/// **single-flight** — exactly one thread computes, the others block on
-/// that entry and receive the same `Arc`.
+/// subset.  It is `Sync`: `ajd-core`'s `Analyzer` fan-out shares one
+/// context across the workers of [`crate::parallel::fan_out`], and
+/// concurrent misses on the same attribute set are **single-flight** —
+/// exactly one thread computes, the others block on that entry and receive
+/// the same `Arc`.
 ///
 /// The count and id caches share their groupings one way: a count-table
 /// miss whose [`GroupIds`] for the same set are already **resident** decodes
@@ -619,8 +604,7 @@ enum Fill {
 ///
 /// Each cache has one accessor, which takes the [`ThreadBudget`] a miss is
 /// computed under ([`AnalysisContext::group_counts_with`],
-/// [`AnalysisContext::group_ids_with`],
-/// [`AnalysisContext::projection_with`]).  The context itself stores no
+/// [`AnalysisContext::group_ids_with`]).  The context itself stores no
 /// budget: its [`GroupSource`] impl computes misses under the default
 /// [`ThreadBudget`] (the machine's available parallelism), and callers that
 /// own a budget — `ajd_core::Analyzer` — pass it per call.  The chunked
@@ -647,7 +631,6 @@ pub struct AnalysisContext<S = Relation> {
     source: S,
     group_counts: StripedCache<AttrSet, GroupCounts>,
     group_ids: StripedCache<AttrSet, GroupIds>,
-    projections: StripedCache<AttrSet, Relation>,
     entropies: StripedCache<AttrSet, f64>,
     join_sizes: StripedCache<Vec<AttrSet>, u128>,
     samples: StripedCache<SampleKey, AnalysisContext<Relation>>,
@@ -669,7 +652,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             source: src,
             group_counts: StripedCache::new(),
             group_ids: StripedCache::new(),
-            projections: StripedCache::new(),
             entropies: StripedCache::new(),
             join_sizes: StripedCache::new(),
             samples: StripedCache::new(),
@@ -719,17 +701,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
         self.memoized(&self.group_ids, attrs, || {
             Ok((
                 Arc::new(self.source.group_ids_with(attrs, budget)?),
-                Fill::Kernel,
-            ))
-        })
-    }
-
-    /// Memoized set-semantic projection `Π_attrs(R)`, computed under
-    /// `budget` on a miss.
-    pub fn projection_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<Relation>> {
-        self.memoized(&self.projections, attrs, || {
-            Ok((
-                Arc::new(self.source.project_with(attrs, budget)?),
                 Fill::Kernel,
             ))
         })
@@ -813,7 +784,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             misses: self.misses.load(Ordering::Relaxed),
             group_count_entries: self.group_counts.entries(),
             group_id_entries: self.group_ids.entries(),
-            projection_entries: self.projections.entries(),
             entropy: self.entropies.tier_stats(),
             join_size: self.join_sizes.tier_stats(),
             sample: self.samples.tier_stats(),
@@ -905,10 +875,6 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
         self.group_ids_with(attrs, ThreadBudget::default())
     }
 
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.projection_with(attrs, ThreadBudget::default())
-    }
-
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
         self.entropy_tier(attrs, || Ok(formula(&*self.group_counts(attrs)?)))
     }
@@ -994,17 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn projections_match_uncached() {
-        let r = sample();
-        let ctx = AnalysisContext::new(&r);
-        let attrs = bag(&[0, 1]);
-        let cached = ctx.projection(&attrs).unwrap();
-        let direct = r.project(&attrs).unwrap();
-        assert!(cached.set_eq(&direct));
-        assert_eq!(cached.len(), direct.len());
-    }
-
-    #[test]
     fn caches_are_shared_and_counted() {
         let r = sample();
         let ctx = AnalysisContext::new(&r);
@@ -1053,7 +1008,6 @@ mod tests {
         let ctx = AnalysisContext::new(&r);
         assert!(ctx.group_counts(&bag(&[9])).is_err());
         assert!(ctx.group_ids(&bag(&[9])).is_err());
-        assert!(ctx.projection(&bag(&[9])).is_err());
         assert_eq!(ctx.stats().group_count_entries, 0);
     }
 
@@ -1151,9 +1105,9 @@ mod tests {
         assert_eq!(stats.group_count_entries, sets.len());
     }
 
-    /// The single-flight guarantee holds per cache: group counts, group ids
-    /// and projections each compute once per distinct set under the same
-    /// 8-thread hammering.
+    /// The single-flight guarantee holds per cache: group counts and group
+    /// ids each compute once per distinct set under the same 8-thread
+    /// hammering.
     #[test]
     fn cold_context_races_single_flight_across_all_caches() {
         let r = stress_relation();
@@ -1167,16 +1121,14 @@ mod tests {
                     for attrs in &sets {
                         ctx.group_counts(attrs).unwrap();
                         ctx.group_ids(attrs).unwrap();
-                        ctx.projection(attrs).unwrap();
                     }
                 });
             }
         });
         let stats = ctx.stats();
-        assert_eq!(stats.misses, 3 * sets.len() as u64);
+        assert_eq!(stats.misses, 2 * sets.len() as u64);
         assert_eq!(stats.group_count_entries, sets.len());
         assert_eq!(stats.group_id_entries, sets.len());
-        assert_eq!(stats.projection_entries, sets.len());
     }
 
     /// Racing threads on one cold set all receive the *same* `Arc` (the
@@ -1319,6 +1271,5 @@ mod tests {
         let ids = ctx.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
         assert_eq!(ids.total(), 0);
-        assert_eq!(ctx.projection(&bag(&[0])).unwrap().len(), 0);
     }
 }

@@ -30,10 +30,11 @@
 //! * [`ThreadBudget`] — the single parallelism knob: the grouping kernel
 //!   ([`Relation::group_ids_with`]) shards its row scan across a thread
 //!   budget and merges chunk results in chunk order, so parallel groupings
-//!   are **bit-identical** to serial ones; [`AnalysisContext`] computes its
-//!   cache misses under the budget its caller passes per lookup, with
-//!   per-key single-flight (at most one thread ever computes a given
-//!   attribute set).
+//!   are **bit-identical** to serial ones; [`parallel::fan_out`], the one
+//!   ordered fan-out, spreads chunks, shards and whole analyses over it;
+//!   [`AnalysisContext`] computes its cache misses under the budget its
+//!   caller passes per lookup, with per-key single-flight (at most one
+//!   thread ever computes a given attribute set).
 //! * [`ShardedRelation`] — an ordered list of self-contained
 //!   [`RelationShard`]s (each a columnar [`Relation`] with its own
 //!   dictionaries) that groups shard-locally and merges per-shard group

@@ -1,4 +1,4 @@
-//! Thread budgeting for the deterministic parallel grouping engine.
+//! Thread budgeting and the one ordered fan-out of the workspace.
 //!
 //! Every measure in the paper reduces to group counts on attribute subsets
 //! (eq. 4/7, Theorem 3.2), so grouping throughput is the hardware ceiling
@@ -16,6 +16,19 @@
 //! relations the parallel path degenerates to the serial kernel and costs
 //! nothing.
 //!
+//! [`fan_out`] is the one way work spreads over threads: it maps the
+//! indices `0..n` to results **in index order**, with workers pulling the
+//! next unclaimed index from a shared counter (work stealing, so a few
+//! expensive items do not stall the rest behind a static partition).  It
+//! runs at most [`ThreadBudget::workers_for_items`] workers — never more
+//! than [`MAX_CHUNK_WORKERS`] — runs inline at one, and hands every item
+//! the per-worker share of the budget, so nested layers divide one budget
+//! instead of multiplying it.  The chunks of the grouping kernel, the
+//! shards of a [`crate::ShardedRelation`], the trees of an
+//! `ajd_core::Analyzer` batch and the trials of an experiment all go
+//! through it.  Its threads come from `ajd_sync::thread::scope`, so a
+//! model-checked build explores its claim protocol like any other.
+//!
 //! **Determinism guarantee:** the budget only chooses *how many chunks* the
 //! row scan is partitioned into; chunk results are merged in chunk order so
 //! first-appearance group numbering — and therefore `GroupIds`,
@@ -23,6 +36,8 @@
 //! to the serial kernel at any budget (property-tested in
 //! `tests/prop_parallel.rs`).
 
+use ajd_sync::atomic::{AtomicUsize, Ordering};
+use ajd_sync::thread;
 use std::num::NonZeroUsize;
 
 /// Minimum number of rows a parallel grouping worker must have to be worth
@@ -30,9 +45,9 @@ use std::num::NonZeroUsize;
 /// serially: thread spawn plus merge overhead would dominate.
 pub const MIN_CHUNK_ROWS: usize = 4096;
 
-/// Hard ceiling on the number of chunks (and therefore spawned OS threads)
-/// of one parallel grouping, regardless of the requested worker count.
-/// Far above any real hardware budget, but low enough that a pathological
+/// Hard ceiling on the workers of one [`fan_out`] (and so on the chunks of
+/// one parallel grouping), regardless of the requested budget.  Far above
+/// any real hardware budget, but low enough that a pathological budget or
 /// `group_ids_chunked(attrs, huge)` call cannot exhaust the process's
 /// thread limit (`std::thread::scope` would abort on a failed spawn).
 pub const MAX_CHUNK_WORKERS: usize = 256;
@@ -81,6 +96,13 @@ impl ThreadBudget {
     pub fn workers_for_rows(self, rows: usize) -> usize {
         self.get().min(rows / MIN_CHUNK_ROWS).max(1)
     }
+
+    /// Number of workers a [`fan_out`] over `items` items runs: the
+    /// budget, clamped to the item count and to [`MAX_CHUNK_WORKERS`].
+    /// Returns 1 (inline) for a serial budget or at most one item.
+    pub fn workers_for_items(self, items: usize) -> usize {
+        self.get().min(items).clamp(1, MAX_CHUNK_WORKERS)
+    }
 }
 
 /// The default budget is the machine's available parallelism — the
@@ -96,6 +118,62 @@ impl From<usize> for ThreadBudget {
     fn from(threads: usize) -> Self {
         Self::new(threads)
     }
+}
+
+/// Maps the indices `0..n` through `f` and returns the results **in index
+/// order**, computing them on up to [`ThreadBudget::workers_for_items`]
+/// scoped workers.
+///
+/// Workers claim indices from one shared counter, so every index is
+/// computed exactly once, by whichever worker is free first.  `f` receives
+/// the index and the per-worker share of `budget` (`budget / workers`,
+/// at least 1) for any parallelism of its own; with one worker the loop
+/// runs inline on the caller and `f` gets the whole budget.  The result
+/// does not depend on which worker computed which index, so a
+/// deterministic `f` gives the same vector at every budget.
+pub fn fan_out<T, F>(n: usize, budget: ThreadBudget, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, ThreadBudget) -> T + Sync,
+{
+    let workers = budget.workers_for_items(n);
+    if workers <= 1 {
+        return (0..n).map(|i| f(i, budget)).collect();
+    }
+    let share = ThreadBudget::new(budget.get() / workers);
+    let next = AtomicUsize::new(0);
+    let claimed: Vec<Vec<(usize, T)>> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(i, share)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    for (i, value) in claimed.into_iter().flatten() {
+        if out[i].replace(value).is_some() {
+            unreachable!("fan-out index {i} claimed twice");
+        }
+    }
+    out.into_iter()
+        .map(|value| value.expect("every index is claimed"))
+        .collect()
 }
 
 /// Splits `rows` into `workers` contiguous, near-equal chunks in row order
@@ -142,6 +220,33 @@ mod tests {
         // Large relations get the full budget, never more.
         assert_eq!(b.workers_for_rows(100 * MIN_CHUNK_ROWS), 8);
         assert_eq!(ThreadBudget::serial().workers_for_rows(1 << 20), 1);
+    }
+
+    /// The fan-out's ceiling is pure arithmetic, so even an absurd budget
+    /// over an absurd item count is checked without spawning anything.
+    #[test]
+    fn fan_out_workers_are_clamped() {
+        let huge = ThreadBudget::new(1 << 20);
+        assert_eq!(huge.workers_for_items(1 << 20), MAX_CHUNK_WORKERS);
+        assert_eq!(MAX_CHUNK_WORKERS, 256);
+        assert_eq!(huge.workers_for_items(3), 3);
+        assert_eq!(ThreadBudget::new(4).workers_for_items(100), 4);
+        assert_eq!(ThreadBudget::serial().workers_for_items(100), 1);
+        assert_eq!(huge.workers_for_items(0), 1);
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        for threads in [1, 2, 3, 8] {
+            let out = fan_out(10, ThreadBudget::new(threads), |i, _| i * i);
+            assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(fan_out(0, ThreadBudget::new(4), |i, _| i).is_empty());
+        // Items get the per-worker share; inline, the whole budget.
+        let shares = fan_out(2, ThreadBudget::new(6), |_, share| share.get());
+        assert_eq!(shares, vec![3, 3]);
+        let inline = fan_out(1, ThreadBudget::new(6), |_, share| share.get());
+        assert_eq!(inline, vec![6]);
     }
 
     #[test]

@@ -27,10 +27,11 @@ use crate::attr::{AttrId, AttrSet};
 use crate::context::GroupKernel;
 use crate::error::{RelationError, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap};
-use crate::parallel::{chunk_bounds, ThreadBudget};
+use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::fmt;
+use std::sync::Arc;
 
 /// A raw attribute value.
 ///
@@ -158,22 +159,6 @@ impl GroupIds {
                 )
             })
             .collect()
-    }
-
-    /// Assembles a grouping from its parts (used by the sharded relation's
-    /// shard-order merge; the flat kernels build theirs inline).
-    pub(crate) fn from_parts(
-        attrs: AttrSet,
-        row_ids: Vec<u32>,
-        counts: Vec<u64>,
-        group_codes: Vec<u32>,
-    ) -> Self {
-        GroupIds {
-            attrs,
-            row_ids,
-            counts,
-            group_codes,
-        }
     }
 
     /// The grouping by zero attributes: every one of `rows` rows projects
@@ -717,58 +702,40 @@ impl Relation {
     /// The chunked parallel grouping kernel behind
     /// [`Relation::group_ids_with`], with the worker count fixed by the
     /// caller (no minimum-chunk clamp — exposed so the determinism property
-    /// is testable on small relations).  One OS thread is spawned per
-    /// chunk, so `workers` is clamped to the row count and to
-    /// [`crate::parallel::MAX_CHUNK_WORKERS`] — an absurd request cannot
-    /// exhaust the process's thread limit.
+    /// is testable on small relations).  The chunks are grouped through
+    /// [`fan_out`] with one worker each, so `workers` is clamped to the row
+    /// count and to [`crate::parallel::MAX_CHUNK_WORKERS`] — an absurd
+    /// request cannot exhaust the process's thread limit.
     ///
     /// Rows are partitioned into `workers` contiguous chunks; each chunk is
     /// grouped independently through the same dense mixed-radix / packed
     /// `u64` paths as the serial kernel, then the per-chunk group tables are
-    /// merged **in chunk order**.  A group's first appearance across the
-    /// whole relation is in the earliest chunk that contains it, and within
-    /// that chunk the local first-appearance order equals the global row
-    /// order — so the merged numbering, counts, group codes and remapped
-    /// per-row ids are **bit-identical** to [`Relation::group_ids`].
+    /// merged **in chunk order** (`merge_spans`, the same merge a
+    /// [`crate::ShardedRelation`] runs over its shards).  A group's first
+    /// appearance across the whole relation is in the earliest chunk that
+    /// contains it, and within that chunk the local first-appearance order
+    /// equals the global row order — so the merged numbering, counts, group
+    /// codes and remapped per-row ids are **bit-identical** to
+    /// [`Relation::group_ids`].
     ///
     /// Zero- and one-attribute groupings delegate to the serial fast paths
     /// (a code column already *is* its grouping; there is nothing to shard).
     pub fn group_ids_chunked(&self, attrs: &AttrSet, workers: usize) -> Result<GroupIds> {
         let positions = self.attr_positions(attrs)?;
-        let k = positions.len();
-        if k <= 1 || workers <= 1 || self.rows == 0 {
+        if positions.len() <= 1 || workers <= 1 || self.rows == 0 {
             return self.group_ids(attrs);
         }
         let cols: Vec<&Column> = positions.iter().map(|&p| &self.columns[p]).collect();
-        let chunks = chunk_bounds(
-            self.rows,
-            workers
-                .min(self.rows)
-                .min(crate::parallel::MAX_CHUNK_WORKERS),
-        );
-
-        // Pass 1 (parallel): group every chunk independently.
-        let cols_ref = &cols;
-        let spans: Result<Vec<SpanGroups>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(start, end)| scope.spawn(move || group_span(cols_ref, start, end)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("grouping worker panicked"))
-                .collect()
-        });
-        let spans = spans?;
-
-        let bits: Vec<u32> = cols.iter().map(|c| bit_width(c.domain_size())).collect();
-        let (row_ids, counts, group_codes) = merge_spans(k, &bits, &spans, self.rows, spans.len())?;
-        Ok(GroupIds {
-            attrs: attrs.clone(),
-            row_ids,
-            counts,
-            group_codes,
+        let budget = ThreadBudget::new(workers);
+        let chunks = chunk_bounds(self.rows, budget.workers_for_items(self.rows));
+        let spans = fan_out(chunks.len(), budget, |c, _| {
+            let (start, end) = chunks[c];
+            group_span(&cols, start, end).map(Arc::new)
         })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+        let domains = cols.iter().map(|c| c.domain_size());
+        merge_spans(attrs, domains, spans, self.rows, chunks.len())
     }
 
     /// Groups the tuples by their projection onto `attrs`, returning the
@@ -983,7 +950,7 @@ impl Relation {
 /// of the parallel kernel; the sharded relation builds one per shard (with
 /// group codes remapped into its global dictionaries) and feeds them to the
 /// same [`merge_spans`] discipline.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct SpanGroups {
     /// Local group id of every row in the span, in row order.
     pub(crate) row_ids: Vec<u32>,
@@ -995,55 +962,68 @@ pub(crate) struct SpanGroups {
 
 /// Merges per-span group tables — whose `group_codes` all live in one common
 /// code space — **in span order** into the global first-appearance
-/// numbering, then rewrites every span's local row ids through its
-/// local → global map into one flat id vector.
+/// numbering of `attrs`, then rewrites every span's local row ids through
+/// its local → global map into one flat id vector.
 ///
-/// This is the deterministic merge discipline shared by the chunked parallel
-/// kernel (spans = row chunks of one relation, codes = that relation's
-/// dictionary codes) and by [`crate::ShardedRelation`] (spans = shards,
-/// codes = the global shard-order dictionaries): a group's first appearance
-/// across the whole input lies in the earliest span that contains it, and
-/// within a span the local first-appearance order equals the row order — so
-/// the merged numbering, counts, group codes and per-row ids are
-/// bit-identical to grouping the concatenated rows serially.
+/// This is the one "spans → [`GroupIds`]" step, shared by the chunked
+/// parallel kernel (spans = row chunks of one relation, codes = that
+/// relation's dictionary codes) and by [`crate::ShardedRelation`] (spans =
+/// shards, codes = the global shard-order dictionaries): a group's first
+/// appearance across the whole input lies in the earliest span that
+/// contains it, and within a span the local first-appearance order equals
+/// the row order — so the merged numbering, counts, group codes and per-row
+/// ids are bit-identical to grouping the concatenated rows serially.  For
+/// the same reason a **single span is returned as is**: its local ids
+/// already are the global ones, so a one-shard relation skips the hash
+/// merge and the row rewrite.
 ///
-/// `bits` gives the bit width of each grouped column's (common-code-space)
-/// domain; when the widths pack into 64 bits the merge interns packed keys,
-/// otherwise boxed tuples.  `rewrite_workers` caps the scoped threads the
-/// per-span row-id rewrite may fan out over; it is clamped to the span
-/// count and to [`crate::parallel::MAX_CHUNK_WORKERS`], so a many-shard
-/// input can never spawn one thread per shard (pass 1 for a fully inline
-/// rewrite).
+/// `domains` gives the size of each grouped column's (common-code-space)
+/// domain, in `attrs` order; when their bit widths pack into 64 bits the
+/// merge interns packed keys, otherwise boxed tuples.  `rewrite_workers`
+/// caps the scoped threads the per-span row-id rewrite may fan out over;
+/// it is clamped to the span count and to
+/// [`crate::parallel::MAX_CHUNK_WORKERS`], so a many-shard input can never
+/// spawn one thread per shard (pass 1 for a fully inline rewrite).
 ///
-/// Spans are taken by [`Borrow`](std::borrow::Borrow) so the chunked kernel
-/// can pass owned `SpanGroups` while the sharded relation re-merges
-/// `Arc<SpanGroups>` straight out of its per-shard caches without cloning a
-/// single group table.
-pub(crate) fn merge_spans<S: std::borrow::Borrow<SpanGroups> + Sync>(
-    k: usize,
-    bits: &[u32],
-    spans: &[S],
+/// Spans are `Arc`-shared so the sharded relation re-merges the tables of
+/// its per-shard caches without cloning a single one.
+pub(crate) fn merge_spans(
+    attrs: &AttrSet,
+    domains: impl Iterator<Item = usize>,
+    mut spans: Vec<Arc<SpanGroups>>,
     total_rows: usize,
     rewrite_workers: usize,
-) -> Result<(Vec<u32>, Vec<u64>, Vec<u32>)> {
+) -> Result<GroupIds> {
+    if spans.len() == 1 {
+        let span = spans.pop().expect("one span");
+        let span = Arc::try_unwrap(span).unwrap_or_else(|shared| (*shared).clone());
+        debug_assert_eq!(span.row_ids.len(), total_rows);
+        return Ok(GroupIds {
+            attrs: attrs.clone(),
+            row_ids: span.row_ids,
+            counts: span.counts,
+            group_codes: span.group_codes,
+        });
+    }
+    let k = attrs.len();
+    let bits: Vec<u32> = domains.map(bit_width).collect();
     debug_assert_eq!(bits.len(), k);
     let packable = bits.iter().sum::<u32>() <= 64;
-    let total_local: usize = spans.iter().map(|s| s.borrow().counts.len()).sum();
+    let total_local: usize = spans.iter().map(|s| s.counts.len()).sum();
     let mut counts: Vec<u64> = Vec::new();
     let mut group_codes: Vec<u32> = Vec::new();
     let mut packed: FxHashMap<u64, u32> = map_with_capacity(if packable { total_local } else { 0 });
     let mut wide: FxHashMap<Box<[u32]>, u32> =
         map_with_capacity(if packable { 0 } else { total_local });
     let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(spans.len());
-    for span in spans {
-        let span = span.borrow();
+    for span in &spans {
         let groups = span.counts.len();
         let mut map = Vec::with_capacity(groups);
         for g in 0..groups {
             let codes = &span.group_codes[g * k..(g + 1) * k];
             let id = if packable {
                 let mut key = 0u64;
-                for (&c, &b) in codes.iter().zip(bits) {
+                for (&c, &b) in codes.iter().zip(&bits) {
                     key = (key << b) | c as u64;
                 }
                 match packed.entry(key) {
@@ -1082,14 +1062,9 @@ pub(crate) fn merge_spans<S: std::borrow::Borrow<SpanGroups> + Sync>(
     let workers = rewrite_workers
         .min(spans.len())
         .clamp(1, crate::parallel::MAX_CHUNK_WORKERS);
-    fn rewrite_run<S: std::borrow::Borrow<SpanGroups>>(
-        out: &mut [u32],
-        run: &[S],
-        maps: &[Vec<u32>],
-    ) {
+    fn rewrite_run(out: &mut [u32], run: &[Arc<SpanGroups>], maps: &[Vec<u32>]) {
         let mut rest = out;
         for (span, map) in run.iter().zip(maps) {
-            let span = span.borrow();
             let (head, tail) = rest.split_at_mut(span.row_ids.len());
             rest = tail;
             for (slot, &local) in head.iter_mut().zip(&span.row_ids) {
@@ -1098,14 +1073,14 @@ pub(crate) fn merge_spans<S: std::borrow::Borrow<SpanGroups> + Sync>(
         }
     }
     if workers <= 1 {
-        rewrite_run(&mut row_ids, spans, &local_to_global);
+        rewrite_run(&mut row_ids, &spans, &local_to_global);
     } else {
         std::thread::scope(|scope| {
             let mut rest: &mut [u32] = &mut row_ids;
             for (s0, s1) in chunk_bounds(spans.len(), workers) {
                 let run = &spans[s0..s1];
                 let maps = &local_to_global[s0..s1];
-                let run_rows: usize = run.iter().map(|s| s.borrow().row_ids.len()).sum();
+                let run_rows: usize = run.iter().map(|s| s.row_ids.len()).sum();
                 let (head, tail) = rest.split_at_mut(run_rows);
                 rest = tail;
                 scope.spawn(move || rewrite_run(head, run, maps));
@@ -1113,7 +1088,12 @@ pub(crate) fn merge_spans<S: std::borrow::Borrow<SpanGroups> + Sync>(
         });
     }
 
-    Ok((row_ids, counts, group_codes))
+    Ok(GroupIds {
+        attrs: attrs.clone(),
+        row_ids,
+        counts,
+        group_codes,
+    })
 }
 
 /// Groups the rows `start..end` by the code tuples of `cols`, assigning

@@ -22,11 +22,12 @@
 //!   distinct value, never per row;
 //! * grouping runs shard-local (each shard through the ordinary
 //!   [`Relation::group_ids_with`] kernel, fanned out over the
-//!   [`ThreadBudget`]) and the per-shard group tables are merged in shard
-//!   order through the exact same `merge_spans` discipline the chunked
+//!   [`ThreadBudget`] by the one ordered fan-out) and the per-shard group
+//!   tables are merged in shard order by the same `merge_spans` the chunked
 //!   kernel uses — so [`ShardedRelation::group_ids`] is **bit-identical**
 //!   to the flat [`Relation`] at any shard count and any thread budget
-//!   (property-tested in `tests/prop_sharded.rs`);
+//!   (property-tested in `tests/prop_sharded.rs`).  A one-shard relation's
+//!   table already is the merged one, so its merge is a passthrough;
 //! * a sharded relation implements only the three layout-specific
 //!   [`GroupKernel`] methods — the merged grouping, the sampled-row
 //!   gather and the global dictionary of a schema position.  Count tables
@@ -66,10 +67,8 @@ use crate::attr::{AttrId, AttrSet};
 use crate::context::{GroupKernel, GroupSource, StripedCache, TierStats};
 use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
-use crate::parallel::{chunk_bounds, ThreadBudget, MAX_CHUNK_WORKERS};
-use crate::relation::{bit_width, merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
-use ajd_sync::atomic::{AtomicUsize, Ordering};
-use ajd_sync::OnceSlot;
+use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
+use crate::relation::{merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -481,31 +480,23 @@ impl ShardedRelation {
         cached: bool,
     ) -> Result<GroupIds> {
         let positions = self.attr_positions(attrs)?;
-        let k = positions.len();
         // Zero attributes: every row projects to the empty tuple.
-        if k == 0 {
+        if positions.is_empty() {
             return Ok(GroupIds::empty_tuple(self.rows));
         }
         let spans = self.shard_spans(attrs, &positions, budget, cached)?;
-        let bits: Vec<u32> = positions
-            .iter()
-            .map(|&p| bit_width(self.dicts[p].values.len()))
-            .collect();
-        let (row_ids, counts, group_codes) =
-            merge_spans(k, &bits, &spans, self.rows, budget.get())?;
-        Ok(GroupIds::from_parts(
-            attrs.clone(),
-            row_ids,
-            counts,
-            group_codes,
-        ))
+        let domains = positions.iter().map(|&p| self.dicts[p].values.len());
+        merge_spans(attrs, domains, spans, self.rows, budget.get())
     }
 
     /// The shard-local pass: one span table per shard, group codes remapped
     /// from the shard's local dictionaries into the global code space (row
-    /// ids stay shard-local; the merge rewrites them).  With `cached`,
-    /// warm shards are pure cache reads and cold shards compute
-    /// single-flight ([`StripedCache::get_or_fill`]).
+    /// ids stay shard-local; the merge rewrites them).  Shards fan out over
+    /// the budget ([`fan_out`]: work-stealing, so a few large shards do not
+    /// stall the rest), and each shard's kernel gets the per-worker share —
+    /// layers divide one budget, never multiply.  With `cached`, warm
+    /// shards are pure cache reads and cold shards compute single-flight
+    /// ([`StripedCache::get_or_fill`]).
     fn shard_spans(
         &self,
         attrs: &AttrSet,
@@ -513,7 +504,7 @@ impl ShardedRelation {
         budget: ThreadBudget,
         cached: bool,
     ) -> Result<Vec<Arc<SpanGroups>>> {
-        let span_of = |s: usize, share: ThreadBudget| {
+        fan_out(self.shards.len(), budget, |s, share| {
             let shard = &self.shards[s];
             let compute = || shard.compute_span(attrs, positions, share);
             if cached {
@@ -521,40 +512,9 @@ impl ShardedRelation {
             } else {
                 compute()
             }
-        };
-        let nshards = self.shards.len();
-        let workers = budget.get().min(nshards).min(MAX_CHUNK_WORKERS);
-        if workers <= 1 {
-            return (0..nshards).map(|s| span_of(s, budget)).collect();
-        }
-        // Fan out over the shards, work-stealing so a few large shards do
-        // not stall the rest; each shard's kernel gets the per-worker share
-        // of the budget (layers divide one budget, never multiply).
-        let share = ThreadBudget::new((budget.get() / workers).max(1));
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceSlot<Result<Arc<SpanGroups>>>> =
-            (0..nshards).map(|_| OnceSlot::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let s = next.fetch_add(1, Ordering::Relaxed);
-                    if s >= nshards {
-                        break;
-                    }
-                    let out = span_of(s, share);
-                    slots[s]
-                        .set(out)
-                        .unwrap_or_else(|_| unreachable!("shard index claimed twice"));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("every shard slot is filled by exactly one worker")
-            })
-            .collect()
+        })
+        .into_iter()
+        .collect()
     }
 
     /// `true` if the concatenated tuples are pairwise distinct.
@@ -667,11 +627,6 @@ impl GroupSource for ShardedRelation {
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         ShardedRelation::group_ids(self, attrs).map(Arc::new)
-    }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.project_with(attrs, ThreadBudget::serial())
-            .map(Arc::new)
     }
 }
 
@@ -801,16 +756,9 @@ mod tests {
     }
 
     #[test]
-    fn projection_and_distinct_match_flat() {
+    fn distinct_and_is_set_match_flat() {
         let flat = sample();
         let sharded = flat.clone().into_shards(2).unwrap();
-        let attrs = bag(&[0, 1]);
-        let pa = flat.project(&attrs).unwrap();
-        let pb = sharded.projection(&attrs).unwrap();
-        assert_eq!(pa.len(), pb.len());
-        for (a, b) in pa.iter_rows().zip(pb.iter_rows()) {
-            assert_eq!(a, b);
-        }
         let da = flat.distinct();
         let db = sharded.distinct();
         assert_eq!(da.len(), db.len());
@@ -1055,7 +1003,6 @@ mod tests {
         assert!(sharded.is_set());
         let ids = sharded.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
-        assert_eq!(sharded.projection(&bag(&[0])).unwrap().len(), 0);
         assert_eq!(sharded.collect().unwrap().len(), 0);
         // An empty relation still shards (into empty shards).
         let empty = Relation::new(vec![AttrId(0)])
@@ -1097,7 +1044,6 @@ mod tests {
         let sharded = sample().into_shards(2).unwrap();
         assert!(sharded.group_ids(&bag(&[9])).is_err());
         assert!(sharded.group_counts(&bag(&[9])).is_err());
-        assert!(sharded.projection(&bag(&[9])).is_err());
         // Failed lookups leave no cache entries behind.
         assert_eq!(sharded.shard_cache_stats(), TierStats::default());
     }

@@ -747,10 +747,6 @@ fn cache_json(stats: &CacheStats) -> Json {
         ),
         ("group_id_entries", Json::Num(stats.group_id_entries as f64)),
         (
-            "projection_entries",
-            Json::Num(stats.projection_entries as f64),
-        ),
-        (
             "tiers",
             Json::obj([
                 ("entropy", tier_json(&stats.entropy)),
