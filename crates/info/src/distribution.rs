@@ -171,8 +171,10 @@ pub fn kl_divergence_to_tree<S: GroupSource>(src: &S, tree: &JoinTree) -> Result
 /// represented by its first row; the term of a group is
 /// `p·(ln p − ln P^T)` with `p = count/N` and
 /// `ln P^T = Σ_bags (ln c − ln N) − Σ_separators (ln c − ln N)`, every `c`
-/// read from the interned groupings at the representative row.  Over a
-/// caching [`GroupSource`] every grouping comes from the cache.
+/// read from the interned groupings at the representative row.  Each
+/// `ln c − ln N` is computed once per group, not per row, and added in the
+/// same order, so the sum is the same f64 value.  Over a caching
+/// [`GroupSource`] every grouping comes from the cache.
 pub fn kl_report<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<KlReport> {
     check_factorisable(src, tree)?;
     let full = src.group_ids(&src.attrs())?;
@@ -186,7 +188,20 @@ pub fn kl_report<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<KlReport> {
         .collect::<Result<Vec<_>>>()?;
     let n = src.num_rows() as f64;
     let n_ln = n.ln();
-    let count_at = |ids: &GroupIds, row: usize| ids.counts()[ids.row_ids()[row] as usize] as f64;
+    // `ln c − ln N` of every group of each grouping, read through row ids.
+    let log_marginals = |groupings: &[Arc<GroupIds>]| -> Vec<Vec<f64>> {
+        groupings
+            .iter()
+            .map(|ids| {
+                ids.counts()
+                    .iter()
+                    .map(|&c| (c as f64).ln() - n_ln)
+                    .collect()
+            })
+            .collect()
+    };
+    let bag_terms = log_marginals(&bag_ids);
+    let sep_terms = log_marginals(&sep_ids);
     let mut kl = 0.0f64;
     // Ids are numbered in first-appearance order, so the first row whose id
     // is the next unseen one is that group's representative.
@@ -197,11 +212,11 @@ pub fn kl_report<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<KlReport> {
         }
         next += 1;
         let mut log_q = 0.0f64;
-        for ids in &bag_ids {
-            log_q += count_at(ids, row).ln() - n_ln;
+        for (ids, terms) in bag_ids.iter().zip(&bag_terms) {
+            log_q += terms[ids.row_ids()[row] as usize];
         }
-        for ids in &sep_ids {
-            log_q -= count_at(ids, row).ln() - n_ln;
+        for (ids, terms) in sep_ids.iter().zip(&sep_terms) {
+            log_q -= terms[ids.row_ids()[row] as usize];
         }
         let p_t = full.counts()[g as usize] as f64 / n;
         kl += p_t * (p_t.ln() - log_q);
@@ -380,6 +395,60 @@ mod tests {
                 .unwrap();
             assert_eq!(ids.kl_nats.to_bits(), tuples.kl_nats.to_bits(), "{t}");
             assert_eq!(ids.support_size, tuples.support_size, "{t}");
+        }
+    }
+
+    /// The per-row-log form of [`kl_report`]'s sum: `ln c − ln N` evaluated
+    /// at every representative row rather than once per group.
+    fn kl_per_row_logs(r: &Relation, tree: &JoinTree) -> f64 {
+        let full = r.group_ids(&r.attrs()).unwrap();
+        let bags: Vec<GroupIds> = tree
+            .bags()
+            .iter()
+            .map(|b| r.group_ids(b).unwrap())
+            .collect();
+        let seps: Vec<GroupIds> = (0..tree.num_edges())
+            .map(|e| r.group_ids(&tree.separator(e)).unwrap())
+            .collect();
+        let n = r.len() as f64;
+        let n_ln = n.ln();
+        let count_at =
+            |ids: &GroupIds, row: usize| ids.counts()[ids.row_ids()[row] as usize] as f64;
+        let mut kl = 0.0f64;
+        let mut next = 0u32;
+        for (row, &g) in full.row_ids().iter().enumerate() {
+            if g != next {
+                continue;
+            }
+            next += 1;
+            let mut log_q = 0.0f64;
+            for ids in &bags {
+                log_q += count_at(ids, row).ln() - n_ln;
+            }
+            for ids in &seps {
+                log_q -= count_at(ids, row).ln() - n_ln;
+            }
+            let p_t = full.counts()[g as usize] as f64 / n;
+            kl += p_t * (p_t.ln() - log_q);
+        }
+        kl
+    }
+
+    #[test]
+    fn per_group_logs_are_bit_identical_to_per_row_logs() {
+        let r = irregular_relation();
+        let trees = [
+            JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap(),
+            JoinTree::star(vec![bag(&[0, 1]), bag(&[0, 2]), bag(&[0, 3])]).unwrap(),
+            JoinTree::path(vec![bag(&[0, 1, 2]), bag(&[2, 3])]).unwrap(),
+        ];
+        for t in trees {
+            let report = kl_report(&r, &t).unwrap();
+            assert_eq!(
+                report.kl_nats.to_bits(),
+                kl_per_row_logs(&r, &t).to_bits(),
+                "{t}"
+            );
         }
     }
 

@@ -31,7 +31,9 @@
 //!   map, and never recomputing the same expensive grouping N times.
 //!   Misses are computed through a [`ThreadBudget`] (the chunked parallel
 //!   kernel) given per call, which keeps results bit-identical to the
-//!   serial path at any budget.
+//!   serial path at any budget.  A cold multi-attribute set is first
+//!   *derived* from a resident id table of a subset or superset when the
+//!   lattice policy finds one ([`AnalysisContext`]), without a kernel run.
 //!
 //! Above those caches a context keeps three **memo tiers** in the same
 //! single-flight maps, so a warm measure is a lookup rather than a sum:
@@ -47,9 +49,11 @@ use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
-use crate::relation::{GroupCounts, GroupIds, Relation, Value};
+use crate::relation::{coarsen_ids, dense_cap, refine_ids, GroupCounts, GroupIds, Relation, Value};
 use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{Mutex, OnceSlot, RwLock};
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -148,9 +152,10 @@ pub trait GroupSource {
 ///
 /// Implemented by the two storage layouts of the workspace — the flat
 /// [`Relation`] (chunked row-scan kernel) and the [`crate::ShardedRelation`]
-/// (shard-local grouping + shard-order merge).  A layout supplies the three
-/// methods that differ between them: the grouping, the sampled-row gather
-/// and the code → value dictionary of a schema position.  Count decoding,
+/// (shard-local grouping + shard-order merge).  A layout supplies the four
+/// methods that differ between them: the grouping, the sampled-row gather,
+/// the code → value dictionary of a schema position and the per-row codes
+/// of one (which a context refines resident groupings by).  Count decoding,
 /// counts under a budget and the set-semantic projection are provided
 /// methods, written once on top of those.  Both groupings are
 /// **bit-identical** to the serial flat kernel at any budget, so a context
@@ -181,6 +186,14 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     ///
     /// Panics if `pos` is not a position of the schema.
     fn dictionary(&self, pos: usize) -> &[Value];
+
+    /// The per-row codes of schema position `pos`, in row order and in the
+    /// code space of [`GroupKernel::dictionary`]: the column a context
+    /// refines a resident grouping by.  Borrowed where the layout stores
+    /// the column whole, assembled otherwise.
+    ///
+    /// Panics if `pos` is not a position of the schema.
+    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]>;
 
     /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
     /// grouping decoded by [`GroupKernel::decode_group_counts`].
@@ -278,6 +291,13 @@ impl GroupKernel for Relation {
         self.domain(self.schema()[pos])
             .expect("a schema attribute has a column dictionary")
     }
+
+    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
+        Cow::Borrowed(
+            self.column_codes(self.schema()[pos])
+                .expect("a schema attribute has a code column"),
+        )
+    }
 }
 
 impl<S: GroupSource + ?Sized> GroupSource for &S {
@@ -321,6 +341,10 @@ impl<S: GroupKernel + ?Sized> GroupKernel for &S {
 
     fn dictionary(&self, pos: usize) -> &[Value] {
         (**self).dictionary(pos)
+    }
+
+    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
+        (**self).codes_at(pos)
     }
 }
 
@@ -366,6 +390,10 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
     fn dictionary(&self, pos: usize) -> &[Value] {
         (**self).dictionary(pos)
     }
+
+    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
+        (**self).codes_at(pos)
+    }
 }
 
 /// A point-in-time snapshot of a context's cache effectiveness.
@@ -377,10 +405,18 @@ pub struct CacheStats {
     pub hits: u64,
     /// Kernel runs: lookups that had to group the source and then memoized
     /// the result.  A caller that asks for a set's ids before its counts
-    /// (as `ajd_core::Analyzer::analyze` does) pays exactly one miss per
-    /// distinct attribute set it groups.  Memo-tier fills are not
-    /// kernel runs; the lookups they make count for themselves.
+    /// (as `ajd_core::Analyzer::analyze` does) pays exactly one miss or
+    /// one derivation ([`CacheStats::derived`]) per distinct attribute set
+    /// it groups.  Memo-tier fills are not kernel runs; the lookups they
+    /// make count for themselves.
     pub misses: u64,
+    /// Fills served without a kernel run by deriving the grouping from a
+    /// resident id table of a subset (refine) or superset (coarsen) of the
+    /// set.  Every fill is a kernel run or a derivation, so
+    /// `misses + derived` is exactly one per distinct attribute set filled
+    /// (per cache, as for `misses`); which of the two serves a set can
+    /// depend on what concurrent lookups have completed, their sum cannot.
+    pub derived: u64,
     /// Number of memoized [`GroupCounts`] entries.
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
@@ -410,9 +446,10 @@ pub struct TierStats {
 }
 
 impl CacheStats {
-    /// Fraction of lookups answered from the cache (0 when none were made).
+    /// Fraction of lookups answered from the cache, out of hits, kernel
+    /// runs and derived fills (0 when none were made).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.misses + self.derived;
         if total == 0 {
             0.0
         } else {
@@ -523,18 +560,26 @@ impl<K: Hash + Eq + Clone, T> StripedCache<K, T> {
         self.shard(key).write().remove(key);
     }
 
+    /// Calls `visit` on every *completed, successful* entry, read-locking
+    /// one stripe at a time.  Like [`StripedCache::resident`] it never
+    /// installs a slot and never waits on an in-flight one.  The visiting
+    /// order is unspecified.
+    fn visit_resident(&self, mut visit: impl FnMut(&K, &Arc<T>)) {
+        for stripe in &self.shards {
+            for (key, slot) in stripe.read().iter() {
+                if let Some(Ok(value)) = slot.get() {
+                    visit(key, value);
+                }
+            }
+        }
+    }
+
     /// Number of *completed, successful* entries (in-flight slots and
     /// removed error slots do not count).
     fn entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|slot| slot.get().is_some_and(|r| r.is_ok()))
-                    .count()
-            })
-            .sum()
+        let mut n = 0;
+        self.visit_resident(|_, _| n += 1);
+        n
     }
 
     /// The counters of this cache.
@@ -551,6 +596,9 @@ impl<K: Hash + Eq + Clone, T> StripedCache<K, T> {
 enum Fill {
     /// Ran the grouping kernel: one [`CacheStats::misses`].
     Kernel,
+    /// Derived the grouping from a resident id table of a subset or
+    /// superset: one [`CacheStats::derived`].
+    Derived,
     /// Decoded a resident id table without a kernel run: one hit.
     Decoded,
     /// Filled a memo tier: a tier miss only.
@@ -585,6 +633,29 @@ enum Fill {
 /// Callers that need both for a set — the full analysis — ask for the ids
 /// first.  [`CacheStats::misses`] counts kernel runs only; a decoded count
 /// table counts as a hit.
+///
+/// A cold fill of a multi-attribute set `Y` (an id fill, or a count fill
+/// with no resident ids) also reuses the **attribute lattice**: the bags,
+/// separators, MVD sides and Ω of a join tree are nested, so most of them
+/// are a small step from a set already grouped.  The fill first tries, in
+/// order:
+///
+/// 1. **refine** the resident id table of the largest `X ⊂ Y` (ties to
+///    fewer groups) whose `g_X × Π_{a∈Y∖X} d_a` table fits the kernel's
+///    dense cap — one row pass keyed by (X-id, codes of `Y ∖ X`), the
+///    partition product of TANE (Huhtala et al., 1999);
+/// 2. **coarsen** the resident id table of the `Z ⊃ Y` with the fewest
+///    groups, only when the kernel would hash `Y` — one hash per Z-group
+///    instead of one per row;
+///
+/// and runs the kernel otherwise.  Singletons and `∅` are never derived.
+/// Both derivations number groups by first appearance, so they are
+/// bit-identical to the kernel; over a [`crate::ShardedRelation`] they run
+/// on the merged level and skip the per-shard pass and the merge.  Only
+/// completed id tables are candidates (a derivation never waits on an
+/// in-flight fill) and intermediates are never cached.  A derived fill
+/// counts in [`CacheStats::derived`], so `misses + derived` is one per
+/// distinct filled set at any timing.
 ///
 /// Three **memo tiers** sit on top of the caches, each single-flight
 /// through the same slot machinery and counted in [`TierStats`]:
@@ -638,6 +709,7 @@ pub struct AnalysisContext<S = Relation> {
     sample_order: Mutex<VecDeque<(SampleKey, usize)>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    derived: AtomicU64,
 }
 
 impl<S: GroupKernel> AnalysisContext<S> {
@@ -658,6 +730,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
             sample_order: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            derived: AtomicU64::new(0),
         }
     }
 
@@ -682,28 +755,106 @@ impl<S: GroupKernel> AnalysisContext<S> {
         budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
         self.memoized(&self.group_counts, attrs, || {
-            match self.group_ids.resident(attrs) {
-                Some(ids) => Ok((
-                    Arc::new(self.source.decode_group_counts(&ids)),
-                    Fill::Decoded,
-                )),
-                None => Ok((
-                    Arc::new(self.source.group_counts_with(attrs, budget)?),
-                    Fill::Kernel,
-                )),
-            }
+            let (ids, how) = match self.group_ids.resident(attrs) {
+                Some(ids) => (ids, Fill::Decoded),
+                None => {
+                    let (ids, how) = self.fill_ids(attrs, budget)?;
+                    (Arc::new(ids), how)
+                }
+            };
+            Ok((Arc::new(self.source.decode_group_counts(&ids)), how))
         })
     }
 
-    /// Memoized interned group keys (see [`GroupIds`]) for `attrs`,
-    /// computed under `budget` on a miss.
+    /// Memoized interned group keys (see [`GroupIds`]) for `attrs`: on a
+    /// miss, derived from a resident table of a subset or superset when
+    /// the lattice policy finds one, and otherwise computed under `budget`.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         self.memoized(&self.group_ids, attrs, || {
-            Ok((
-                Arc::new(self.source.group_ids_with(attrs, budget)?),
-                Fill::Kernel,
-            ))
+            let (ids, how) = self.fill_ids(attrs, budget)?;
+            Ok((Arc::new(ids), how))
         })
+    }
+
+    /// The one cold grouping of `attrs`, shared by both caches: derived
+    /// from a resident id table ([`AnalysisContext::derive_ids`]) or, when
+    /// none serves, a kernel run under `budget`.
+    fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(GroupIds, Fill)> {
+        Ok(match self.derive_ids(attrs)? {
+            Some(ids) => (ids, Fill::Derived),
+            None => (self.source.group_ids_with(attrs, budget)?, Fill::Kernel),
+        })
+    }
+
+    /// The grouping of `attrs` derived from a resident id table by the
+    /// lattice policy ([`AnalysisContext`]: refine a subset, else coarsen a
+    /// superset above the dense cap), or `None` when the kernel should run.
+    /// Which table serves can depend on timing; the result cannot.
+    fn derive_ids(&self, attrs: &AttrSet) -> Result<Option<GroupIds>> {
+        if attrs.len() < 2 {
+            return Ok(None);
+        }
+        let positions = self.source.attr_positions(attrs)?;
+        let domains: Vec<usize> = positions
+            .iter()
+            .map(|&p| self.source.dictionary(p).len())
+            .collect();
+        let cap = dense_cap(self.source.num_rows());
+        // The dense table of refining `groups` groups of `base` by the
+        // attributes of `attrs` outside it (`None` past u128: above any cap).
+        let radix = |base: &AttrSet, groups: usize| {
+            attrs
+                .iter()
+                .zip(&domains)
+                .filter(|&(a, _)| !base.contains(a))
+                .try_fold(groups as u128, |r, (_, &d)| r.checked_mul(d as u128))
+        };
+        // Total orders, so the choice does not depend on the visiting order.
+        fn subset_rank(x: &GroupIds) -> (Reverse<usize>, usize, &AttrSet) {
+            (Reverse(x.attrs().len()), x.num_groups(), x.attrs())
+        }
+        fn superset_rank(z: &GroupIds) -> (usize, &AttrSet) {
+            (z.num_groups(), z.attrs())
+        }
+        let mut subset: Option<Arc<GroupIds>> = None;
+        let mut superset: Option<Arc<GroupIds>> = None;
+        self.group_ids.visit_resident(|key, ids| {
+            if key.is_empty() || key == attrs {
+                return;
+            }
+            if key.is_subset_of(attrs) {
+                let fits = radix(key, ids.num_groups()).is_some_and(|r| r <= cap);
+                if fits
+                    && subset
+                        .as_deref()
+                        .is_none_or(|x| subset_rank(ids) < subset_rank(x))
+                {
+                    subset = Some(Arc::clone(ids));
+                }
+            } else if attrs.is_subset_of(key)
+                && superset
+                    .as_deref()
+                    .is_none_or(|z| superset_rank(ids) < superset_rank(z))
+            {
+                superset = Some(Arc::clone(ids));
+            }
+        });
+        if let Some(base) = subset {
+            let columns: Vec<(Cow<'_, [u32]>, usize)> = attrs
+                .iter()
+                .zip(positions.iter().zip(&domains))
+                .filter(|&(a, _)| !base.attrs().contains(a))
+                .map(|(_, (&p, &d))| (self.source.codes_at(p), d))
+                .collect();
+            let extra: Vec<(&[u32], usize)> = columns.iter().map(|(c, d)| (&**c, *d)).collect();
+            return refine_ids(attrs, &base, &extra).map(Some);
+        }
+        match superset {
+            Some(fine) if radix(&AttrSet::empty(), 1).is_none_or(|r| r > cap) => {
+                coarsen_ids(attrs, &fine, &domains).map(Some)
+            }
+            _ => Ok(None),
+        }
     }
 
     /// The entropy tier: memoized `H(attrs)`, computed by `fill` on a miss.
@@ -782,6 +933,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            derived: self.derived.load(Ordering::Relaxed),
             group_count_entries: self.group_counts.entries(),
             group_id_entries: self.group_ids.entries(),
             entropy: self.entropies.tier_stats(),
@@ -803,6 +955,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
             fill().map(|(value, how)| {
                 let counter = match how {
                     Fill::Kernel => Some(&self.misses),
+                    Fill::Derived => Some(&self.derived),
                     Fill::Decoded => Some(&self.hits),
                     Fill::Tier => None,
                 };
@@ -1101,6 +1254,8 @@ mod tests {
             sets.len() as u64,
             "every distinct attribute set must be computed exactly once"
         );
+        // Count lookups leave no id table resident, so nothing derives.
+        assert_eq!(stats.derived, 0);
         assert_eq!(stats.hits, (8 - 1) * sets.len() as u64);
         assert_eq!(stats.group_count_entries, sets.len());
     }
@@ -1126,7 +1281,8 @@ mod tests {
             }
         });
         let stats = ctx.stats();
-        assert_eq!(stats.misses, 2 * sets.len() as u64);
+        // No resident id table is a subset or superset of another set.
+        assert_eq!((stats.misses, stats.derived), (2 * sets.len() as u64, 0));
         assert_eq!(stats.group_count_entries, sets.len());
         assert_eq!(stats.group_id_entries, sets.len());
     }

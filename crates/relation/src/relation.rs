@@ -29,7 +29,6 @@ use crate::error::{RelationError, Result};
 use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap};
 use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::Arc;
 
@@ -1006,51 +1005,13 @@ pub(crate) fn merge_spans(
         });
     }
     let k = attrs.len();
-    let bits: Vec<u32> = domains.map(bit_width).collect();
-    debug_assert_eq!(bits.len(), k);
-    let packable = bits.iter().sum::<u32>() <= 64;
     let total_local: usize = spans.iter().map(|s| s.counts.len()).sum();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut group_codes: Vec<u32> = Vec::new();
-    let mut packed: FxHashMap<u64, u32> = map_with_capacity(if packable { total_local } else { 0 });
-    let mut wide: FxHashMap<Box<[u32]>, u32> =
-        map_with_capacity(if packable { 0 } else { total_local });
+    let mut interner = GroupInterner::new(domains, total_local);
     let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(spans.len());
     for span in &spans {
-        let groups = span.counts.len();
-        let mut map = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let codes = &span.group_codes[g * k..(g + 1) * k];
-            let id = if packable {
-                let mut key = 0u64;
-                for (&c, &b) in codes.iter().zip(&bits) {
-                    key = (key << b) | c as u64;
-                }
-                match packed.entry(key) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(v) => {
-                        let id = new_group_id(&counts)?;
-                        v.insert(id);
-                        counts.push(0);
-                        group_codes.extend_from_slice(codes);
-                        id
-                    }
-                }
-            } else {
-                match wide.entry(codes.to_vec().into_boxed_slice()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(v) => {
-                        let id = new_group_id(&counts)?;
-                        v.insert(id);
-                        counts.push(0);
-                        group_codes.extend_from_slice(codes);
-                        id
-                    }
-                }
-            };
-            counts[id as usize] += span.counts[g];
-            map.push(id);
-        }
+        let map = (0..span.counts.len())
+            .map(|g| interner.add(&span.group_codes[g * k..(g + 1) * k], span.counts[g]))
+            .collect::<Result<Vec<u32>>>()?;
         local_to_global.push(map);
     }
 
@@ -1088,12 +1049,68 @@ pub(crate) fn merge_spans(
         });
     }
 
-    Ok(GroupIds {
-        attrs: attrs.clone(),
-        row_ids,
-        counts,
-        group_codes,
-    })
+    Ok(interner.into_ids(attrs, row_ids))
+}
+
+/// Interns group code tuples of one code space into dense ids in order of
+/// first arrival, summing the counts each tuple arrives with: the one
+/// table-level hashing step behind [`merge_spans`] and [`coarsen_ids`].
+/// Tuples whose bit widths pack into 64 bits are hashed as one `u64`,
+/// wider ones as boxed tuples.
+struct GroupInterner {
+    bits: Vec<u32>,
+    packed: Option<FxHashMap<u64, u32>>,
+    wide: FxHashMap<Box<[u32]>, u32>,
+    counts: Vec<u64>,
+    group_codes: Vec<u32>,
+}
+
+impl GroupInterner {
+    /// An empty interner for tuples over domains of the given sizes, sized
+    /// for about `capacity` distinct tuples.
+    fn new(domains: impl Iterator<Item = usize>, capacity: usize) -> Self {
+        let bits: Vec<u32> = domains.map(bit_width).collect();
+        let packable = bits.iter().sum::<u32>() <= 64;
+        GroupInterner {
+            bits,
+            packed: packable.then(|| map_with_capacity(capacity)),
+            wide: map_with_capacity(if packable { 0 } else { capacity }),
+            counts: Vec::new(),
+            group_codes: Vec::new(),
+        }
+    }
+
+    /// The id of `codes` (a new one on first arrival), after adding
+    /// `count` to its multiplicity.
+    fn add(&mut self, codes: &[u32], count: u64) -> Result<u32> {
+        let next = new_group_id(&self.counts)?;
+        let id = match &mut self.packed {
+            Some(packed) => {
+                let key = codes
+                    .iter()
+                    .zip(&self.bits)
+                    .fold(0u64, |key, (&c, &b)| (key << b) | c as u64);
+                *packed.entry(key).or_insert(next)
+            }
+            None => *self.wide.entry(codes.into()).or_insert(next),
+        };
+        if id == next {
+            self.counts.push(0);
+            self.group_codes.extend_from_slice(codes);
+        }
+        self.counts[id as usize] += count;
+        Ok(id)
+    }
+
+    /// The grouping of `attrs` whose rows carry `row_ids`.
+    fn into_ids(self, attrs: &AttrSet, row_ids: Vec<u32>) -> GroupIds {
+        GroupIds {
+            attrs: attrs.clone(),
+            row_ids,
+            counts: self.counts,
+            group_codes: self.group_codes,
+        }
+    }
 }
 
 /// Groups the rows `start..end` by the code tuples of `cols`, assigning
@@ -1107,14 +1124,12 @@ pub(crate) fn merge_spans(
 fn group_span(cols: &[&Column], start: usize, end: usize) -> Result<SpanGroups> {
     let rows = end - start;
     let radix: u128 = cols.iter().map(|c| c.domain_size() as u128).product();
-    // ajd: allow(silent-arithmetic, "capacity heuristic choosing dense vs hashed grouping; clamping only steers the strategy choice, results are identical either way")
-    let dense_cap = RADIX_TABLE_CAP.min((rows as u128).saturating_mul(8).max(4096));
 
     let mut row_ids: Vec<u32> = Vec::with_capacity(rows);
     let mut counts: Vec<u64> = Vec::new();
     let mut group_codes: Vec<u32> = Vec::new();
 
-    if radix <= dense_cap {
+    if radix <= dense_cap(rows) {
         // Dense mixed-radix table: one array slot per possible code tuple,
         // ids assigned in first-appearance order.
         let mut table = vec![u32::MAX; radix as usize];
@@ -1184,6 +1199,110 @@ fn group_span(cols: &[&Column], start: usize, end: usize) -> Result<SpanGroups> 
         counts,
         group_codes,
     })
+}
+
+/// The largest dense table a grouping pass over `rows` rows allocates:
+/// [`RADIX_TABLE_CAP`] entries at most, and never much more than the rows
+/// themselves.  [`group_span`] hashes above it, and the lattice
+/// derivations ([`refine_ids`], [`coarsen_ids`]) are chosen against it.
+pub(crate) fn dense_cap(rows: usize) -> u128 {
+    // ajd: allow(silent-arithmetic, "capacity heuristic choosing dense vs hashed grouping; clamping only steers the strategy choice, results are identical either way")
+    RADIX_TABLE_CAP.min((rows as u128).saturating_mul(8).max(4096))
+}
+
+/// Refines the grouping `base` of some `X ⊂ attrs` by the columns of
+/// `attrs ∖ X` into the grouping of `attrs`, in one row pass.
+///
+/// `extra` holds each column of `attrs ∖ X` in ascending attribute order:
+/// its per-row codes and its domain size, in the code space of `base`'s
+/// group codes.  Each pair (X-id, extra codes) stands for exactly one tuple
+/// of `attrs`, so numbering the pairs by first appearance through a dense
+/// `g_X × Π d` table numbers the tuples by first appearance: the result is
+/// bit-identical to [`Relation::group_ids`] on `attrs`.  The caller keeps
+/// that table within [`dense_cap`].
+pub(crate) fn refine_ids(
+    attrs: &AttrSet,
+    base: &GroupIds,
+    extra: &[(&[u32], usize)],
+) -> Result<GroupIds> {
+    // Where each code of an `attrs` tuple comes from: `Ok(j)` is the j-th
+    // code of the base tuple, `Err(e)` the e-th extra column.
+    let mut next_extra = 0..extra.len();
+    let from: Vec<std::result::Result<usize, usize>> = attrs
+        .iter()
+        .map(|a| {
+            base.attrs.as_slice().binary_search(&a).map_err(|_| {
+                next_extra
+                    .next()
+                    .expect("one extra column per attribute outside the base")
+            })
+        })
+        .collect();
+    let radix: usize = extra.iter().map(|&(_, d)| d).product::<usize>() * base.num_groups();
+    let mut table = vec![u32::MAX; radix];
+    let rows = base.row_ids.len();
+    let mut row_ids: Vec<u32> = Vec::with_capacity(rows);
+    let mut counts: Vec<u64> = Vec::new();
+    let mut group_codes: Vec<u32> = Vec::new();
+    for (i, &x) in base.row_ids.iter().enumerate() {
+        let mut key = x as usize;
+        for &(codes, d) in extra {
+            key = key * d + codes[i] as usize;
+        }
+        let mut id = table[key];
+        if id == u32::MAX {
+            id = new_group_id(&counts)?;
+            table[key] = id;
+            counts.push(0);
+            let x_codes = base.group_code(x as usize);
+            group_codes.extend(from.iter().map(|src| match *src {
+                Ok(j) => x_codes[j],
+                Err(e) => extra[e].0[i],
+            }));
+        }
+        counts[id as usize] += 1;
+        row_ids.push(id);
+    }
+    Ok(GroupIds {
+        attrs: attrs.clone(),
+        row_ids,
+        counts,
+        group_codes,
+    })
+}
+
+/// Coarsens the grouping `fine` of some `Z ⊃ attrs` into the grouping of
+/// `attrs`: interns each Z-group by its `attrs` codes (one hash per group,
+/// not per row), then maps every row through the group map.
+///
+/// `domains` gives the domain size of each attribute of `attrs`, in order,
+/// to pack the interned keys.  Z's ids are numbered by first appearance, so
+/// visiting its groups in id order meets every `attrs`-group first at its
+/// first row: the result is bit-identical to [`Relation::group_ids`] on
+/// `attrs`.
+pub(crate) fn coarsen_ids(attrs: &AttrSet, fine: &GroupIds, domains: &[usize]) -> Result<GroupIds> {
+    let at: Vec<usize> = attrs
+        .iter()
+        .map(|a| {
+            fine.attrs
+                .as_slice()
+                .binary_search(&a)
+                .expect("coarsening target is a subset of the fine attributes")
+        })
+        .collect();
+    let mut interner = GroupInterner::new(domains.iter().copied(), fine.num_groups());
+    let mut key: Vec<u32> = vec![0; at.len()];
+    let map = (0..fine.num_groups())
+        .map(|z| {
+            let codes = fine.group_code(z);
+            for (slot, &j) in key.iter_mut().zip(&at) {
+                *slot = codes[j];
+            }
+            interner.add(&key, fine.counts[z])
+        })
+        .collect::<Result<Vec<u32>>>()?;
+    let row_ids = fine.row_ids.iter().map(|&z| map[z as usize]).collect();
+    Ok(interner.into_ids(attrs, row_ids))
 }
 
 /// Allocates the next dense group id, failing (instead of wrapping into an

@@ -28,9 +28,12 @@
 //!   to the flat [`Relation`] at any shard count and any thread budget
 //!   (property-tested in `tests/prop_sharded.rs`).  A one-shard relation's
 //!   table already is the merged one, so its merge is a passthrough;
-//! * a sharded relation implements only the three layout-specific
+//! * a sharded relation implements only the four layout-specific
 //!   [`GroupKernel`] methods — the merged grouping, the sampled-row
-//!   gather and the global dictionary of a schema position.  Count tables
+//!   gather, the global dictionary of a schema position and its per-row
+//!   global codes (assembled in shard order through each shard's remap,
+//!   for the lattice derivations of [`crate::AnalysisContext`], which run
+//!   on the merged level and skip the shard pass).  Count tables
 //!   and projections are [`GroupKernel`]'s provided derivations, the same
 //!   code the flat relation runs, so they decode through the global
 //!   dictionaries exactly as the flat relation decodes through its own.
@@ -69,6 +72,7 @@ use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
 use crate::relation::{merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -641,6 +645,20 @@ impl GroupKernel for ShardedRelation {
 
     fn dictionary(&self, pos: usize) -> &[Value] {
         &self.dicts[pos].values
+    }
+
+    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
+        let attr = self.schema[pos];
+        let mut codes = Vec::with_capacity(self.rows);
+        for shard in &self.shards {
+            let remap = &shard.remap[pos];
+            let local = shard
+                .local
+                .column_codes(attr)
+                .expect("a schema attribute has a code column in every shard");
+            codes.extend(local.iter().map(|&c| remap[c as usize]));
+        }
+        Cow::Owned(codes)
     }
 }
 

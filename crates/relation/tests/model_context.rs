@@ -208,3 +208,60 @@ fn cold_counts_racing_cold_ids_agree_and_group_at_most_twice() {
         report.schedules
     );
 }
+
+/// A cold id fill of `X` racing a cold id fill of `Y ⊃ X`.  `Y` is derived
+/// from `X` when `X`'s table is complete by the time `Y`'s fill looks for
+/// resident tables, and grouped by the kernel otherwise: a derivation
+/// reads completed slots only and never waits on an in-flight one.  Under
+/// every interleaving each set is filled once and `Y`'s ids are the
+/// kernel's, whichever path filled them.  Returns whether `Y` was derived.
+fn derived_fill_races_its_base_body() -> bool {
+    let r = sample();
+    let ctx = AnalysisContext::new(&r);
+    let x = AttrSet::singleton(AttrId(0));
+    let y = AttrSet::from_ids([0, 1]);
+    let (base, ids) = ajd_sync::thread::scope(|s| {
+        let base = s.spawn(|| ctx.group_ids_with(&x, ThreadBudget::serial()));
+        let wide = s.spawn(|| ctx.group_ids_with(&y, ThreadBudget::serial()));
+        (
+            base.join().expect("base fill returns"),
+            wide.join().expect("wide fill returns"),
+        )
+    });
+    let base = base.expect("grouping cannot fail");
+    assert_eq!(base.row_ids(), r.group_ids(&x).expect("kernel").row_ids());
+    let ids = ids.expect("grouping cannot fail");
+    let kernel = r.group_ids(&y).expect("grouping cannot fail");
+    assert_eq!(ids.row_ids(), kernel.row_ids());
+    assert_eq!(ids.counts(), kernel.counts());
+    assert_eq!(ids.group_codes(), kernel.group_codes());
+    let stats = ctx.stats();
+    assert_eq!(
+        stats.misses + stats.derived,
+        2,
+        "one fill per set: {stats:?}"
+    );
+    assert_eq!(stats.hits, 0, "{stats:?}");
+    assert_eq!(stats.group_id_entries, 2);
+    stats.derived == 1
+}
+
+#[test]
+fn derived_fill_racing_its_base_fills_each_set_once() {
+    let derived = AtomicUsize::new(0);
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(|| {
+            if derived_fill_races_its_base_body() {
+                derived.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    let derived = derived.load(Ordering::Relaxed);
+    assert!(
+        derived > 0 && derived < report.schedules,
+        "both fill paths must be explored: {derived} of {} schedules derived",
+        report.schedules
+    );
+}

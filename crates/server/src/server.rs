@@ -741,6 +741,7 @@ fn cache_json(stats: &CacheStats) -> Json {
     Json::obj([
         ("hits", Json::Num(stats.hits as f64)),
         ("misses", Json::Num(stats.misses as f64)),
+        ("derived", Json::Num(stats.derived as f64)),
         (
             "group_count_entries",
             Json::Num(stats.group_count_entries as f64),
