@@ -34,7 +34,7 @@ use std::time::Duration;
 use ajd_bench::{time_median, BenchJson};
 use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
-use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation, ThreadBudget};
+use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ThreadBudget};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

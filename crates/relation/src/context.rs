@@ -162,8 +162,11 @@ pub trait GroupSource {
 /// over either layout serves the same values.  Kernels are `Send + Sync`
 /// so handles over them can fan out across worker threads.
 pub trait GroupKernel: GroupSource + Send + Sync {
-    /// [`GroupSource::group_ids`] computed under a [`ThreadBudget`].
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds>;
+    /// [`GroupSource::group_ids`] computed under a [`ThreadBudget`].  The
+    /// `Arc` may be shared with a layout's own cache (a one-shard
+    /// [`crate::ShardedRelation`] hands back its shard's table), so a
+    /// context that memoizes it holds no second copy.
+    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>>;
 
     /// Materialises the rows at the given **sorted, strictly increasing**
     /// global row indices as a fresh flat [`Relation`].
@@ -198,7 +201,7 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
     /// grouping decoded by [`GroupKernel::decode_group_counts`].
     fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        Ok(self.decode_group_counts(&self.group_ids_with(attrs, budget)?))
+        Ok(self.decode_group_counts(&*self.group_ids_with(attrs, budget)?))
     }
 
     /// Decodes a grouping of this source into its count table without
@@ -279,8 +282,8 @@ impl GroupSource for Relation {
 }
 
 impl GroupKernel for Relation {
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
-        Relation::group_ids_with(self, attrs, budget)
+    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
+        Relation::group_ids_with(self, attrs, budget).map(Arc::new)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -331,7 +334,7 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for &S {
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
+    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         (**self).group_ids_with(attrs, budget)
     }
 
@@ -379,7 +382,7 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
+    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         (**self).group_ids_with(attrs, budget)
     }
 
@@ -757,10 +760,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
         self.memoized(&self.group_counts, attrs, || {
             let (ids, how) = match self.group_ids.resident(attrs) {
                 Some(ids) => (ids, Fill::Decoded),
-                None => {
-                    let (ids, how) = self.fill_ids(attrs, budget)?;
-                    (Arc::new(ids), how)
-                }
+                None => self.fill_ids(attrs, budget)?,
             };
             Ok((Arc::new(self.source.decode_group_counts(&ids)), how))
         })
@@ -770,18 +770,17 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// miss, derived from a resident table of a subset or superset when
     /// the lattice policy finds one, and otherwise computed under `budget`.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
-        self.memoized(&self.group_ids, attrs, || {
-            let (ids, how) = self.fill_ids(attrs, budget)?;
-            Ok((Arc::new(ids), how))
-        })
+        self.memoized(&self.group_ids, attrs, || self.fill_ids(attrs, budget))
     }
 
     /// The one cold grouping of `attrs`, shared by both caches: derived
     /// from a resident id table ([`AnalysisContext::derive_ids`]) or, when
-    /// none serves, a kernel run under `budget`.
-    fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(GroupIds, Fill)> {
+    /// none serves, a kernel run under `budget`.  A kernel table is kept
+    /// as the source returns it, so a context over a one-shard relation
+    /// shares its shard's table instead of copying it.
+    fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(Arc<GroupIds>, Fill)> {
         Ok(match self.derive_ids(attrs)? {
-            Some(ids) => (ids, Fill::Derived),
+            Some(ids) => (Arc::new(ids), Fill::Derived),
             None => (self.source.group_ids_with(attrs, budget)?, Fill::Kernel),
         })
     }

@@ -175,11 +175,15 @@ impl GroupIds {
         }
     }
 
-    /// Decomposes the grouping into `(row_ids, counts, group_codes)` — the
-    /// sharded merge consumes per-shard groupings wholesale instead of
-    /// copying their vectors.
-    pub(crate) fn into_parts(self) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
-        (self.row_ids, self.counts, self.group_codes)
+    /// Rewrites every group code through `remaps[j]`, the code map of the
+    /// j-th grouped column, into a buffer of exactly the codes' length (a
+    /// shard keeps its table for as long as it lives, so the grouping's
+    /// growth slack is dropped).  This moves a shard's local grouping into
+    /// the global code space.
+    pub(crate) fn remap_codes(&mut self, remaps: &[&[u32]]) {
+        let k = remaps.len();
+        let codes = self.group_codes.iter().enumerate();
+        self.group_codes = codes.map(|(j, &c)| remaps[j % k][c as usize]).collect();
     }
 
     /// Maps every group id of this (finer) grouping to the id of the group
@@ -676,13 +680,7 @@ impl Relation {
         }
 
         let cols: Vec<&Column> = positions.iter().map(|&p| &self.columns[p]).collect();
-        let span = group_span(&cols, 0, self.rows)?;
-        Ok(GroupIds {
-            attrs: attrs.clone(),
-            row_ids: span.row_ids,
-            counts: span.counts,
-            group_codes: span.group_codes,
-        })
+        group_span(attrs, &cols, 0, self.rows)
     }
 
     /// [`Relation::group_ids`] under a [`ThreadBudget`]: the grouping kernel
@@ -729,12 +727,13 @@ impl Relation {
         let chunks = chunk_bounds(self.rows, budget.workers_for_items(self.rows));
         let spans = fan_out(chunks.len(), budget, |c, _| {
             let (start, end) = chunks[c];
-            group_span(&cols, start, end).map(Arc::new)
+            group_span(attrs, &cols, start, end).map(Arc::new)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
         let domains = cols.iter().map(|c| c.domain_size());
-        merge_spans(attrs, domains, spans, self.rows, chunks.len())
+        // The chunk tables are ours alone, so the merged table is too.
+        merge_spans(attrs, domains, spans, self.rows, chunks.len()).map(Arc::unwrap_or_clone)
     }
 
     /// Groups the tuples by their projection onto `attrs`, returning the
@@ -943,26 +942,11 @@ impl Relation {
     }
 }
 
-/// The grouping of one contiguous row span: local first-appearance ids per
-/// row, per-group multiplicities and flattened code tuples.  Produced by
-/// [`group_span`] for the serial kernel (the full span) and for every chunk
-/// of the parallel kernel; the sharded relation builds one per shard (with
-/// group codes remapped into its global dictionaries) and feeds them to the
-/// same [`merge_spans`] discipline.
-#[derive(Debug, Clone)]
-pub(crate) struct SpanGroups {
-    /// Local group id of every row in the span, in row order.
-    pub(crate) row_ids: Vec<u32>,
-    /// Multiplicity of each local group.
-    pub(crate) counts: Vec<u64>,
-    /// Flattened code tuples, `cols.len()` codes per local group.
-    pub(crate) group_codes: Vec<u32>,
-}
-
-/// Merges per-span group tables — whose `group_codes` all live in one common
-/// code space — **in span order** into the global first-appearance
-/// numbering of `attrs`, then rewrites every span's local row ids through
-/// its local → global map into one flat id vector.
+/// Merges per-span groupings of `attrs` — one per contiguous row span, each
+/// numbered by first appearance within its span, their `group_codes` all
+/// in one common code space — **in span order** into the global
+/// first-appearance numbering, then rewrites every span's local row ids
+/// through its local → global map into one flat id vector.
 ///
 /// This is the one "spans → [`GroupIds`]" step, shared by the chunked
 /// parallel kernel (spans = row chunks of one relation, codes = that
@@ -972,9 +956,10 @@ pub(crate) struct SpanGroups {
 /// contains it, and within a span the local first-appearance order equals
 /// the row order — so the merged numbering, counts, group codes and per-row
 /// ids are bit-identical to grouping the concatenated rows serially.  For
-/// the same reason a **single span is returned as is**: its local ids
-/// already are the global ones, so a one-shard relation skips the hash
-/// merge and the row rewrite.
+/// the same reason a **single span is returned as is**, the same `Arc`: its
+/// local ids already are the global ones, so a one-shard relation skips
+/// the hash merge and the row rewrite, and its shard tier and the caller
+/// share one table.
 ///
 /// `domains` gives the size of each grouped column's (common-code-space)
 /// domain, in `attrs` order; when their bit widths pack into 64 bits the
@@ -989,20 +974,15 @@ pub(crate) struct SpanGroups {
 pub(crate) fn merge_spans(
     attrs: &AttrSet,
     domains: impl Iterator<Item = usize>,
-    mut spans: Vec<Arc<SpanGroups>>,
+    mut spans: Vec<Arc<GroupIds>>,
     total_rows: usize,
     rewrite_workers: usize,
-) -> Result<GroupIds> {
+) -> Result<Arc<GroupIds>> {
     if spans.len() == 1 {
         let span = spans.pop().expect("one span");
-        let span = Arc::try_unwrap(span).unwrap_or_else(|shared| (*shared).clone());
+        debug_assert_eq!(&span.attrs, attrs);
         debug_assert_eq!(span.row_ids.len(), total_rows);
-        return Ok(GroupIds {
-            attrs: attrs.clone(),
-            row_ids: span.row_ids,
-            counts: span.counts,
-            group_codes: span.group_codes,
-        });
+        return Ok(span);
     }
     let k = attrs.len();
     let total_local: usize = spans.iter().map(|s| s.counts.len()).sum();
@@ -1023,7 +1003,7 @@ pub(crate) fn merge_spans(
     let workers = rewrite_workers
         .min(spans.len())
         .clamp(1, crate::parallel::MAX_CHUNK_WORKERS);
-    fn rewrite_run(out: &mut [u32], run: &[Arc<SpanGroups>], maps: &[Vec<u32>]) {
+    fn rewrite_run(out: &mut [u32], run: &[Arc<GroupIds>], maps: &[Vec<u32>]) {
         let mut rest = out;
         for (span, map) in run.iter().zip(maps) {
             let (head, tail) = rest.split_at_mut(span.row_ids.len());
@@ -1049,7 +1029,7 @@ pub(crate) fn merge_spans(
         });
     }
 
-    Ok(interner.into_ids(attrs, row_ids))
+    Ok(Arc::new(interner.into_ids(attrs, row_ids)))
 }
 
 /// Interns group code tuples of one code space into dense ids in order of
@@ -1113,15 +1093,16 @@ impl GroupInterner {
     }
 }
 
-/// Groups the rows `start..end` by the code tuples of `cols`, assigning
-/// dense ids in first-appearance order *within the span*.
+/// Groups the rows `start..end` by the code tuples of `cols` (the columns
+/// of `attrs`), assigning dense ids in first-appearance order *within the
+/// span*.
 ///
 /// This is the multi-column grouping kernel shared by the serial path
 /// (span = all rows) and the chunked parallel path (span = one chunk): a
 /// dense mixed-radix table when the domain product is small relative to the
 /// span, a hashed packed `u64` per row when the code tuple fits 64 bits,
 /// and a hashed boxed tuple as the wide-key fallback.
-fn group_span(cols: &[&Column], start: usize, end: usize) -> Result<SpanGroups> {
+fn group_span(attrs: &AttrSet, cols: &[&Column], start: usize, end: usize) -> Result<GroupIds> {
     let rows = end - start;
     let radix: u128 = cols.iter().map(|c| c.domain_size() as u128).product();
 
@@ -1194,7 +1175,8 @@ fn group_span(cols: &[&Column], start: usize, end: usize) -> Result<SpanGroups> 
         }
     }
 
-    Ok(SpanGroups {
+    Ok(GroupIds {
+        attrs: attrs.clone(),
         row_ids,
         counts,
         group_codes,

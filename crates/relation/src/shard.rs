@@ -24,19 +24,22 @@
 //!   [`Relation::group_ids_with`] kernel, fanned out over the
 //!   [`ThreadBudget`] by the one ordered fan-out) and the per-shard group
 //!   tables are merged in shard order by the same `merge_spans` the chunked
-//!   kernel uses — so [`ShardedRelation::group_ids`] is **bit-identical**
-//!   to the flat [`Relation`] at any shard count and any thread budget
-//!   (property-tested in `tests/prop_sharded.rs`).  A one-shard relation's
-//!   table already is the merged one, so its merge is a passthrough;
+//!   kernel uses — so the sharded [`GroupKernel::group_ids_with`] is
+//!   **bit-identical** to the flat [`Relation`] at any shard count and any
+//!   thread budget (property-tested in `tests/prop_sharded.rs`).  A
+//!   one-shard relation's table already is the merged one, so its merge
+//!   hands back the shard's cached `Arc` and a context over it memoizes
+//!   that table, not a copy;
 //! * a sharded relation implements only the four layout-specific
 //!   [`GroupKernel`] methods — the merged grouping, the sampled-row
 //!   gather, the global dictionary of a schema position and its per-row
 //!   global codes (assembled in shard order through each shard's remap,
-//!   for the lattice derivations of [`crate::AnalysisContext`], which run
-//!   on the merged level and skip the shard pass).  Count tables
-//!   and projections are [`GroupKernel`]'s provided derivations, the same
-//!   code the flat relation runs, so they decode through the global
-//!   dictionaries exactly as the flat relation decodes through its own.
+//!   or borrowed from the only shard, for the lattice derivations of
+//!   [`crate::AnalysisContext`], which run on the merged level and skip
+//!   the shard pass).  Count tables and projections are
+//!   [`GroupKernel`]'s provided derivations, the same code the flat
+//!   relation runs, so they decode through the global dictionaries
+//!   exactly as the flat relation decodes through its own.
 //!
 //! # Incremental maintenance
 //!
@@ -71,7 +74,7 @@ use crate::context::{GroupKernel, GroupSource, StripedCache, TierStats};
 use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
-use crate::relation::{merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
+use crate::relation::{merge_spans, GroupCounts, GroupIds, Relation, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -128,11 +131,12 @@ pub struct RelationShard {
     id: u64,
     /// `remap[col][local_code]` = global code, per schema position.
     remap: Vec<Vec<u32>>,
-    /// The per-shard group-table cache: `AttrSet` → globally remapped span
-    /// table, single-flight on cold keys.  Keying by `AttrSet` alone is
-    /// sound because column positions are determined by the schema and the
-    /// kernel is bit-identical at every thread budget.
-    spans: StripedCache<AttrSet, SpanGroups>,
+    /// The per-shard group-table cache: `AttrSet` → the shard's grouping
+    /// with its group codes remapped into the global code space (row ids
+    /// stay shard-local), single-flight on cold keys.  Keying by `AttrSet`
+    /// alone is sound because column positions are determined by the
+    /// schema and the kernel is bit-identical at every thread budget.
+    spans: StripedCache<AttrSet, GroupIds>,
 }
 
 impl RelationShard {
@@ -178,19 +182,11 @@ impl RelationShard {
         attrs: &AttrSet,
         positions: &[usize],
         budget: ThreadBudget,
-    ) -> Result<Arc<SpanGroups>> {
-        let ids = self.local.group_ids_with(attrs, budget)?;
-        let (row_ids, counts, local_codes) = ids.into_parts();
-        let k = positions.len();
-        let mut group_codes = Vec::with_capacity(local_codes.len());
-        for (j, &c) in local_codes.iter().enumerate() {
-            group_codes.push(self.remap[positions[j % k]][c as usize]);
-        }
-        Ok(Arc::new(SpanGroups {
-            row_ids,
-            counts,
-            group_codes,
-        }))
+    ) -> Result<Arc<GroupIds>> {
+        let mut ids = self.local.group_ids_with(attrs, budget)?;
+        let remaps: Vec<&[u32]> = positions.iter().map(|&p| &self.remap[p][..]).collect();
+        ids.remap_codes(&remaps);
+        Ok(Arc::new(ids))
     }
 }
 
@@ -437,34 +433,11 @@ impl ShardedRelation {
         Ok(&self.dicts[pos].values)
     }
 
-    /// Size of the global active domain of an attribute.  O(1).
-    pub fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
-        Ok(self.domain(attr)?.len())
-    }
-
     // ------------------------------------------------------------------
     // Grouping (shard-local kernel + shard-order merge)
     // ------------------------------------------------------------------
 
-    /// Groups the concatenated tuples by their projection onto `attrs`,
-    /// serially; bit-identical to [`Relation::group_ids`] on the collected
-    /// flat relation.
-    pub fn group_ids(&self, attrs: &AttrSet) -> Result<GroupIds> {
-        self.group_ids_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`ShardedRelation::group_ids`] under a [`ThreadBudget`]: shards are
-    /// grouped shard-locally (fanned out over up to `budget` workers, each
-    /// shard running the ordinary flat kernel under its share of the
-    /// budget; warm shards answer from their caches) and the per-shard
-    /// group tables are merged **in shard order** — the same discipline as
-    /// the chunked kernel, so the result is bit-identical to the flat
-    /// relation at any shard count and any budget.
-    pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
-        self.group_ids_inner(attrs, budget, true)
-    }
-
-    /// [`ShardedRelation::group_ids_with`] with the per-shard caches
+    /// [`GroupKernel::group_ids_with`] with the per-shard caches
     /// **bypassed** (neither read nor populated): every shard is regrouped
     /// from scratch.  Bit-identical to the cached path — this is the
     /// from-scratch baseline benches and tests pin incremental re-merges
@@ -473,29 +446,36 @@ impl ShardedRelation {
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
-    ) -> Result<GroupIds> {
+    ) -> Result<Arc<GroupIds>> {
         self.group_ids_inner(attrs, budget, false)
     }
 
+    /// Shards are grouped shard-locally (fanned out over up to `budget`
+    /// workers, each shard running the ordinary flat kernel under its share
+    /// of the budget; with `cached`, warm shards answer from their caches)
+    /// and the per-shard tables are merged **in shard order** — the same
+    /// discipline as the chunked kernel, so the result is bit-identical to
+    /// the flat relation at any shard count and any budget.  One shard's
+    /// table is returned as the same `Arc` its cache holds.
     fn group_ids_inner(
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
         cached: bool,
-    ) -> Result<GroupIds> {
+    ) -> Result<Arc<GroupIds>> {
         let positions = self.attr_positions(attrs)?;
         // Zero attributes: every row projects to the empty tuple.
         if positions.is_empty() {
-            return Ok(GroupIds::empty_tuple(self.rows));
+            return Ok(Arc::new(GroupIds::empty_tuple(self.rows)));
         }
         let spans = self.shard_spans(attrs, &positions, budget, cached)?;
         let domains = positions.iter().map(|&p| self.dicts[p].values.len());
         merge_spans(attrs, domains, spans, self.rows, budget.get())
     }
 
-    /// The shard-local pass: one span table per shard, group codes remapped
-    /// from the shard's local dictionaries into the global code space (row
-    /// ids stay shard-local; the merge rewrites them).  Shards fan out over
+    /// The shard-local pass: one table per shard, group codes remapped from
+    /// the shard's local dictionaries into the global code space (row ids
+    /// stay shard-local; the merge rewrites them).  Shards fan out over
     /// the budget ([`fan_out`]: work-stealing, so a few large shards do not
     /// stall the rest), and each shard's kernel gets the per-worker share —
     /// layers divide one budget, never multiply.  With `cached`, warm
@@ -507,7 +487,7 @@ impl ShardedRelation {
         positions: &[usize],
         budget: ThreadBudget,
         cached: bool,
-    ) -> Result<Vec<Arc<SpanGroups>>> {
+    ) -> Result<Vec<Arc<GroupIds>>> {
         fan_out(self.shards.len(), budget, |s, share| {
             let shard = &self.shards[s];
             let compute = || shard.compute_span(attrs, positions, share);
@@ -565,27 +545,6 @@ impl ShardedRelation {
         }
         out
     }
-
-    /// Materialises the rows at the given **sorted, strictly increasing**
-    /// global row indices as a fresh flat [`Relation`] — bit-identical to
-    /// [`Relation::gather_rows`] on the collected flat relation, because
-    /// both rebuild from decoded values in global row order (see
-    /// [`crate::GroupKernel::gather_rows`]).
-    pub fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
-        crate::relation::validate_gather_indices(sorted_rows, self.rows as u64)?;
-        let mut out = Relation::with_capacity(self.schema.clone(), sorted_rows.len())?;
-        let mut cursor = 0usize;
-        let mut offset = 0u64;
-        for shard in &self.shards {
-            let end = offset + shard.local.len() as u64;
-            while cursor < sorted_rows.len() && sorted_rows[cursor] < end {
-                out.push_row(shard.local.row((sorted_rows[cursor] - offset) as usize))?;
-                cursor += 1;
-            }
-            offset = end;
-        }
-        Ok(out)
-    }
 }
 
 impl Relation {
@@ -621,7 +580,7 @@ impl GroupSource for ShardedRelation {
     }
 
     fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
-        ShardedRelation::active_domain_size(self, attr)
+        Ok(self.domain(attr)?.len())
     }
 
     fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
@@ -630,33 +589,55 @@ impl GroupSource for ShardedRelation {
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
-        ShardedRelation::group_ids(self, attrs).map(Arc::new)
+        self.group_ids_inner(attrs, ThreadBudget::serial(), true)
     }
 }
 
 impl GroupKernel for ShardedRelation {
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
-        ShardedRelation::group_ids_with(self, attrs, budget)
+    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
+        self.group_ids_inner(attrs, budget, true)
     }
 
+    /// Bit-identical to [`Relation::gather_rows`] on the collected flat
+    /// relation: both rebuild from decoded values in global row order.
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
-        ShardedRelation::gather_rows(self, sorted_rows)
+        crate::relation::validate_gather_indices(sorted_rows, self.rows as u64)?;
+        let mut out = Relation::with_capacity(self.schema.clone(), sorted_rows.len())?;
+        let mut cursor = 0usize;
+        let mut offset = 0u64;
+        for shard in &self.shards {
+            let end = offset + shard.local.len() as u64;
+            while cursor < sorted_rows.len() && sorted_rows[cursor] < end {
+                out.push_row(shard.local.row((sorted_rows[cursor] - offset) as usize))?;
+                cursor += 1;
+            }
+            offset = end;
+        }
+        Ok(out)
     }
 
     fn dictionary(&self, pos: usize) -> &[Value] {
         &self.dicts[pos].values
     }
 
+    /// Borrows the shard's own column when there is one shard: the global
+    /// dictionaries start empty and intern the first shard's values in its
+    /// local order, so shard 0's remap is the identity.
     fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
+        fn local(shard: &RelationShard, attr: AttrId) -> &[u32] {
+            shard
+                .local
+                .column_codes(attr)
+                .expect("a schema attribute has a code column in every shard")
+        }
         let attr = self.schema[pos];
+        if let [only] = self.shards.as_slice() {
+            return Cow::Borrowed(local(only, attr));
+        }
         let mut codes = Vec::with_capacity(self.rows);
         for shard in &self.shards {
             let remap = &shard.remap[pos];
-            let local = shard
-                .local
-                .column_codes(attr)
-                .expect("a schema attribute has a code column in every shard");
-            codes.extend(local.iter().map(|&c| remap[c as usize]));
+            codes.extend(local(shard, attr).iter().map(|&c| remap[c as usize]));
         }
         Cow::Owned(codes)
     }
@@ -1029,6 +1010,43 @@ mod tests {
             .unwrap();
         assert_eq!(empty.num_shards(), 3);
         assert!(empty.is_empty());
+    }
+
+    /// One shard lends its own code column (its remap is the identity);
+    /// several shards assemble one.  Either way the codes are the flat
+    /// relation's.
+    #[test]
+    fn codes_at_borrows_the_column_of_a_single_shard() {
+        let flat = sample();
+        for (n, borrowed) in [(1usize, true), (3, false)] {
+            let sharded = flat.clone().into_shards(n).unwrap();
+            for (pos, &attr) in flat.schema().iter().enumerate() {
+                let codes = sharded.codes_at(pos);
+                assert_eq!(matches!(codes, Cow::Borrowed(_)), borrowed, "n={n}");
+                assert_eq!(&*codes, flat.column_codes(attr).unwrap(), "n={n}");
+            }
+        }
+    }
+
+    /// On one shard, a context's kernel fill memoizes the table the shard
+    /// tier holds — the same `Arc`, not a copy.
+    #[test]
+    fn one_shard_context_shares_the_shard_tier_table() {
+        let sharded = Arc::new(sample().into_shards(1).unwrap());
+        let ctx = crate::AnalysisContext::new(Arc::clone(&sharded));
+        for attrs in [bag(&[0, 2]), bag(&[1])] {
+            let memoized = ctx.group_ids_with(&attrs, ThreadBudget::serial()).unwrap();
+            let before = sharded.shard_cache_stats().hits;
+            let tier = sharded
+                .group_ids_with(&attrs, ThreadBudget::serial())
+                .unwrap();
+            assert_eq!(sharded.shard_cache_stats().hits, before + 1, "{attrs}");
+            assert!(
+                Arc::ptr_eq(&memoized, &tier),
+                "{attrs}: the table was copied"
+            );
+        }
+        assert_eq!(ctx.stats().misses, 2);
     }
 
     #[test]

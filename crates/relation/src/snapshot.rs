@@ -113,6 +113,7 @@ impl ShardedStore {
 mod tests {
     use super::*;
     use crate::attr::AttrSet;
+    use crate::context::GroupSource;
 
     fn schema() -> Vec<AttrId> {
         vec![AttrId(0), AttrId(1)]

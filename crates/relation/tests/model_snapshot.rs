@@ -8,7 +8,9 @@
 #![cfg(ajd_model)]
 
 use ajd_model::Model;
-use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation, ShardedStore, ThreadBudget};
+use ajd_relation::{
+    AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ShardedStore, ThreadBudget,
+};
 
 fn shard(rows: &[[u32; 2]]) -> Relation {
     let rows: Vec<&[u32]> = rows.iter().map(|r| &r[..]).collect();

@@ -17,7 +17,9 @@
 //! ones.
 
 use ajd_relation::relation::GroupIds;
-use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ThreadBudget, Value};
+use ajd_relation::{
+    AttrId, AttrSet, GroupKernel, GroupSource, Relation, ShardedRelation, ThreadBudget, Value,
+};
 use proptest::prelude::*;
 
 /// Multiplies values by a large odd constant so raw values are scattered

@@ -16,13 +16,15 @@
 //! # Architecture
 //!
 //! - [`RelationStore`] — one named catalog entry: attribute catalog +
-//!   flat [`Relation`](ajd_relation::Relation) or
 //!   [`ShardedRelation`](ajd_relation::ShardedRelation), loaded from
-//!   delimited text/files or wrapped directly.
+//!   delimited text/files or wrapped directly.  A flat
+//!   [`Relation`](ajd_relation::Relation) is stored as one shard, and its
+//!   entry refuses appends.
 //! - [`Server`] — borrows the stores, builds one
-//!   [`Analyzer`](ajd_core::Analyzer) + shared cache per entry, and
-//!   dispatches requests.  [`Server::handle_line`] is the transport-free
-//!   core; [`Server::serve`] adds the threaded TCP accept loop.
+//!   [`LiveAnalyzer`](ajd_core::LiveAnalyzer) + shared cache per entry,
+//!   and dispatches requests.  [`Server::handle_line`] is the
+//!   transport-free core; [`Server::serve`] adds the threaded TCP accept
+//!   loop.
 //! - [`AdmissionConfig`] — budget-aware admission control: point queries
 //!   (`loss`/`j`/`entropy`/`analyze`) and heavy `mine` sweeps draw from
 //!   separate bounded pools, so a mining burst can never starve cheap
@@ -67,4 +69,4 @@ pub use client::Client;
 pub use json::{Json, JsonError};
 pub use protocol::{ErrorCode, Failure, Request, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownToken};
-pub use store::{RelationStore, StoreData};
+pub use store::RelationStore;

@@ -2,21 +2,24 @@
 //! threaded TCP accept loop.
 //!
 //! A [`Server`] borrows a slice of [`RelationStore`]s built by the caller
-//! and constructs, once at startup, one analyzer per entry: flat stores
-//! get a plain [`Analyzer`] (with its shared, single-flight
-//! [`AnalysisContext`](ajd_relation::AnalysisContext) cache), sharded
-//! stores get a [`LiveAnalyzer`] over an epoch-snapshot
-//! [`ShardedStore`].  Every request against the same relation then flows
-//! through the same memoized grouping cache — N concurrent cold queries
-//! on one attribute set cost exactly one computation, and the `stats`
-//! frame proves it with hit/miss counters.
+//! and constructs, once at startup, one [`LiveAnalyzer`] per entry, over an
+//! epoch-snapshot [`ShardedStore`] of the entry's relation.  There is one
+//! storage path: a flat entry is a one-shard live entry that refuses
+//! appends.  Every request pins the entry's current epoch once and answers
+//! from that [`Analyzer`](ajd_core::Analyzer) handle, so every request
+//! against the same relation flows through the same memoized grouping
+//! cache (a shared, single-flight
+//! [`AnalysisContext`](ajd_relation::AnalysisContext)) —
+//! N concurrent cold queries on one attribute set cost exactly one
+//! computation, and the `stats` frame proves it with hit/miss counters.
 //!
-//! Sharded entries are **live**: the `append` op ingests a batch of rows
+//! Sharded entries accept the `append` op, which ingests a batch of rows
 //! as one new shard and advances the entry's epoch.  Readers keep pinning
 //! consistent snapshots while the append installs; thanks to the two-tier
 //! cache (per-shard group tables + per-epoch merged results) the first
 //! query after an append re-groups only the appended shard, which the
-//! per-tier counters in `stats` make observable.
+//! per-tier counters in `stats` make observable.  On one shard the two
+//! tiers hold the same table, not two copies.
 //!
 //! Dispatch is transport-free: [`Server::handle_line`] maps one request
 //! line to one response frame and is what both the TCP loop and the
@@ -31,10 +34,9 @@ use crate::json::Json;
 use crate::protocol::{
     error_frame, ok_frame, u128_field, ErrorCode, EstimateTarget, Failure, Request,
 };
-use crate::store::{RelationStore, StoreData};
+use crate::store::RelationStore;
 use ajd_core::{
-    Analyzer, DiscoveryConfig, EstimateConfig, EstimatedAnalyzer, LiveAnalyzer, LossReport,
-    SchemaMiner,
+    DiscoveryConfig, EstimateConfig, EstimatedAnalyzer, LiveAnalyzer, LossReport, SchemaMiner,
 };
 use ajd_jointree::JoinTree;
 use ajd_relation::{AttrSet, CacheStats, Catalog, Relation, ShardedStore, ThreadBudget, TierStats};
@@ -94,60 +96,19 @@ impl ShutdownToken {
     }
 }
 
-/// One catalog entry's long-lived analyzer: the two kernel instantiations
-/// the storage layouts need.
+/// One catalog entry: its store, a working catalog and the live analyzer
+/// every request against it answers through.
 ///
-/// Flat stores are immutable, so their analyzer borrows the relation for
-/// the server's lifetime.  Sharded stores are live: the server clones the
-/// relation into an epoch-snapshot [`ShardedStore`] (shards are
-/// `Arc`-shared, so the clone is cheap) and serves queries through a
-/// [`LiveAnalyzer`] whose pinned snapshots survive concurrent appends.
-enum EntryAnalyzer<'a> {
-    Flat(Analyzer<&'a Relation>),
-    Live(LiveAnalyzer),
-}
-
+/// The server clones the store's relation into an epoch-snapshot
+/// [`ShardedStore`] (shards are `Arc`-shared, so the clone is cheap); the
+/// [`LiveAnalyzer`]'s pinned snapshots survive concurrent appends.
 struct Entry<'a> {
     store: &'a RelationStore,
     /// The entry's working catalog.  Appends intern new value labels, so
     /// sharded entries need a writable copy; for flat entries it is simply
     /// a snapshot of the store's catalog (attribute names never change).
     catalog: RwLock<Catalog>,
-    analyzer: EntryAnalyzer<'a>,
-}
-
-impl Entry<'_> {
-    /// Rows and shards as of *now* (a live entry's counts advance with
-    /// every append; a flat entry's never do).
-    fn rows_and_shards(&self) -> (usize, usize) {
-        match &self.analyzer {
-            EntryAnalyzer::Flat(_) => {
-                (self.store.data().num_rows(), self.store.data().num_shards())
-            }
-            EntryAnalyzer::Live(live) => {
-                let snap = live.store().snapshot();
-                (snap.len(), snap.num_shards())
-            }
-        }
-    }
-}
-
-/// Runs `$body` with `$an` bound to a reference to the entry's analyzer,
-/// whichever kernel it is instantiated over (the body must be generic in
-/// the source type).  For live entries this pins the current epoch's
-/// snapshot: the whole `$body` answers from one consistent snapshot even
-/// if an append lands mid-request.
-macro_rules! with_analyzer {
-    ($entry:expr, |$an:ident| $body:expr) => {
-        match &$entry.analyzer {
-            EntryAnalyzer::Flat($an) => $body,
-            EntryAnalyzer::Live(live) => {
-                let pinned = live.pin();
-                let $an = &pinned;
-                $body
-            }
-        }
-    };
+    live: LiveAnalyzer,
 }
 
 /// The query front-end: a catalog of relations, one shared analysis cache
@@ -185,19 +146,13 @@ impl<'a> Server<'a> {
                     detail: format!("duplicate relation name '{}' in catalog", store.name()),
                 });
             }
-            let analyzer = match store.data() {
-                StoreData::Flat(r) => {
-                    EntryAnalyzer::Flat(Analyzer::with_thread_budget(r, point_budget))
-                }
-                StoreData::Sharded(s) => EntryAnalyzer::Live(LiveAnalyzer::with_thread_budget(
-                    Arc::new(ShardedStore::new(s.clone())),
-                    point_budget,
-                )),
-            };
             entries.push(Entry {
                 store,
                 catalog: RwLock::new(store.catalog().clone()),
-                analyzer,
+                live: LiveAnalyzer::with_thread_budget(
+                    Arc::new(ShardedStore::new(store.relation().clone())),
+                    point_budget,
+                ),
             });
         }
         Ok(Server {
@@ -254,7 +209,10 @@ impl<'a> Server<'a> {
                     .read()
                     .attrs(attrs.iter())
                     .map_err(|e| Failure::from_relation_error(&e))?;
-                let nats = with_analyzer!(entry, |an| an.entropy(&set))
+                let nats = entry
+                    .live
+                    .pin()
+                    .entropy(&set)
                     .map_err(|e| Failure::from_relation_error(&e))?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("entropy")),
@@ -269,9 +227,11 @@ impl<'a> Server<'a> {
             Request::Loss { relation, schema } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
-                let tree =
-                    resolve_schema(&entry.catalog.read(), entry.store.data().arity(), schema)?;
-                let rho = with_analyzer!(entry, |an| an.loss(&tree))
+                let tree = resolve_schema(&entry.catalog.read(), schema)?;
+                let rho = entry
+                    .live
+                    .pin()
+                    .loss(&tree)
                     .map_err(|e| Failure::from_relation_error(&e))?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("loss")),
@@ -283,9 +243,11 @@ impl<'a> Server<'a> {
             Request::JMeasure { relation, schema } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
-                let tree =
-                    resolve_schema(&entry.catalog.read(), entry.store.data().arity(), schema)?;
-                let j = with_analyzer!(entry, |an| an.j_measure(&tree))
+                let tree = resolve_schema(&entry.catalog.read(), schema)?;
+                let j = entry
+                    .live
+                    .pin()
+                    .j_measure(&tree)
                     .map_err(|e| Failure::from_relation_error(&e))?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("j")),
@@ -296,9 +258,11 @@ impl<'a> Server<'a> {
             Request::Analyze { relation, schema } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
-                let tree =
-                    resolve_schema(&entry.catalog.read(), entry.store.data().arity(), schema)?;
-                let report = with_analyzer!(entry, |an| an.analyze(&tree))
+                let tree = resolve_schema(&entry.catalog.read(), schema)?;
+                let report = entry
+                    .live
+                    .pin()
+                    .analyze(&tree)
                     .map_err(|e| Failure::from_relation_error(&e))?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("analyze")),
@@ -324,9 +288,9 @@ impl<'a> Server<'a> {
                     config.max_bag_size = *b;
                 }
                 let miner = SchemaMiner::new(config);
-                let mined = with_analyzer!(entry, |an| miner
-                    .mine_with(&an.clone().with_threads(self.config.mine_threads)))
-                .map_err(|e| Failure::from_relation_error(&e))?;
+                let mined = miner
+                    .mine_with(&entry.live.pin().with_threads(self.config.mine_threads))
+                    .map_err(|e| Failure::from_relation_error(&e))?;
                 let catalog = entry.catalog.read();
                 let schema_json = Json::Arr(
                     mined
@@ -391,29 +355,25 @@ impl<'a> Server<'a> {
                         EstimateTarget::Cmi { a, b, c } => {
                             Resolved::Cmi(attrs(a)?, attrs(b)?, attrs(c)?)
                         }
-                        EstimateTarget::JMeasure { schema } => Resolved::Tree(
-                            resolve_schema(&catalog, entry.store.data().arity(), schema)?,
-                            false,
-                        ),
-                        EstimateTarget::Loss { schema } => Resolved::Tree(
-                            resolve_schema(&catalog, entry.store.data().arity(), schema)?,
-                            true,
-                        ),
+                        EstimateTarget::JMeasure { schema } => {
+                            Resolved::Tree(resolve_schema(&catalog, schema)?, false)
+                        }
+                        EstimateTarget::Loss { schema } => {
+                            Resolved::Tree(resolve_schema(&catalog, schema)?, true)
+                        }
                     }
                 };
                 // Through the entry's analyzer: a fallback answers from its
                 // warm caches, a sample comes from its context's sample tier.
-                let est = with_analyzer!(entry, |an| {
-                    let ea = EstimatedAnalyzer::from_analyzer(an, cfg)
-                        .map_err(|e| Failure::from_relation_error(&e))?;
-                    match &resolved {
-                        Resolved::Entropy(set) => ea.entropy(set),
-                        Resolved::Cmi(a, b, c) => ea.cmi(a, b, c),
-                        Resolved::Tree(tree, false) => ea.j_measure(tree),
-                        Resolved::Tree(tree, true) => ea.loss(tree),
-                    }
-                    .map_err(|e| Failure::from_relation_error(&e))
-                })?;
+                let ea = EstimatedAnalyzer::from_analyzer(&entry.live.pin(), cfg)
+                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let est = match &resolved {
+                    Resolved::Entropy(set) => ea.entropy(set),
+                    Resolved::Cmi(a, b, c) => ea.cmi(a, b, c),
+                    Resolved::Tree(tree, false) => ea.j_measure(tree),
+                    Resolved::Tree(tree, true) => ea.loss(tree),
+                }
+                .map_err(|e| Failure::from_relation_error(&e))?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("estimate")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -439,14 +399,15 @@ impl<'a> Server<'a> {
             } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
-                let EntryAnalyzer::Live(live) = &entry.analyzer else {
+                if !entry.store.is_sharded() {
                     return Err(Failure::new(
                         ErrorCode::BadRequest,
                         format!(
                             "relation '{relation}' is flat; only sharded relations accept appends"
                         ),
                     ));
-                };
+                }
+                let live = &entry.live;
                 let batch: Vec<Vec<String>> = match (rows, text) {
                     (Some(rows), None) => rows.clone(),
                     (None, Some(text)) => split_rows(text, delimiter.unwrap_or(',')),
@@ -503,13 +464,15 @@ impl<'a> Server<'a> {
             .iter()
             .map(|entry| {
                 let store = entry.store;
-                let (rows, shards) = entry.rows_and_shards();
+                // Rows and shards as of *now*: a sharded entry's advance
+                // with every append.
+                let snap = entry.live.store().snapshot();
                 Json::obj([
                     ("name", Json::str(store.name())),
-                    ("rows", Json::Num(rows as f64)),
-                    ("arity", Json::Num(store.data().arity() as f64)),
-                    ("sharded", Json::Bool(store.data().is_sharded())),
-                    ("shards", Json::Num(shards as f64)),
+                    ("rows", Json::Num(snap.len() as f64)),
+                    ("arity", Json::Num(snap.arity() as f64)),
+                    ("sharded", Json::Bool(store.is_sharded())),
+                    ("shards", Json::Num(snap.num_shards() as f64)),
                     (
                         "attributes",
                         Json::Arr(store.attribute_names().iter().map(Json::str).collect()),
@@ -532,19 +495,21 @@ impl<'a> Server<'a> {
         };
         let relations: Vec<Json> = selected
             .iter()
-            .map(|entry| match &entry.analyzer {
-                EntryAnalyzer::Flat(an) => Json::obj([
-                    ("name", Json::str(entry.store.name())),
-                    ("cache", cache_json(&an.cache_stats())),
-                ]),
-                EntryAnalyzer::Live(live) => {
-                    let stats = live.stats();
+            .map(|entry| {
+                let stats = entry.live.stats();
+                let name = ("name", Json::str(entry.store.name()));
+                let cache = ("cache", cache_json(&stats.merged));
+                // Flat entries never append, so only sharded ones report
+                // an epoch and a shard tier.
+                if entry.store.is_sharded() {
                     Json::obj([
-                        ("name", Json::str(entry.store.name())),
+                        name,
                         ("epoch", Json::Num(stats.epoch as f64)),
-                        ("cache", cache_json(&stats.merged)),
+                        cache,
                         ("shard_cache", tier_json(&stats.shards)),
                     ])
+                } else {
+                    Json::obj([name, cache])
                 }
             })
             .collect();
@@ -683,12 +648,11 @@ fn split_rows(text: &str, delimiter: char) -> Vec<Vec<String>> {
 
 /// Resolves a wire schema (bags of attribute names) against an entry's
 /// catalog: names → [`AttrSet`]s, cover check, then join-tree
-/// construction (which enforces the running-intersection property).
-fn resolve_schema(
-    catalog: &Catalog,
-    arity: usize,
-    schema: &[Vec<String>],
-) -> Result<JoinTree, Failure> {
+/// construction (which enforces the running-intersection property).  The
+/// catalog names exactly the relation's attributes (checked when the store
+/// is built), so its arity is the relation's.
+fn resolve_schema(catalog: &Catalog, schema: &[Vec<String>]) -> Result<JoinTree, Failure> {
+    let arity = catalog.arity();
     let mut bags = Vec::with_capacity(schema.len());
     let mut cover = AttrSet::empty();
     for bag in schema {

@@ -2,11 +2,13 @@
 //!
 //! A [`RelationStore`] is one catalog entry: a name, an
 //! [`ajd_relation::Catalog`] (attribute names, so requests can address
-//! columns by label), and the relation data itself — either a flat
-//! [`Relation`] or a [`ShardedRelation`].  The [`crate::Server`] builds one
-//! `Analyzer` + shared `AnalysisContext` per store at startup and keeps it
-//! hot for the lifetime of the process, so every query against the same
-//! entry shares one memoized grouping cache.
+//! columns by label), and the relation data itself — always a
+//! [`ShardedRelation`].  A *flat* entry is a one-shard relation that
+//! refuses appends: [`RelationStore::flat`] moves its [`Relation`] in as
+//! the single shard, without copying a row.  The [`crate::Server`] serves
+//! every entry through one `LiveAnalyzer` built at startup and kept hot for
+//! the lifetime of the process, so every query against the same entry
+//! shares one memoized grouping cache.
 //!
 //! Stores are constructed *before* the server (the server borrows them),
 //! which keeps the whole stack free of self-referential ownership: load the
@@ -18,72 +20,32 @@ use ajd_relation::{
 };
 use std::path::Path;
 
-/// The relation data of one catalog entry: the two storage layouts the
-/// analysis stack is generic over.
-#[derive(Debug, Clone)]
-pub enum StoreData {
-    /// A flat, single-buffer columnar relation.
-    Flat(Relation),
-    /// An ordered list of self-contained shards (bit-identical to the flat
-    /// layout for every measure).
-    Sharded(ShardedRelation),
-}
-
-impl StoreData {
-    /// Number of tuples.
-    pub fn num_rows(&self) -> usize {
-        match self {
-            StoreData::Flat(r) => r.len(),
-            StoreData::Sharded(s) => s.len(),
-        }
-    }
-
-    /// Number of attributes per tuple.
-    pub fn arity(&self) -> usize {
-        match self {
-            StoreData::Flat(r) => r.arity(),
-            StoreData::Sharded(s) => s.arity(),
-        }
-    }
-
-    /// `true` if the entry is shard-backed.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, StoreData::Sharded(_))
-    }
-
-    /// Number of shards (1 for flat storage).
-    pub fn num_shards(&self) -> usize {
-        match self {
-            StoreData::Flat(_) => 1,
-            StoreData::Sharded(s) => s.num_shards(),
-        }
-    }
-}
-
 /// One named relation served by the catalog: name + attribute catalog +
-/// data.
+/// data, and whether the entry accepts appends.
 #[derive(Debug, Clone)]
 pub struct RelationStore {
     name: String,
     catalog: Catalog,
-    data: StoreData,
+    relation: ShardedRelation,
+    sharded: bool,
 }
 
 impl RelationStore {
-    /// Wraps a flat relation.  The catalog must name exactly the relation's
-    /// attributes (arity checked here so a mismatch fails at load time, not
-    /// per-request).
+    /// Wraps a flat relation as a read-only one-shard entry.  The catalog
+    /// must name exactly the relation's attributes (arity checked here so a
+    /// mismatch fails at load time, not per-request).
     pub fn flat(name: impl Into<String>, catalog: Catalog, relation: Relation) -> Result<Self> {
-        Self::build(name.into(), catalog, StoreData::Flat(relation))
+        let one_shard = ShardedRelation::from_shards(relation.schema().to_vec(), [relation])?;
+        Self::build(name.into(), catalog, one_shard, false)
     }
 
-    /// Wraps a sharded relation.
+    /// Wraps a sharded relation as a live entry that accepts appends.
     pub fn sharded(
         name: impl Into<String>,
         catalog: Catalog,
         relation: ShardedRelation,
     ) -> Result<Self> {
-        Self::build(name.into(), catalog, StoreData::Sharded(relation))
+        Self::build(name.into(), catalog, relation, true)
     }
 
     /// Wraps a flat relation whose attributes have no external names,
@@ -128,23 +90,29 @@ impl RelationStore {
         Self::sharded(name, catalog, relation)
     }
 
-    fn build(name: String, catalog: Catalog, data: StoreData) -> Result<Self> {
+    fn build(
+        name: String,
+        catalog: Catalog,
+        relation: ShardedRelation,
+        sharded: bool,
+    ) -> Result<Self> {
         if name.is_empty() {
             return Err(RelationError::EmptyInput("relation store name"));
         }
-        if catalog.arity() != data.arity() {
+        if catalog.arity() != relation.arity() {
             return Err(RelationError::SchemaMismatch {
                 detail: format!(
                     "catalog for store '{name}' names {} attributes but the relation has {}",
                     catalog.arity(),
-                    data.arity()
+                    relation.arity()
                 ),
             });
         }
         Ok(RelationStore {
             name,
             catalog,
-            data,
+            relation,
+            sharded,
         })
     }
 
@@ -158,9 +126,15 @@ impl RelationStore {
         &self.catalog
     }
 
-    /// The stored relation data.
-    pub fn data(&self) -> &StoreData {
-        &self.data
+    /// The stored relation as loaded (a flat entry's is one shard).
+    pub fn relation(&self) -> &ShardedRelation {
+        &self.relation
+    }
+
+    /// `true` if the entry was loaded sharded and accepts appends; a flat
+    /// entry is read-only.
+    pub fn is_sharded(&self) -> bool {
+        self.sharded
     }
 
     /// Attribute names in schema order.
@@ -185,10 +159,10 @@ acre,north
     fn delimited_text_builds_a_flat_store() {
         let store = RelationStore::from_delimited("geo", CSV, ReadOptions::default()).unwrap();
         assert_eq!(store.name(), "geo");
-        assert_eq!(store.data().num_rows(), 3);
-        assert_eq!(store.data().arity(), 2);
-        assert!(!store.data().is_sharded());
-        assert_eq!(store.data().num_shards(), 1);
+        assert_eq!(store.relation().len(), 3);
+        assert_eq!(store.relation().arity(), 2);
+        assert!(!store.is_sharded());
+        assert_eq!(store.relation().num_shards(), 1);
         assert_eq!(store.attribute_names(), vec!["city", "region"]);
         assert_eq!(store.catalog().attr("region").unwrap(), AttrId(1));
     }
@@ -226,8 +200,8 @@ acre,north
         let catalog = Catalog::with_attributes(["a", "b"]).unwrap();
         let sharded = r.into_shards(2).unwrap();
         let store = RelationStore::sharded("s", catalog, sharded).unwrap();
-        assert!(store.data().is_sharded());
-        assert_eq!(store.data().num_shards(), 2);
-        assert_eq!(store.data().num_rows(), 4);
+        assert!(store.is_sharded());
+        assert_eq!(store.relation().num_shards(), 2);
+        assert_eq!(store.relation().len(), 4);
     }
 }

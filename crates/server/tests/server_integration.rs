@@ -2,7 +2,9 @@
 //! single-flight deduplication observed through the wire, admission
 //! behaviour under a mine burst, and the never-close-on-error guarantee.
 
-use ajd_relation::ReadOptions;
+use ajd_core::{Analyzer, DiscoveryConfig, EstimateConfig, EstimatedAnalyzer, SchemaMiner};
+use ajd_jointree::JoinTree;
+use ajd_relation::{AttrSet, ReadOptions};
 use ajd_server::{Client, Json, RelationStore, Server, ServerConfig, ShutdownToken};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -409,29 +411,142 @@ fn ids_echo_and_pipelining_preserves_order() {
     });
 }
 
-/// A sharded store answers bit-identically to a flat one over the wire.
+/// Both entry kinds answer over the wire exactly as the library's
+/// `Analyzer<&Relation>` does over the same rows: `analyze`, `mine` and a
+/// sampled `estimate`, bit for bit, for a flat entry and a 4-shard entry.
 #[test]
 fn sharded_entry_matches_flat_over_the_wire() {
     let text = demo_csv(200);
-    let flat = RelationStore::from_delimited("flat", &text, ReadOptions::default()).unwrap();
     let (catalog, relation) =
         ajd_relation::io::read_delimited(&text, ReadOptions::default()).unwrap();
-    let sharded =
-        RelationStore::sharded("sharded", catalog, relation.into_shards(4).unwrap()).unwrap();
-    let stores = vec![flat, sharded];
+    let stores = vec![
+        RelationStore::from_delimited("flat", &text, ReadOptions::default()).unwrap(),
+        RelationStore::sharded(
+            "sharded",
+            catalog.clone(),
+            relation.clone().into_shards(4).unwrap(),
+        )
+        .unwrap(),
+    ];
+
+    // The reference: the library over the flat rows, no server involved.
+    let reference = Analyzer::new(&relation);
+    let bags: Vec<AttrSet> = [["a", "b"], ["b", "c"]]
+        .iter()
+        .map(|bag| catalog.attrs(bag).unwrap())
+        .collect();
+    let tree = JoinTree::from_acyclic_schema(&bags).unwrap();
+    let report = reference.analyze(&tree).unwrap();
+    let mined = SchemaMiner::new(DiscoveryConfig::default())
+        .mine_with(&reference)
+        .unwrap();
+    let config = EstimateConfig::default().with_epsilon(2.0).with_seed(5);
+    let estimate = EstimatedAnalyzer::from_analyzer(&reference, config)
+        .unwrap()
+        .j_measure(&tree)
+        .unwrap();
+    assert!(!estimate.is_exact(), "the reference estimate must sample");
+    let names = |set: &AttrSet| -> Vec<String> {
+        set.iter()
+            .map(|a| catalog.name(a).unwrap().to_owned())
+            .collect()
+    };
+    let mined_schema: Vec<Vec<String>> = mined.tree.bags().iter().map(names).collect();
+
+    let num = |frame: &Json, field: &str| -> f64 {
+        frame
+            .get(field)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("no number {field} in {frame}"))
+    };
     with_server(&stores, ServerConfig::default(), |addr| {
         let mut client = Client::connect(addr).unwrap();
-        let ask = |client: &mut Client, name: &str| {
-            let frame = client
-                .request_line(&format!(
-                    r#"{{"op":"analyze","relation":"{name}","schema":[["a","b"],["b","c"]]}}"#
-                ))
-                .unwrap();
-            assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true));
-            frame.get("report").unwrap().to_string()
-        };
-        let flat_report = ask(&mut client, "flat");
-        let sharded_report = ask(&mut client, "sharded");
-        assert_eq!(flat_report, sharded_report);
+        for name in ["flat", "sharded"] {
+            let mut ask = |line: String| {
+                let frame = client.request_line(&line).unwrap();
+                assert_eq!(
+                    frame.get("ok").and_then(Json::as_bool),
+                    Some(true),
+                    "{name}: {frame}"
+                );
+                frame
+            };
+            let schema = r#"[["a","b"],["b","c"]]"#;
+
+            let frame = ask(format!(
+                r#"{{"op":"analyze","relation":"{name}","schema":{schema}}}"#
+            ));
+            let got = frame.get("report").unwrap();
+            for (field, want) in [
+                ("rows", report.n as f64),
+                ("distinct_rows", report.distinct_n as f64),
+                ("rho", report.rho),
+                ("log1p_rho", report.log1p_rho),
+                ("j_nats", report.j_measure),
+                ("kl_nats", report.kl_nats),
+                ("rho_lower_bound", report.rho_lower_bound),
+                ("prop51_bound", report.prop51_bound),
+            ] {
+                assert_eq!(num(got, field).to_bits(), want.to_bits(), "{name}: {field}");
+            }
+            let join_size = report.join_size.to_string();
+            assert_eq!(
+                got.get("join_size").and_then(Json::as_str),
+                Some(&*join_size)
+            );
+            let per_mvd = got.get("per_mvd").and_then(Json::as_arr).unwrap();
+            assert_eq!(per_mvd.len(), report.per_mvd.len(), "{name}");
+            for (got, want) in per_mvd.iter().zip(&report.per_mvd) {
+                assert_eq!(
+                    num(got, "cmi_nats").to_bits(),
+                    want.cmi_nats.to_bits(),
+                    "{name}"
+                );
+                assert_eq!(num(got, "rho").to_bits(), want.rho.to_bits(), "{name}");
+            }
+
+            let frame = ask(format!(r#"{{"op":"mine","relation":"{name}"}}"#));
+            assert_eq!(
+                num(&frame, "j_nats").to_bits(),
+                mined.j_measure.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                num(&frame, "rho_lower_bound").to_bits(),
+                mined.rho_lower_bound.to_bits(),
+                "{name}"
+            );
+            let schema_names: Vec<Vec<String>> = frame
+                .get("schema")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|bag| {
+                    let bag = bag.as_arr().unwrap();
+                    bag.iter().map(|a| a.as_str().unwrap().to_owned()).collect()
+                })
+                .collect();
+            assert_eq!(schema_names, mined_schema, "{name}");
+
+            let frame = ask(format!(
+                r#"{{"op":"estimate","relation":"{name}","measure":"j","schema":{schema},"epsilon":2,"seed":5}}"#
+            ));
+            assert_eq!(
+                num(&frame, "value").to_bits(),
+                estimate.value.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                num(&frame, "epsilon").to_bits(),
+                estimate.epsilon.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                frame.get("sample_rows").and_then(Json::as_u64),
+                Some(estimate.sample_rows),
+                "{name}"
+            );
+            assert_eq!(frame.get("exact").and_then(Json::as_bool), Some(false));
+        }
     });
 }

@@ -76,9 +76,9 @@ fn main() {
             println!(
                 "loaded '{}': {} rows x {} attrs ({} shard(s))",
                 store.name(),
-                store.data().num_rows(),
-                store.data().arity(),
-                store.data().num_shards()
+                store.relation().len(),
+                store.relation().arity(),
+                store.relation().num_shards()
             );
             store
         })
