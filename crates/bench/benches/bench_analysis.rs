@@ -16,9 +16,10 @@ use std::time::Duration;
 use ajd_bench::{time_median, BenchJson};
 use ajd_core::discovery::{DiscoveryConfig, SchemaMiner};
 use ajd_core::Analyzer;
-use ajd_jointree::count::{loss_acyclic, loss_materialized};
+use ajd_jointree::count::loss_acyclic;
 use ajd_jointree::{count_acyclic_join, JoinTree};
 use ajd_random::generators::{bijection_relation, markov_chain_relation, random_relation};
+use ajd_relation::join::loss_materialized;
 use ajd_relation::AttrSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

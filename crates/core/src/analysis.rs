@@ -412,7 +412,7 @@ impl<S: GroupKernel> Analyzer<S> {
     }
 
     /// A handle on an existing shared context (such as a memoized sample
-    /// from a context's sample tier).
+    /// from a context's sample tier, or a live store's epoch context).
     pub(crate) fn from_context(ctx: Arc<AnalysisContext<S>>, budget: ThreadBudget) -> Self {
         Analyzer {
             ctx,

@@ -6,23 +6,28 @@
 //! closes that gap with the two-tier incremental design of the relation
 //! layer:
 //!
-//! * **Per-shard tier** (`(shard_id, AttrSet)`): every
+//! * **Per-shard tier** (`(shard, AttrSet)`): every
 //!   [`ajd_relation::RelationShard`] caches its own globally-remapped group
 //!   tables.  Shards are immutable and `Arc`-shared across epochs, so these
 //!   tables survive every append.
-//! * **Merged tier** (`(epoch, AttrSet)`): each epoch gets a fresh
-//!   [`Analyzer`] over an `Arc<ShardedRelation>` snapshot; its
-//!   [`AnalysisContext`](ajd_relation::AnalysisContext) caches merged
-//!   whole-relation results, which an epoch bump invalidates wholesale (the
-//!   context is simply replaced).  Rebuilding a warm attribute set costs
-//!   one per-shard compute (the appended shard) plus a shard-order
-//!   re-merge — never a re-group of the world.
+//! * **Merged tier** (`(epoch, AttrSet)`): the [`ShardedStore`] installs
+//!   each epoch together with a fresh
+//!   [`AnalysisContext`](ajd_relation::AnalysisContext) over its
+//!   `Arc<ShardedRelation>` snapshot, which caches merged whole-relation
+//!   results; an epoch bump invalidates the tier wholesale (the context is
+//!   simply replaced).  Rebuilding a warm attribute set costs one per-shard
+//!   compute (the appended shard) plus a shard-order re-merge — never a
+//!   re-group of the world.
 //!
+//! A `LiveAnalyzer` is a store handle plus a thread budget and keeps no
+//! state of its own: the store owns each epoch's context, so every handle
+//! over one store — and every pin of one epoch — shares its merged tier.
 //! Readers call [`LiveAnalyzer::pin`] and get an epoch-consistent
 //! [`Analyzer`] handle: every measure they run answers against one snapshot
 //! even while appends land concurrently.  Writers call
-//! [`LiveAnalyzer::append_shard`]; the swap is built on [`ajd_sync`]
-//! primitives and model-checked (`ajd-relation/tests/model_snapshot.rs`).
+//! [`LiveAnalyzer::append_shard`]; the store's swap is built on
+//! [`ajd_sync`] primitives and model-checked
+//! (`ajd-relation/tests/model_snapshot.rs`).
 //!
 //! ```
 //! use ajd_core::LiveAnalyzer;
@@ -48,7 +53,6 @@ use crate::analysis::Analyzer;
 use ajd_relation::{
     CacheStats, Relation, Result, ShardedRelation, ShardedStore, ThreadBudget, TierStats,
 };
-use ajd_sync::RwLock;
 use std::sync::Arc;
 
 /// Incremental-aware cache counters of a [`LiveAnalyzer`], split by tier.
@@ -73,10 +77,7 @@ pub struct LiveStats {
 #[derive(Debug)]
 pub struct LiveAnalyzer {
     store: Arc<ShardedStore>,
-    /// The analyzer over the newest installed epoch; replaced (never
-    /// mutated) on epoch bumps, so a pinned clone stays consistent forever.
-    current: RwLock<Analyzer<Arc<ShardedRelation>>>,
-    /// Budget handed to each epoch's fresh analyzer.
+    /// Budget of every pinned analyzer.
     budget: ThreadBudget,
 }
 
@@ -94,22 +95,17 @@ impl LiveAnalyzer {
         )))
     }
 
-    /// Wraps a shared [`ShardedStore`] (several live analyzers — or other
-    /// writers — may append through the same store; see
-    /// [`LiveAnalyzer::refresh`]).
+    /// Wraps a shared [`ShardedStore`]: several live analyzers — or other
+    /// writers — may append through the same store, and each sees every
+    /// append at once.
     pub fn from_store(store: Arc<ShardedStore>) -> Self {
         Self::with_thread_budget(store, ThreadBudget::default())
     }
 
     /// Like [`LiveAnalyzer::from_store`] with an explicit miss-computation
-    /// budget for each epoch's analyzer.
+    /// budget for every pinned analyzer.
     pub fn with_thread_budget(store: Arc<ShardedStore>, budget: ThreadBudget) -> Self {
-        let current = Analyzer::with_thread_budget(store.snapshot(), budget);
-        LiveAnalyzer {
-            store,
-            current: RwLock::new(current),
-            budget,
-        }
+        LiveAnalyzer { store, budget }
     }
 
     /// The underlying snapshot store.
@@ -118,80 +114,34 @@ impl LiveAnalyzer {
     }
 
     /// An epoch-consistent [`Analyzer`] handle over the newest installed
-    /// snapshot.  The clone shares the epoch's merged-result cache (and the
-    /// snapshot's per-shard tables) with every other pin of the same epoch;
-    /// appends landing later never disturb it.
+    /// snapshot.  It shares the epoch's context (merged-result cache) with
+    /// every other pin of the same epoch, and the snapshot's per-shard
+    /// tables with every epoch; appends landing later never disturb it.
     pub fn pin(&self) -> Analyzer<Arc<ShardedRelation>> {
-        self.current.read().clone()
+        Analyzer::from_context(self.store.context(), self.budget)
     }
 
     /// Epoch of the currently installed snapshot.
     pub fn epoch(&self) -> u64 {
-        self.current.read().source().epoch()
+        self.store.epoch()
     }
 
-    /// Appends `shard` as a new epoch and installs an analyzer over it,
-    /// returning the new epoch.  All-or-nothing: on error the current
+    /// Appends `shard` as a new epoch through the store, returning the
+    /// installed snapshot's epoch.  All-or-nothing: on error the current
     /// epoch stays installed.
-    ///
-    /// Appends are serialized by the store's writer lock; the install is
-    /// guarded by epoch so two concurrent appends can never regress the
-    /// installed snapshot (the later epoch wins, whichever append's
-    /// install runs last).
     pub fn append_shard(&self, shard: Relation) -> Result<u64> {
-        let next = self.store.append_shard(shard)?;
-        Ok(self.install(next))
-    }
-
-    /// Synchronizes with the store (for stores shared with other writers):
-    /// if the store has moved past this analyzer's installed epoch, installs
-    /// a fresh analyzer over the newest snapshot.  Returns the installed
-    /// epoch.
-    pub fn refresh(&self) -> u64 {
-        let snap = self.store.snapshot();
-        self.install(snap)
-    }
-
-    /// Installs `snapshot` unless something newer is already installed;
-    /// returns the epoch that ends up installed.
-    fn install(&self, snapshot: Arc<ShardedRelation>) -> u64 {
-        let epoch = snapshot.epoch();
-        let mut cur = self.current.write();
-        if cur.source().epoch() < epoch {
-            *cur = Analyzer::with_thread_budget(snapshot, self.budget);
-        }
-        cur.source().epoch()
+        Ok(self.store.append_shard(shard)?.epoch())
     }
 
     /// Incremental-aware counters: current epoch, merged-tier cache stats
     /// (this epoch's context) and per-shard-tier stats (survive appends).
     pub fn stats(&self) -> LiveStats {
-        let cur = self.current.read();
+        let ctx = self.store.context();
         LiveStats {
-            epoch: cur.source().epoch(),
-            merged: cur.cache_stats(),
-            shards: cur.source().shard_cache_stats(),
+            epoch: ctx.source().epoch(),
+            merged: ctx.stats(),
+            shards: ctx.source().shard_cache_stats(),
         }
-    }
-}
-
-impl Analyzer<Arc<ShardedRelation>> {
-    /// Re-pins this analyzer to the store's newest snapshot if its epoch
-    /// has moved on, keeping the thread budget; returns the epoch analyzed
-    /// afterwards.  A no-op (cache kept) when the epoch is unchanged.
-    ///
-    /// This is the polling flavour of [`LiveAnalyzer`]: hold one `Analyzer`,
-    /// call `refresh` between batches.  The replaced context's merged
-    /// results are dropped (the epoch invalidates them) but the snapshot's
-    /// per-shard group tables carry over, so post-refresh queries only
-    /// group the appended shards.
-    pub fn refresh(&mut self, store: &ShardedStore) -> u64 {
-        let snap = store.snapshot();
-        let epoch = snap.epoch();
-        if self.source().epoch() != epoch {
-            *self = Analyzer::with_thread_budget(snap, self.thread_budget());
-        }
-        epoch
     }
 }
 
@@ -309,39 +259,36 @@ mod tests {
         }
     }
 
+    /// Two handles over one store see an append at once and pin one
+    /// shared context per epoch: the store owns each epoch's merged tier.
     #[test]
-    fn analyzer_refresh_follows_the_store() {
-        let store = Arc::new(ShardedStore::from_initial_shard(batch(&[[1, 1], [2, 2]])).unwrap());
-        let mut analyzer = Analyzer::with_thread_budget(store.snapshot(), ThreadBudget::serial());
-        let y = bag(&[0]);
-        analyzer.entropy(&y).unwrap();
-        assert_eq!(analyzer.refresh(&store), 1, "no-op when nothing appended");
-        assert_eq!(analyzer.cache_stats().misses, 1, "no-op keeps the cache");
-        store.append_shard(batch(&[[3, 3]])).unwrap();
-        assert_eq!(analyzer.refresh(&store), 2);
-        assert_eq!(analyzer.source().len(), 3);
-        assert!(
-            analyzer.thread_budget().is_serial(),
-            "refresh keeps the analyzer's budget"
-        );
-        // The refreshed context is cold (merged tier invalidated)…
-        assert_eq!(analyzer.cache_stats().misses, 0);
-        analyzer.entropy(&y).unwrap();
-        // …but the per-shard tier carried over: only the new shard computed.
-        assert_eq!(analyzer.source().shard_cache_stats().misses, 2);
-        assert_eq!(analyzer.source().shard_cache_stats().hits, 1);
-    }
-
-    #[test]
-    fn two_live_analyzers_share_one_store_via_refresh() {
+    fn two_live_analyzers_share_one_store_and_its_contexts() {
         let store = Arc::new(ShardedStore::from_initial_shard(batch(&[[1, 1]])).unwrap());
         let a = LiveAnalyzer::from_store(Arc::clone(&store));
-        let b = LiveAnalyzer::from_store(Arc::clone(&store));
-        a.append_shard(batch(&[[2, 2]])).unwrap();
-        assert_eq!(a.epoch(), 2);
-        assert_eq!(b.epoch(), 1, "b has not refreshed yet");
-        assert_eq!(b.refresh(), 2);
-        assert_eq!(b.pin().source().len(), 2);
+        let b = LiveAnalyzer::with_thread_budget(Arc::clone(&store), ThreadBudget::serial());
+        let y = bag(&[0]);
+        a.pin().entropy(&y).unwrap();
+        assert_eq!(b.stats().merged.misses, 1, "b reads a's epoch-1 tier");
+        assert_eq!(a.append_shard(batch(&[[2, 2]])).unwrap(), 2);
+        assert_eq!(b.epoch(), 2, "b sees a's append without a refresh");
+        let ctx = store.context();
+        assert!(Arc::ptr_eq(&a.store().context(), &ctx));
+        assert!(Arc::ptr_eq(&b.store().context(), &ctx));
+        let (pa, pb) = (a.pin(), b.pin());
+        assert!(std::ptr::eq(pa.context(), Arc::as_ptr(&ctx)));
+        assert!(std::ptr::eq(pb.context(), Arc::as_ptr(&ctx)));
+        assert!(
+            pb.thread_budget().is_serial(),
+            "each handle keeps its budget"
+        );
+        assert_eq!(pb.source().len(), 2);
+        pa.entropy(&y).unwrap();
+        pb.entropy(&y).unwrap();
+        assert_eq!(
+            (b.stats().merged.misses, b.stats().merged.hits),
+            (1, 1),
+            "the epoch-2 miss is computed once for both handles"
+        );
     }
 
     #[test]

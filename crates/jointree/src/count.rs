@@ -174,18 +174,10 @@ pub fn acyclic_join(r: &Relation, tree: &JoinTree) -> Result<Relation> {
     natural_join_all(&ordered)
 }
 
-/// Reference implementation of the loss (eq. 1) that fully materialises the
-/// join; used to validate [`loss_acyclic`] in tests and as the ablation
-/// baseline in benchmarks.  Uses the same distinct-tuple baseline as
-/// [`loss_acyclic`]; delegates to [`ajd_relation::join::loss_materialized`].
-pub fn loss_materialized(r: &Relation, schema: &[AttrSet]) -> Result<f64> {
-    ajd_relation::join::loss_materialized(r, schema)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ajd_relation::join::natural_join;
+    use ajd_relation::join::{loss_materialized, natural_join};
     use ajd_relation::{AnalysisContext, AttrId};
 
     fn bag(ids: &[u32]) -> AttrSet {

@@ -43,7 +43,9 @@
 //! [`GroupSource::memo_join_size`] are the hooks the measures in
 //! `ajd-info` and `ajd-jointree` call; a plain source computes, a context
 //! answers from its tier.  A context lives for one epoch of its source, so
-//! no tier can answer for rows it has not seen.
+//! no tier can answer for rows it has not seen: over a live relation,
+//! [`crate::ShardedStore`] installs one context with each epoch and every
+//! reader of that epoch shares it.
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
@@ -614,11 +616,12 @@ enum Fill {
 ///
 /// A context **owns** its source, which in practice is a cheap handle: a
 /// `&Relation` borrow for one-shot analysis, or an `Arc<ShardedRelation>`
-/// snapshot (see [`crate::ShardedStore`]) pinning one epoch of a live,
-/// append-only relation — the context's merged-result caches are then
-/// exactly the per-epoch tier of the two-tier incremental design (this
-/// context caches merged results for *its* snapshot's epoch; the snapshot's
-/// shards carry their own per-shard tables that survive into later epochs).
+/// snapshot pinning one epoch of a live, append-only relation, whose
+/// [`crate::ShardedStore`] installs the epoch's one context — the
+/// context's merged-result caches are then exactly the per-epoch tier of
+/// the two-tier incremental design (this context caches merged results
+/// for *its* snapshot's epoch; the snapshot's shards carry their own
+/// per-shard tables that survive into later epochs).
 /// A context is cheap to create (empty caches); it pays for itself as soon
 /// as two measures — or two candidate join trees — touch the same attribute
 /// subset.  It is `Sync`: `ajd-core`'s `Analyzer` fan-out shares one

@@ -18,6 +18,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Rotation applied between words.
 const ROTATE: u32 = 5;
+/// Rotation applied by [`FxHasher::finish`]: a multiply mixes each bit
+/// only into the bits above it, so the raw product's low bits — the ones a
+/// hash table's bucket index and [`crate::context`]'s stripe take — see only
+/// the key's low bits.  Rotating left by 20 moves product bits 44..64,
+/// which see all key bits below them, to the bottom, and keeps bits 37..44
+/// in the top seven a hash table compares as tags.
+const FINISH_ROTATE: u32 = 20;
 
 /// A fast, non-cryptographic, deterministic 64-bit hasher.
 ///
@@ -39,7 +46,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATE)
     }
 
     #[inline]
@@ -148,6 +155,20 @@ mod tests {
         let mut s: FxHashSet<u32> = set_with_capacity(4);
         assert!(s.insert(7));
         assert!(!s.insert(7));
+    }
+
+    /// Keys that differ only in high bits still spread over the low bits
+    /// a table or stripe index takes (the raw product maps all 64 to 0).
+    #[test]
+    fn low_bits_see_high_key_bits() {
+        let stripes: FxHashSet<u64> = (0..64u64)
+            .map(|i| {
+                let mut h = FxHasher::default();
+                h.write_u64(i << 40);
+                h.finish() & 15
+            })
+            .collect();
+        assert!(stripes.len() >= 8, "{} distinct low nibbles", stripes.len());
     }
 
     #[test]

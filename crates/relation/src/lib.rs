@@ -44,8 +44,9 @@
 //!   per-shard group-table caches, so appends are incremental: only the new
 //!   shard is ever regrouped.
 //! * [`ShardedStore`] — an epoch-snapshot handle over a [`ShardedRelation`]:
-//!   readers pin immutable snapshots at one epoch while a writer installs
-//!   the next one (copy-on-append, built on `ajd-sync` primitives).
+//!   readers pin immutable snapshots at one epoch, and share its one
+//!   [`AnalysisContext`], while a writer installs the next epoch with its
+//!   context (copy-on-append, built on `ajd-sync` primitives).
 //! * [`hash`] — a small Fx-style hasher used for all residual hashing (the
 //!   default SipHash is needlessly slow for short integer keys).
 //!

@@ -1504,26 +1504,78 @@ mod tests {
         assert_eq!(ids.counts(), &[2, 2]);
     }
 
+    /// Each of the kernel's three key paths — dense table, packed `u64`,
+    /// boxed wide tuple — numbers groups exactly like a naive
+    /// first-appearance scan, and so does the shard merge of the wide
+    /// relation (whose interner boxes its keys too).
     #[test]
     fn grouping_kernel_paths_agree() {
-        // Force the packed-u64 path by making the radix product enormous
-        // relative to the row count, and compare against the dense path on
-        // an identical relation with a tame domain.
-        let mut wide = Relation::new(vec![AttrId(0), AttrId(1)]).unwrap();
-        let mut tame = Relation::new(vec![AttrId(0), AttrId(1)]).unwrap();
-        let rows: Vec<[Value; 2]> = (0..200u32).map(|i| [i % 7, (i * i) % 11]).collect();
-        for row in &rows {
-            // Spread the raw values so the dictionaries stay aligned but the
-            // wide relation *looks* like it has the same structure.
-            wide.push_row(&[row[0], row[1]]).unwrap();
-            tame.push_row(&[row[0], row[1]]).unwrap();
+        use crate::context::GroupSource;
+        fn naive(r: &Relation) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+            let cols: Vec<&[u32]> = r
+                .schema()
+                .iter()
+                .map(|&a| r.column_codes(a).unwrap())
+                .collect();
+            let mut seen: Vec<Vec<u32>> = Vec::new();
+            let (mut ids, mut counts) = (Vec::new(), Vec::new());
+            for i in 0..r.len() {
+                let key: Vec<u32> = cols.iter().map(|c| c[i]).collect();
+                let id = seen.iter().position(|k| *k == key).unwrap_or_else(|| {
+                    seen.push(key);
+                    counts.push(0);
+                    seen.len() - 1
+                });
+                counts[id] += 1;
+                ids.push(id as u32);
+            }
+            (ids, counts, seen.concat())
         }
-        let attrs = AttrSet::from_ids([0, 1]);
-        let a = wide.group_ids(&attrs).unwrap();
-        let b = tame.group_ids(&attrs).unwrap();
-        assert_eq!(a.row_ids(), b.row_ids());
-        assert_eq!(a.counts(), b.counts());
-        assert_eq!(a.group_codes(), b.group_codes());
+        // (columns, rows, value of column j at row i); rows repeat with
+        // period 150, so every relation has duplicate tuples.
+        type Gen = fn(u32, u32) -> u32;
+        let cases: [(&str, u32, u32, Gen); 3] = [
+            ("dense", 2, 200, |i, j| (i * (j + 3)) % 7),
+            ("packed", 2, 300, |i, j| ((i % 150) * (2 * j + 1)) % 151),
+            ("boxed", 9, 300, |i, j| ((i % 150) * (2 * j + 1)) % 151),
+        ];
+        for (path, arity, rows, value) in cases {
+            let mut r = Relation::new((0..arity).map(AttrId).collect()).unwrap();
+            for i in 0..rows {
+                let row: Vec<Value> = (0..arity).map(|j| value(i, j)).collect();
+                r.push_row(&row).unwrap();
+            }
+            let domains: Vec<usize> = r
+                .schema()
+                .iter()
+                .map(|&a| r.domain(a).unwrap().len())
+                .collect();
+            let radix: u128 = domains.iter().map(|&d| d as u128).product();
+            let bits: u32 = domains.iter().map(|&d| bit_width(d)).sum();
+            let forced = match path {
+                "dense" => radix <= dense_cap(r.len()),
+                "packed" => radix > dense_cap(r.len()) && bits <= 64,
+                _ => bits > 64,
+            };
+            assert!(forced, "{path}: domains {domains:?} miss the path");
+            let (ids, counts, codes) = naive(&r);
+            let got = r.group_ids(&r.attrs()).unwrap();
+            assert_eq!(got.row_ids(), &ids[..], "{path}");
+            assert_eq!(got.counts(), &counts[..], "{path}");
+            assert_eq!(got.group_codes(), &codes[..], "{path}");
+            assert!(counts.len() < r.len(), "{path}: no duplicate tuples");
+            if path == "boxed" {
+                let merged = r
+                    .clone()
+                    .into_shards(3)
+                    .unwrap()
+                    .group_ids(&r.attrs())
+                    .unwrap();
+                assert_eq!(merged.row_ids(), &ids[..], "{path} merged");
+                assert_eq!(merged.counts(), &counts[..], "{path} merged");
+                assert_eq!(merged.group_codes(), &codes[..], "{path} merged");
+            }
+        }
     }
 
     #[test]

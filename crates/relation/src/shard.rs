@@ -54,10 +54,11 @@
 //! shard), so **appends keep all warm tables**: re-grouping after an append
 //! computes the new shard's table and re-merges — it never regroups the
 //! world.  [`ShardedRelation::shard_cache_stats`] exposes the counters that
-//! prove it, and the monotonically-increasing [`ShardedRelation::epoch`]
-//! (bumped by every append) lets higher layers key merged results by
-//! version.  [`crate::ShardedStore`] turns this into a concurrent
-//! snapshot-swap handle.
+//! prove it, and the [epoch](ShardedRelation::epoch) — the shard count, so
+//! every append bumps it — lets higher layers key merged results by
+//! version.  A shard is identified by its index, which no append changes.
+//! [`crate::ShardedStore`] turns this into a concurrent snapshot-swap
+//! handle that installs each epoch with its merged-result context.
 //!
 //! Cached tables stay valid forever because global dictionaries are
 //! append-only: a code assigned to a value never changes, and a shard's
@@ -106,8 +107,8 @@ impl GlobalDict {
 }
 
 /// One shard of a [`ShardedRelation`]: a self-contained columnar span with
-/// its own dictionaries, its global row offset, a stable id, its
-/// local → global code remap, and its group-table cache.
+/// its own dictionaries, its global row offset, its local → global code
+/// remap, and its group-table cache.
 ///
 /// A shard is just a [`Relation`] — every kernel, constructor and invariant
 /// of the flat store applies verbatim within the shard.  Shards never
@@ -126,9 +127,6 @@ pub struct RelationShard {
     local: Relation,
     /// Global index of this shard's first row (shards concatenate in order).
     row_offset: usize,
-    /// Stable id, assigned at append time and never reused within a
-    /// relation's (linear) append history.
-    id: u64,
     /// `remap[col][local_code]` = global code, per schema position.
     remap: Vec<Vec<u32>>,
     /// The per-shard group-table cache: `AttrSet` → the shard's grouping
@@ -160,17 +158,7 @@ impl RelationShard {
         self.row_offset
     }
 
-    /// The shard's stable id: assigned when the shard was appended,
-    /// unchanged by later appends, unique along one append history (two
-    /// clones that diverge by appending different batches each continue the
-    /// numbering independently — ids identify shard *objects* within one
-    /// lineage, and the caches live on the objects, so divergence is
-    /// harmless).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// This shard's cache counters (the per-`(shard_id, AttrSet)` tier).
+    /// This shard's cache counters (the per-`(shard, AttrSet)` tier).
     pub fn cache_stats(&self) -> TierStats {
         self.spans.tier_stats()
     }
@@ -194,10 +182,10 @@ impl RelationShard {
 /// workspace, exactly like the flat [`Relation`] of their concatenated rows.
 ///
 /// Shards are held by `Arc`, so `Clone` is **copy-on-append cheap**: a clone
-/// shares every shard (and its warm group tables) and only the shard list,
-/// dictionaries and counters are copied.  [`ShardedRelation::append_shard`]
-/// bumps [`ShardedRelation::epoch`] and assigns the new shard a stable
-/// [`RelationShard::id`], leaving every existing shard untouched.
+/// shares every shard (and its warm group tables) and only the shard list
+/// and dictionaries are copied.  [`ShardedRelation::append_shard`] pushes
+/// one shard, so it bumps [`ShardedRelation::epoch`] and leaves every
+/// existing shard untouched.
 ///
 /// ```
 /// use ajd_relation::{AttrSet, GroupSource, Relation, AttrId};
@@ -228,11 +216,6 @@ pub struct ShardedRelation {
     /// Global per-attribute dictionaries, indexed by schema position.
     dicts: Vec<GlobalDict>,
     rows: usize,
-    /// Bumped by every [`ShardedRelation::append_shard`]; equal to the
-    /// number of appends this value has seen.
-    epoch: u64,
-    /// Next stable shard id to assign.
-    next_shard_id: u64,
 }
 
 impl ShardedRelation {
@@ -254,8 +237,6 @@ impl ShardedRelation {
             schema,
             shards: Vec::new(),
             rows: 0,
-            epoch: 0,
-            next_shard_id: 0,
         })
     }
 
@@ -275,8 +256,8 @@ impl ShardedRelation {
     /// Appends a batch of rows as a **new shard**, leaving every existing
     /// shard — and its warm group-table cache — untouched: only the global
     /// dictionaries grow (by the shard's previously unseen values), the new
-    /// shard's local → global remap is recorded, the epoch is bumped and a
-    /// stable shard id assigned.
+    /// shard's local → global remap is recorded, and the epoch (the shard
+    /// count) goes up by one.
     ///
     /// This is the ingestion path for incremental maintenance: appends
     /// never rewrite shard-local state, so per-shard group tables stay
@@ -315,13 +296,9 @@ impl ShardedRelation {
         }
         let row_offset = self.rows;
         self.rows += shard.len();
-        let id = self.next_shard_id;
-        self.next_shard_id += 1;
-        self.epoch += 1;
         self.shards.push(Arc::new(RelationShard {
             local: shard,
             row_offset,
-            id,
             remap,
             spans: StripedCache::new(),
         }));
@@ -381,14 +358,14 @@ impl ShardedRelation {
         self.shards.len()
     }
 
-    /// The monotonically-increasing version of this relation: 0 when empty,
-    /// bumped by every [`ShardedRelation::append_shard`].  Higher layers key
-    /// merged (whole-relation) results by epoch: a reader holding a
-    /// snapshot at epoch `e` sees a consistent shard list for `e`, and an
+    /// The version of this relation: its shard count, so 0 when it has no
+    /// shard and bumped by every [`ShardedRelation::append_shard`].  Higher
+    /// layers key merged (whole-relation) results by epoch: a reader holding
+    /// a snapshot at epoch `e` sees a consistent shard list for `e`, and an
     /// epoch bump is exactly the signal that merged results must be rebuilt
     /// (per-shard tables stay warm).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.shards.len() as u64
     }
 
     /// The shards (each `Arc`-shared with every clone of this relation), in
@@ -781,9 +758,8 @@ mod tests {
         sharded.append_shard(ok).unwrap();
         assert_eq!(sharded.len(), 1);
         assert_eq!(sharded.shard(0).row_offset(), 0);
-        // A rejected append bumps neither the epoch nor the id counter.
+        // A rejected append does not bump the epoch.
         assert_eq!(sharded.epoch(), 1);
-        assert_eq!(sharded.shard(0).id(), 0);
     }
 
     #[test]
@@ -817,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_and_shard_ids_are_stable_and_monotone() {
+    fn epoch_counts_shards_and_clones_share_them() {
         let schema = vec![AttrId(0)];
         let mut sharded = ShardedRelation::new(schema.clone()).unwrap();
         assert_eq!(sharded.epoch(), 0);
@@ -825,13 +801,12 @@ mod tests {
             let shard = Relation::from_rows(schema.clone(), &[&[i as Value][..]]).unwrap();
             sharded.append_shard(shard).unwrap();
             assert_eq!(sharded.epoch(), i + 1);
-            assert_eq!(sharded.shard(i as usize).id(), i);
+            assert_eq!(sharded.shard(i as usize).row_offset(), i as usize);
         }
-        // Clones share the shard objects (and their ids) by Arc.
+        // Clones share the shard objects by Arc, at the same indices.
         let clone = sharded.clone();
         for s in 0..3 {
             assert!(Arc::ptr_eq(&sharded.shards()[s], &clone.shards()[s]));
-            assert_eq!(clone.shard(s).id(), s as u64);
         }
         // Appending to the clone bumps only the clone's epoch; the original
         // and its shards are untouched (copy-on-append).
@@ -839,7 +814,7 @@ mod tests {
         let shard = Relation::from_rows(schema.clone(), &[&[9][..]]).unwrap();
         clone.append_shard(shard).unwrap();
         assert_eq!(clone.epoch(), 4);
-        assert_eq!(clone.shard(3).id(), 3);
+        assert_eq!(clone.shard(3).row_offset(), 3);
         assert_eq!(sharded.epoch(), 3);
         assert_eq!(sharded.num_shards(), 3);
     }

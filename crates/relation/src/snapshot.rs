@@ -1,44 +1,57 @@
 //! Epoch-snapshot handles over a [`ShardedRelation`]: one writer appends
-//! while any number of readers keep a consistent snapshot.
+//! while any number of readers keep a consistent snapshot, and each epoch
+//! comes with the one [`AnalysisContext`] every reader of it shares.
 //!
 //! A [`ShardedRelation`] is copy-on-append — clones share every shard by
-//! `Arc`, and [`ShardedRelation::append_shard`] only pushes a new shard and
-//! bumps the [epoch](ShardedRelation::epoch).  [`ShardedStore`] turns that
-//! into a concurrent handle:
+//! `Arc`, and [`ShardedRelation::append_shard`] only pushes a new shard
+//! (the [epoch](ShardedRelation::epoch) is the shard count).
+//! [`ShardedStore`] turns that into a concurrent handle:
 //!
-//! * [`ShardedStore::snapshot`] hands out an `Arc<ShardedRelation>` — an
-//!   immutable view at one epoch.  Readers group, analyze and cache against
-//!   it for as long as they like; nothing a writer does can change it.
+//! * [`ShardedStore::context`] hands out the current epoch's
+//!   `Arc<AnalysisContext>`, whose source is an `Arc<ShardedRelation>` — an
+//!   immutable view at one epoch — and whose caches are that epoch's merged
+//!   tier.  Every reader of the epoch shares those caches;
+//!   [`ShardedStore::snapshot`] is the context's source alone.  Readers
+//!   group, analyze and cache against either for as long as they like;
+//!   nothing a writer does can change them.
 //! * [`ShardedStore::append_shard`] builds the next version from the
 //!   current one (cloning shares all shards **and their warm group-table
-//!   caches**) and installs it atomically.  Writers are serialized by a
-//!   dedicated mutex so epochs advance by exactly one per append and no
-//!   append is ever lost; the swap itself is a single `Arc` store under a
-//!   write lock, so a reader observes either the old snapshot or the new —
-//!   never a torn mixture (model-checked in `tests/model_snapshot.rs`).
+//!   caches**), wraps it in an empty context and installs the pair
+//!   atomically.  Writers are serialized by a dedicated mutex so epochs
+//!   advance by exactly one per append and no append is ever lost; the
+//!   swap itself is a single `Arc` store under a write lock, so a reader
+//!   observes either the old epoch or the new — never a torn mixture, and
+//!   never a context over another epoch's rows (model-checked in
+//!   `tests/model_snapshot.rs`).  This swap is the only place an epoch is
+//!   installed.
 //!
 //! The two locks are [`ajd_sync`] primitives, so the whole protocol runs
 //! under the `ajd-model` interleaving explorer unchanged.
 //!
 //! ```
 //! use ajd_relation::{AttrId, AttrSet, GroupSource, Relation, ShardedStore};
+//! use std::sync::Arc;
 //!
 //! let schema = vec![AttrId(0), AttrId(1)];
 //! let first = Relation::from_rows(schema.clone(), &[&[1, 10][..], &[2, 10][..]]).unwrap();
 //! let store = ShardedStore::from_initial_shard(first).unwrap();
 //!
 //! let reader = store.snapshot();          // pinned at epoch 1
+//! let ctx = store.context();              // epoch 1's shared caches
 //! let batch = Relation::from_rows(schema, &[&[3, 20][..]]).unwrap();
 //! store.append_shard(batch).unwrap();     // writer installs epoch 2
 //!
 //! assert_eq!(reader.epoch(), 1);          // the pinned view is unchanged…
 //! assert_eq!(reader.len(), 2);
+//! assert_eq!(ctx.source().len(), 2);
 //! let now = store.snapshot();             // …and a fresh snapshot sees the append
 //! assert_eq!(now.epoch(), 2);
 //! assert_eq!(now.len(), 3);
+//! assert!(Arc::ptr_eq(&store.context(), &store.context())); // one context per epoch
 //! ```
 
 use crate::attr::AttrId;
+use crate::context::AnalysisContext;
 use crate::error::Result;
 use crate::relation::Relation;
 use crate::shard::ShardedRelation;
@@ -46,16 +59,18 @@ use ajd_sync::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// A concurrent snapshot-swap handle over a [`ShardedRelation`]: readers
-/// pin immutable `Arc` snapshots, one writer at a time appends the next
-/// epoch.  See the [module docs](self) for the protocol.
+/// pin immutable `Arc` snapshots and share each epoch's context, one
+/// writer at a time appends the next epoch.  See the [module docs](self)
+/// for the protocol.
 #[derive(Debug)]
 pub struct ShardedStore {
-    /// The current snapshot; replaced wholesale by each append.
-    current: RwLock<Arc<ShardedRelation>>,
+    /// The current epoch's context (its source is the current snapshot);
+    /// replaced wholesale by each append.
+    current: RwLock<Arc<AnalysisContext<Arc<ShardedRelation>>>>,
     /// Serializes writers: each append clones the latest snapshot, extends
-    /// it, and installs the result.  Held across the whole append so two
-    /// writers can never both build from the same base (which would lose
-    /// one of them at install time).
+    /// it, and installs the result with its context.  Held across the whole
+    /// append so two writers can never both build from the same base (which
+    /// would lose one of them at install time).
     writer: Mutex<()>,
 }
 
@@ -63,7 +78,7 @@ impl ShardedStore {
     /// Wraps an existing sharded relation (at whatever epoch it carries).
     pub fn new(initial: ShardedRelation) -> Self {
         ShardedStore {
-            current: RwLock::new(Arc::new(initial)),
+            current: RwLock::new(Arc::new(AnalysisContext::new(Arc::new(initial)))),
             writer: Mutex::new(()),
         }
     }
@@ -80,22 +95,31 @@ impl ShardedStore {
         Ok(Self::new(rel))
     }
 
+    /// The current epoch's context: its source is the current snapshot and
+    /// its caches are the merged tier every reader of the epoch shares.
+    /// Cheap (`Arc` clone under a read lock); later appends install a new
+    /// context and never touch this one.
+    pub fn context(&self) -> Arc<AnalysisContext<Arc<ShardedRelation>>> {
+        Arc::clone(&self.current.read())
+    }
+
     /// The current snapshot: an immutable view at one consistent epoch.
     /// Cheap (`Arc` clone under a read lock); hold it as long as you like —
     /// later appends build new snapshots and never touch this one.
     pub fn snapshot(&self) -> Arc<ShardedRelation> {
-        Arc::clone(&self.current.read())
+        Arc::clone(self.current.read().source())
     }
 
     /// The current epoch (see [`ShardedRelation::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.current.read().epoch()
+        self.current.read().source().epoch()
     }
 
-    /// Appends `shard` as the next epoch and returns the new snapshot.
+    /// Appends `shard` as the next epoch, installs it with a fresh context
+    /// and returns the new snapshot.
     ///
     /// The append is **all-or-nothing**: on error (schema mismatch,
-    /// dictionary overflow) the current snapshot is left installed and
+    /// dictionary overflow) the current epoch is left installed and
     /// untouched.  Existing shards — and their warm per-shard group
     /// tables — are shared with the new snapshot by `Arc`, so the new
     /// epoch's first re-grouping computes only the appended shard.
@@ -104,7 +128,10 @@ impl ShardedStore {
         let mut next = (*self.snapshot()).clone();
         next.append_shard(shard)?;
         let next = Arc::new(next);
-        *self.current.write() = Arc::clone(&next);
+        let ctx = Arc::new(AnalysisContext::new(Arc::clone(&next)));
+        // The old epoch's context is dropped after the write lock is
+        // released, so readers never wait on freeing its caches.
+        let _old = std::mem::replace(&mut *self.current.write(), ctx);
         Ok(next)
     }
 }
@@ -146,6 +173,26 @@ mod tests {
         assert!(store.append_shard(wrong).is_err());
         assert_eq!(store.epoch(), 1);
         assert_eq!(store.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn each_epoch_installs_one_shared_context() {
+        let store = ShardedStore::from_initial_shard(batch(&[[1, 10]])).unwrap();
+        let first = store.context();
+        assert!(Arc::ptr_eq(&first, &store.context()));
+        assert!(Arc::ptr_eq(first.source(), &store.snapshot()));
+        first.group_ids(&AttrSet::singleton(AttrId(0))).unwrap();
+        // A failed append keeps the installed context, caches included.
+        assert!(store
+            .append_shard(Relation::new(vec![AttrId(5)]).unwrap())
+            .is_err());
+        assert!(Arc::ptr_eq(&first, &store.context()));
+        let snap = store.append_shard(batch(&[[2, 20]])).unwrap();
+        let second = store.context();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(Arc::ptr_eq(second.source(), &snap));
+        assert_eq!(second.stats(), crate::context::CacheStats::default());
+        assert_eq!((first.source().epoch(), first.stats().misses), (1, 1));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Model-checked invariants for the incremental sharding layer: per-shard
-//! single-flight group tables and the epoch-snapshot append protocol.
+//! single-flight group tables and the epoch-snapshot append protocol,
+//! which installs each epoch together with its analysis context.
 //!
 //! These tests only compile under `RUSTFLAGS="--cfg ajd_model"`; the CI
 //! `model-check` job runs them.  Each body is executed once per explored
@@ -9,7 +10,8 @@
 
 use ajd_model::Model;
 use ajd_relation::{
-    AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ShardedStore, ThreadBudget,
+    AttrId, AttrSet, GroupKernel, GroupSource, Relation, ShardedRelation, ShardedStore,
+    ThreadBudget,
 };
 
 fn shard(rows: &[[u32; 2]]) -> Relation {
@@ -117,6 +119,55 @@ fn append_racing_a_reader_never_tears_an_epoch() {
     );
 }
 
+/// A writer appending the next epoch races a reader taking the store's
+/// context: under every interleaving the context's source is epoch 1 or 2
+/// — never a context installed over another epoch's rows — and grouping
+/// through the context answers for exactly the rows of that epoch.
+fn append_vs_context_reader_body() {
+    let store = ShardedStore::from_initial_shard(shard(&[[0, 0], [1, 0]])).unwrap();
+    let y = AttrSet::singleton(AttrId(0));
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            store.append_shard(shard(&[[2, 1]])).unwrap();
+        });
+        s.spawn(|| {
+            let ctx = store.context();
+            let epoch = ctx.source().epoch();
+            let (rows, ids) = match epoch {
+                1 => (2, &[0, 1][..]),
+                2 => (3, &[0, 1, 2][..]),
+                torn => panic!("context over torn epoch {torn}"),
+            };
+            assert_eq!(ctx.source().num_shards() as u64, epoch);
+            assert_eq!(ctx.num_rows(), rows, "epoch {epoch} torn");
+            let g = ctx.group_ids_with(&y, ThreadBudget::serial()).unwrap();
+            assert_eq!(g.row_ids(), ids, "epoch {epoch}");
+            assert_eq!(ctx.stats().misses, 1);
+        });
+    });
+    let ctx = store.context();
+    assert_eq!(ctx.source().epoch(), 2);
+    assert_eq!(ctx.num_rows(), 3);
+}
+
+#[test]
+fn append_racing_a_context_reader_never_mixes_epochs() {
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(append_vs_context_reader_body);
+    assert!(
+        report.violation.is_none(),
+        "context install violated: {:?}",
+        report.violation
+    );
+    assert!(
+        report.schedules >= 100,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
 /// Two writers appending concurrently: the writer mutex serializes them,
 /// so both shards land, epochs advance by exactly one each, and no append
 /// is lost regardless of the interleaving.
@@ -135,6 +186,13 @@ fn two_writers_body() {
     assert_eq!(snap.epoch(), 3, "two appends, two epoch bumps");
     assert_eq!(snap.num_shards(), 3);
     assert_eq!(snap.len(), 3, "no append may be lost");
+    let ctx = store.context();
+    assert_eq!(
+        ctx.source().epoch(),
+        3,
+        "the last install carries its context"
+    );
+    assert_eq!(ctx.source().len(), 3);
 }
 
 #[test]

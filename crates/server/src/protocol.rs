@@ -92,10 +92,13 @@ impl Failure {
             message: message.into(),
         }
     }
+}
 
-    /// Maps a library error onto the wire's error vocabulary.
-    pub fn from_relation_error(err: &RelationError) -> Self {
-        let code = match err {
+/// Maps a library error onto the wire's error vocabulary, so `?` turns a
+/// failed library call into the request's error frame.
+impl From<RelationError> for Failure {
+    fn from(err: RelationError) -> Self {
+        let code = match &err {
             RelationError::UnknownName(_) | RelationError::UnknownAttribute(_) => {
                 ErrorCode::UnknownAttribute
             }
@@ -910,7 +913,8 @@ mod tests {
             (RelationError::CountOverflow("join"), ErrorCode::Internal),
         ];
         for (err, code) in cases {
-            assert_eq!(Failure::from_relation_error(&err).code, code, "{err}");
+            let shown = err.to_string();
+            assert_eq!(Failure::from(err).code, code, "{shown}");
         }
     }
 

@@ -204,16 +204,8 @@ impl<'a> Server<'a> {
             Request::Entropy { relation, attrs } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
-                let set = entry
-                    .catalog
-                    .read()
-                    .attrs(attrs.iter())
-                    .map_err(|e| Failure::from_relation_error(&e))?;
-                let nats = entry
-                    .live
-                    .pin()
-                    .entropy(&set)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let set = entry.catalog.read().attrs(attrs.iter())?;
+                let nats = entry.live.pin().entropy(&set)?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("entropy")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -228,11 +220,7 @@ impl<'a> Server<'a> {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
                 let tree = resolve_schema(&entry.catalog.read(), schema)?;
-                let rho = entry
-                    .live
-                    .pin()
-                    .loss(&tree)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let rho = entry.live.pin().loss(&tree)?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("loss")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -244,11 +232,7 @@ impl<'a> Server<'a> {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
                 let tree = resolve_schema(&entry.catalog.read(), schema)?;
-                let j = entry
-                    .live
-                    .pin()
-                    .j_measure(&tree)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let j = entry.live.pin().j_measure(&tree)?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("j")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -259,11 +243,7 @@ impl<'a> Server<'a> {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
                 let tree = resolve_schema(&entry.catalog.read(), schema)?;
-                let report = entry
-                    .live
-                    .pin()
-                    .analyze(&tree)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let report = entry.live.pin().analyze(&tree)?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("analyze")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -288,9 +268,8 @@ impl<'a> Server<'a> {
                     config.max_bag_size = *b;
                 }
                 let miner = SchemaMiner::new(config);
-                let mined = miner
-                    .mine_with(&entry.live.pin().with_threads(self.config.mine_threads))
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let mined =
+                    miner.mine_with(&entry.live.pin().with_threads(self.config.mine_threads))?;
                 let catalog = entry.catalog.read();
                 let schema_json = Json::Arr(
                     mined
@@ -343,11 +322,7 @@ impl<'a> Server<'a> {
                 }
                 let resolved = {
                     let catalog = entry.catalog.read();
-                    let attrs = |names: &Vec<String>| {
-                        catalog
-                            .attrs(names.iter())
-                            .map_err(|e| Failure::from_relation_error(&e))
-                    };
+                    let attrs = |names: &Vec<String>| catalog.attrs(names.iter());
                     match target {
                         EstimateTarget::Entropy { attrs: names } => {
                             Resolved::Entropy(attrs(names)?)
@@ -365,15 +340,13 @@ impl<'a> Server<'a> {
                 };
                 // Through the entry's analyzer: a fallback answers from its
                 // warm caches, a sample comes from its context's sample tier.
-                let ea = EstimatedAnalyzer::from_analyzer(&entry.live.pin(), cfg)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let ea = EstimatedAnalyzer::from_analyzer(&entry.live.pin(), cfg)?;
                 let est = match &resolved {
                     Resolved::Entropy(set) => ea.entropy(set),
                     Resolved::Cmi(a, b, c) => ea.cmi(a, b, c),
                     Resolved::Tree(tree, false) => ea.j_measure(tree),
                     Resolved::Tree(tree, true) => ea.loss(tree),
-                }
-                .map_err(|e| Failure::from_relation_error(&e))?;
+                }?;
                 Ok(vec![
                     ("op".to_owned(), Json::str("estimate")),
                     ("relation".to_owned(), Json::str(relation.clone())),
@@ -430,20 +403,13 @@ impl<'a> Server<'a> {
                 // fails after some rows were encoded, the newly interned
                 // labels stay in the catalog — a harmless superset.)
                 let mut catalog = entry.catalog.write();
-                let mut shard = Relation::new(live.store().snapshot().schema().to_vec())
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let mut shard = Relation::new(live.store().snapshot().schema().to_vec())?;
                 for row in &batch {
                     let labels: Vec<&str> = row.iter().map(String::as_str).collect();
-                    let coded = catalog
-                        .encode_row(&labels)
-                        .map_err(|e| Failure::from_relation_error(&e))?;
-                    shard
-                        .push_row(&coded)
-                        .map_err(|e| Failure::from_relation_error(&e))?;
+                    let coded = catalog.encode_row(&labels)?;
+                    shard.push_row(&coded)?;
                 }
-                let epoch = live
-                    .append_shard(shard)
-                    .map_err(|e| Failure::from_relation_error(&e))?;
+                let epoch = live.append_shard(shard)?;
                 let snap = live.store().snapshot();
                 drop(catalog);
                 Ok(vec![
@@ -656,9 +622,7 @@ fn resolve_schema(catalog: &Catalog, schema: &[Vec<String>]) -> Result<JoinTree,
     let mut bags = Vec::with_capacity(schema.len());
     let mut cover = AttrSet::empty();
     for bag in schema {
-        let set = catalog
-            .attrs(bag.iter())
-            .map_err(|e| Failure::from_relation_error(&e))?;
+        let set = catalog.attrs(bag.iter())?;
         cover = cover.union(&set);
         bags.push(set);
     }
