@@ -14,6 +14,10 @@
 //!   re-merge.  This is the post-append path a `LiveAnalyzer` pays.
 //! * `warm_remerge`     — group again with all `k + 1` tables warm: the
 //!   steady-state floor (pure `merge_spans`, no grouping at all).
+//! * `store_extend`     — a `ShardedStore` whose epoch-`k` context holds
+//!   the table appends the batch, and the new epoch's context fills it by
+//!   extending that table with the new shard's (one new-shard compute, no
+//!   older shard consulted).  Only the fill is timed.
 //!
 //! Before timing, the incremental results are asserted **bit-identical**
 //! to a cold regroup and to the flat grown relation — the cache tier must
@@ -23,10 +27,12 @@
 //! tracks the speedup directly.
 //! Ratios on shared CI runners are recorded, never gated.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ajd_bench::{time_median, BenchJson};
-use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ThreadBudget};
+use ajd_relation::{
+    AttrId, AttrSet, GroupKernel, Relation, ShardedRelation, ShardedStore, ThreadBudget,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -75,6 +81,34 @@ fn assert_bit_identical(grown: &ShardedRelation, flat: &Relation, attrs: &AttrSe
     }
 }
 
+/// A store at epoch `k` whose context holds the grouping of `attrs`,
+/// after appending `batch`: the new epoch's context is seeded with that
+/// table.
+fn seeded_store(warm: &ShardedRelation, batch: &Relation, attrs: &AttrSet) -> ShardedStore {
+    let store = ShardedStore::new(warm.clone());
+    store
+        .context()
+        .group_ids_with(attrs, ThreadBudget::default())
+        .unwrap();
+    store.append_shard(batch.clone()).unwrap();
+    store
+}
+
+/// The median of `reps` timings of `fill`, each on a fresh `setup()`
+/// outside the clock.
+fn median_fill<T>(reps: usize, mut setup: impl FnMut() -> T, mut fill: impl FnMut(&T)) -> Duration {
+    let mut samples: Vec<Duration> = (0..reps)
+        .map(|_| {
+            let input = setup();
+            let start = Instant::now();
+            fill(&input);
+            start.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[reps / 2]
+}
+
 fn main() {
     let budget = Duration::from_millis(400);
     let n = 100_000usize;
@@ -119,6 +153,30 @@ fn main() {
             grown.group_ids_with(&attrs, kernel_budget).unwrap()
         });
         json.record_vs_baseline(&format!("incremental/k{k}/warm_remerge"), remerge, full);
+
+        // The new epoch of a store extends the old epoch's table.
+        let store = seeded_store(&warm, &batch, &attrs);
+        let ctx = store.context();
+        let extended = ctx.group_ids_with(&attrs, kernel_budget).unwrap();
+        let reference = relation_of(&flat_rows).group_ids(&attrs).unwrap();
+        assert_eq!(extended.row_ids(), reference.row_ids());
+        assert_eq!(extended.counts(), reference.counts());
+        assert_eq!(extended.group_codes(), reference.group_codes());
+        let stats = ctx.stats();
+        assert_eq!((stats.extended, stats.misses), (1, 0), "an extension");
+        let extend = median_fill(
+            15,
+            || seeded_store(&warm, &batch, &attrs),
+            |store| {
+                std::hint::black_box(
+                    store
+                        .context()
+                        .group_ids_with(&attrs, kernel_budget)
+                        .unwrap(),
+                );
+            },
+        );
+        json.record_vs_baseline(&format!("incremental/k{k}/store_extend"), extend, full);
     }
 
     json.emit(&BenchJson::default_path("incremental"));

@@ -11,13 +11,13 @@
 //!   tables.  Shards are immutable and `Arc`-shared across epochs, so these
 //!   tables survive every append.
 //! * **Merged tier** (`(epoch, AttrSet)`): the [`ShardedStore`] installs
-//!   each epoch together with a fresh
+//!   each epoch together with a new
 //!   [`AnalysisContext`](ajd_relation::AnalysisContext) over its
 //!   `Arc<ShardedRelation>` snapshot, which caches merged whole-relation
-//!   results; an epoch bump invalidates the tier wholesale (the context is
-//!   simply replaced).  Rebuilding a warm attribute set costs one per-shard
-//!   compute (the appended shard) plus a shard-order re-merge — never a
-//!   re-group of the world.
+//!   results.  The new context is seeded with the previous epoch's merged
+//!   tables, so refilling a warm attribute set costs one per-shard compute
+//!   (the appended shard) merged at the tail of the old table — never a
+//!   re-merge of the older shards, let alone a re-group of the world.
 //!
 //! A `LiveAnalyzer` is a store handle plus a thread budget and keeps no
 //! state of its own: the store owns each epoch's context, so every handle
@@ -62,12 +62,14 @@ pub struct LiveStats {
     pub epoch: u64,
     /// Merged-result tier: the current epoch's
     /// [`AnalysisContext`](ajd_relation::AnalysisContext) counters.  Reset
-    /// on every epoch bump (the tier is invalidated wholesale).
+    /// on every epoch bump (each epoch has its own context, whose fills of
+    /// seeded sets count as `extended`).
     pub merged: CacheStats,
     /// Per-shard tier: group-table counters summed over the current
     /// snapshot's shards.  Survives epoch bumps — after an append, a warm
-    /// attribute set re-groups exactly the new shard (one miss), every
-    /// existing shard answering from its warm table (hits).
+    /// attribute set groups exactly the new shard (one miss), and the
+    /// older shards are not consulted: the seeded merged table already
+    /// covers them.
     pub shards: TierStats,
 }
 
@@ -190,9 +192,10 @@ mod tests {
     /// The acceptance criterion of the incremental design, at the core
     /// layer: appending one shard to a k-shard relation with a warm
     /// analyzer re-groups exactly the new shard — per-shard misses grow by
-    /// 1 per warm attribute set, not k+1 — and the merged result is
-    /// bit-identical to a cold from-scratch `ShardedRelation`, at every
-    /// shard × thread combination.
+    /// 1 per warm attribute set, not k+1 — the new epoch extends the old
+    /// epoch's tables by it without consulting an older shard, and the
+    /// merged result is bit-identical to a cold from-scratch
+    /// `ShardedRelation`, at every shard × thread combination.
     #[test]
     fn append_regroups_exactly_the_new_shard_per_cached_set() {
         let sets = [bag(&[0]), bag(&[1]), bag(&[0, 1])];
@@ -227,18 +230,18 @@ mod tests {
                      (the appended shard) per warm attribute set"
                 );
                 assert_eq!(
-                    after.shards.hits,
-                    (k * sets.len()) as u64,
-                    "k={k} threads={threads}: every pre-existing shard must \
-                     answer from its warm table"
+                    after.shards.hits, 0,
+                    "k={k} threads={threads}: no pre-existing shard is consulted"
                 );
-                // The merged tier was invalidated by the epoch bump: the new
-                // epoch's context recomputed (merged) each set once.  The
-                // reads are count-only, so no id table is resident to
-                // derive from.
+                // The new epoch's context extended each set's count table
+                // of the old epoch once: no kernel run, no derivation.
                 assert_eq!(
-                    (after.merged.misses, after.merged.derived),
-                    (sets.len() as u64, 0)
+                    (
+                        after.merged.misses,
+                        after.merged.derived,
+                        after.merged.extended
+                    ),
+                    (0, 0, sets.len() as u64)
                 );
 
                 // Bit-identity against a cold from-scratch sharded relation
@@ -284,10 +287,11 @@ mod tests {
         assert_eq!(pb.source().len(), 2);
         pa.entropy(&y).unwrap();
         pb.entropy(&y).unwrap();
+        let merged = b.stats().merged;
         assert_eq!(
-            (b.stats().merged.misses, b.stats().merged.hits),
-            (1, 1),
-            "the epoch-2 miss is computed once for both handles"
+            (merged.misses, merged.extended, merged.hits),
+            (0, 1, 1),
+            "epoch 2 extends epoch 1's table once for both handles"
         );
     }
 

@@ -42,16 +42,24 @@
 //! estimation sample per `(seed, n)`.  [`GroupSource::memo_entropy`] and
 //! [`GroupSource::memo_join_size`] are the hooks the measures in
 //! `ajd-info` and `ajd-jointree` call; a plain source computes, a context
-//! answers from its tier.  A context lives for one epoch of its source, so
-//! no tier can answer for rows it has not seen: over a live relation,
-//! [`crate::ShardedStore`] installs one context with each epoch and every
-//! reader of that epoch shares it.
+//! answers from its tier.  A context serves one epoch of its source, so no
+//! cache or tier can answer for rows it has not seen: over a live
+//! relation, [`crate::ShardedStore`] installs one context with each epoch
+//! and every reader of that epoch shares it.  The new context starts with
+//! no table, but it inherits the previous epoch's group tables as *seeds*:
+//! a cold fill of a seeded set extends the old table by the appended
+//! shards instead of regrouping every shard.  The memo tiers are never
+//! seeded; each epoch recomputes them from its own tables, so every float
+//! sum keeps its order.
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
-use crate::relation::{coarsen_ids, dense_cap, refine_ids, GroupCounts, GroupIds, Relation, Value};
+use crate::relation::{
+    coarsen_ids, dense_cap, extend_counts, merge_spans, refine_ids, GroupCounts, GroupIds,
+    Relation, Value,
+};
 use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{Mutex, OnceSlot, RwLock};
 use std::borrow::Cow;
@@ -199,6 +207,24 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     ///
     /// Panics if `pos` is not a position of the schema.
     fn codes_at(&self, pos: usize) -> Cow<'_, [u32]>;
+
+    /// The groupings of `attrs` over the shards from `first` on, one per
+    /// shard in shard order, with group codes in the code space of
+    /// [`GroupKernel::dictionary`] and shard-local row ids: what a context
+    /// extends a table of the first `first` shards by
+    /// ([`AnalysisContext`]).  A layout without shards is one span, so the
+    /// default is the whole grouping from 0 and nothing after.
+    fn spans_from(
+        &self,
+        attrs: &AttrSet,
+        first: usize,
+        budget: ThreadBudget,
+    ) -> Result<Vec<Arc<GroupIds>>> {
+        Ok(match first {
+            0 => vec![self.group_ids_with(attrs, budget)?],
+            _ => Vec::new(),
+        })
+    }
 
     /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
     /// grouping decoded by [`GroupKernel::decode_group_counts`].
@@ -351,6 +377,15 @@ impl<S: GroupKernel + ?Sized> GroupKernel for &S {
     fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
         (**self).codes_at(pos)
     }
+
+    fn spans_from(
+        &self,
+        attrs: &AttrSet,
+        first: usize,
+        budget: ThreadBudget,
+    ) -> Result<Vec<Arc<GroupIds>>> {
+        (**self).spans_from(attrs, first, budget)
+    }
 }
 
 impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
@@ -399,6 +434,15 @@ impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
     fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
         (**self).codes_at(pos)
     }
+
+    fn spans_from(
+        &self,
+        attrs: &AttrSet,
+        first: usize,
+        budget: ThreadBudget,
+    ) -> Result<Vec<Arc<GroupIds>>> {
+        (**self).spans_from(attrs, first, budget)
+    }
 }
 
 /// A point-in-time snapshot of a context's cache effectiveness.
@@ -422,6 +466,11 @@ pub struct CacheStats {
     /// (per cache, as for `misses`); which of the two serves a set can
     /// depend on what concurrent lookups have completed, their sum cannot.
     pub derived: u64,
+    /// Fills served by extending the table of an earlier epoch of a live
+    /// source by the shards appended since ([`AnalysisContext`]'s seeds),
+    /// without regrouping the older shards.  With it, `misses + derived +
+    /// extended` is one per distinct attribute set filled.
+    pub extended: u64,
     /// Number of memoized [`GroupCounts`] entries.
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
@@ -452,9 +501,9 @@ pub struct TierStats {
 
 impl CacheStats {
     /// Fraction of lookups answered from the cache, out of hits, kernel
-    /// runs and derived fills (0 when none were made).
+    /// runs, derived and extended fills (0 when none were made).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.derived;
+        let total = self.hits + self.misses + self.derived + self.extended;
         if total == 0 {
             0.0
         } else {
@@ -475,6 +524,25 @@ type Slot<T> = Arc<OnceSlot<Result<Arc<T>>>>;
 
 /// The key of the sample tier: the draw's seed and its planned size.
 type SampleKey = (u64, u64);
+
+/// A table of an earlier epoch of a live source and the number of shards
+/// it covers, a prefix of the current ones.  Tagged by shards, not rows,
+/// because empty shards exist.
+#[derive(Debug, Clone)]
+struct Seed<T> {
+    table: Arc<T>,
+    shards: usize,
+}
+
+/// The id and count tables one epoch's context hands the next one
+/// ([`AnalysisContext::next_seeds`]), keyed by attribute set.
+#[derive(Debug, Default)]
+pub(crate) struct Seeds {
+    /// An id seed is taken by the fill that extends it, but its entry
+    /// stays, so the set's count fills still go through the id cache.
+    ids: FxHashMap<AttrSet, Option<Seed<GroupIds>>>,
+    counts: FxHashMap<AttrSet, Seed<GroupCounts>>,
+}
 
 /// A striped, single-flight memoization map, with exact counters of its
 /// own traffic — the one slot machinery behind every cache of an
@@ -604,6 +672,9 @@ enum Fill {
     /// Derived the grouping from a resident id table of a subset or
     /// superset: one [`CacheStats::derived`].
     Derived,
+    /// Extended an earlier epoch's table by the shards appended since: one
+    /// [`CacheStats::extended`].
+    Extended,
     /// Decoded a resident id table without a kernel run: one hit.
     Decoded,
     /// Filled a memo tier: a tier miss only.
@@ -620,8 +691,9 @@ enum Fill {
 /// [`crate::ShardedStore`] installs the epoch's one context — the
 /// context's merged-result caches are then exactly the per-epoch tier of
 /// the two-tier incremental design (this context caches merged results
-/// for *its* snapshot's epoch; the snapshot's shards carry their own
-/// per-shard tables that survive into later epochs).
+/// for *its* snapshot's epoch, seeded from the previous epoch's; the
+/// snapshot's shards carry their own per-shard tables that survive into
+/// later epochs).
 /// A context is cheap to create (empty caches); it pays for itself as soon
 /// as two measures — or two candidate join trees — touch the same attribute
 /// subset.  It is `Sync`: `ajd-core`'s `Analyzer` fan-out shares one
@@ -660,7 +732,29 @@ enum Fill {
 /// on the merged level and skip the per-shard pass and the merge.  Only
 /// completed id tables are candidates (a derivation never waits on an
 /// in-flight fill) and intermediates are never cached.  A derived fill
-/// counts in [`CacheStats::derived`], so `misses + derived` is one per
+/// counts in [`CacheStats::derived`].
+///
+/// Over a live relation a context can start with **seeds**: the id and
+/// count tables of an earlier epoch, each tagged with the number of shards
+/// it covers (shards, not rows, because empty shards exist), which
+/// [`crate::ShardedStore`] hands each new epoch's context.  Shards are
+/// appended in order and the global dictionaries only grow at their tail,
+/// so the old epoch's groups keep their first-appearance ids and the
+/// table of the new epoch is the old one with the appended shards' spans
+/// merged at its tail ([`GroupKernel::spans_from`]).  A cold fill of a
+/// seeded set therefore tries the seed before anything else, and takes it
+/// out of the map, so it is extended once:
+///
+/// * an **id** seed goes first into the shard-order merge, where its groups
+///   keep their ids and its row ids are taken over or copied, never
+///   rewritten;
+/// * a **count** seed (kept only for a set without an id table) interns its
+///   code tuples and then the new spans' groups, and decodes the keys of
+///   the new groups only.
+///
+/// Key widths come from the current dictionaries, so a dictionary that
+/// crosses a power of two changes nothing.  An extended fill counts in
+/// [`CacheStats::extended`], so `misses + derived + extended` is one per
 /// distinct filled set at any timing.
 ///
 /// Three **memo tiers** sit on top of the caches, each single-flight
@@ -713,9 +807,13 @@ pub struct AnalysisContext<S = Relation> {
     samples: StripedCache<SampleKey, AnalysisContext<Relation>>,
     /// Resident samples, oldest first, with their row counts.
     sample_order: Mutex<VecDeque<(SampleKey, usize)>>,
+    /// Tables of earlier epochs that cold fills extend; empty unless the
+    /// context was built by [`AnalysisContext::seeded`].
+    seeds: Mutex<Seeds>,
     hits: AtomicU64,
     misses: AtomicU64,
     derived: AtomicU64,
+    extended: AtomicU64,
 }
 
 impl<S: GroupKernel> AnalysisContext<S> {
@@ -726,6 +824,13 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// and `AnalysisContext::new(store.snapshot())` an owning one over an
     /// `Arc` snapshot that lives for as long as the context does.
     pub fn new(src: S) -> Self {
+        Self::seeded(src, Seeds::default())
+    }
+
+    /// A context over `src` whose cold fills first extend `seeds`: tables
+    /// of an earlier epoch of the same live source, each over a prefix of
+    /// its current shards ([`AnalysisContext::next_seeds`]).
+    pub(crate) fn seeded(src: S, seeds: Seeds) -> Self {
         AnalysisContext {
             source: src,
             group_counts: StripedCache::new(),
@@ -734,9 +839,11 @@ impl<S: GroupKernel> AnalysisContext<S> {
             join_sizes: StripedCache::new(),
             samples: StripedCache::new(),
             sample_order: Mutex::new(VecDeque::new()),
+            seeds: Mutex::new(seeds),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             derived: AtomicU64::new(0),
+            extended: AtomicU64::new(0),
         }
     }
 
@@ -749,7 +856,8 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// Memoized [`Relation::group_counts`]: multiplicities of the distinct
     /// `attrs`-projections of the relation's tuples.  On a miss the table
     /// is decoded from the resident [`GroupIds`] of `attrs` if there are
-    /// any, and otherwise computed under `budget`.
+    /// any, else extended from the set's seed ([`AnalysisContext`]), and
+    /// otherwise computed under `budget`.
     ///
     /// The budget is per call, so callers that split one total budget
     /// across layers (a fan-out handing each worker its share) pass the
@@ -761,27 +869,57 @@ impl<S: GroupKernel> AnalysisContext<S> {
         budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
         self.memoized(&self.group_counts, attrs, || {
-            let (ids, how) = match self.group_ids.resident(attrs) {
-                Some(ids) => (ids, Fill::Decoded),
-                None => self.fill_ids(attrs, budget)?,
+            // Every count fill consumes the set's count seed.
+            let seed = self.seeds.lock().counts.remove(attrs);
+            if let Some(ids) = self.group_ids.resident(attrs) {
+                let counts = self.source.decode_group_counts(&ids);
+                return Ok((Arc::new(counts), Fill::Decoded));
+            }
+            if let Some(seed) = seed {
+                let spans = self.source.spans_from(attrs, seed.shards, budget)?;
+                let dicts = dictionaries(&self.source, attrs)?;
+                let total = self.source.num_rows() as u128;
+                let counts = extend_counts(seed.table, &spans, &dicts, total)?;
+                return Ok((Arc::new(counts), Fill::Extended));
+            }
+            // A set whose ids an earlier epoch held gets them again,
+            // extended in the id cache (or waited for, if in flight).
+            let ids_seeded = self.seeds.lock().ids.contains_key(attrs);
+            let (ids, how) = if ids_seeded {
+                (self.group_ids_with(attrs, budget)?, Fill::Decoded)
+            } else {
+                self.fill_ids(attrs, budget)?
             };
             Ok((Arc::new(self.source.decode_group_counts(&ids)), how))
         })
     }
 
     /// Memoized interned group keys (see [`GroupIds`]) for `attrs`: on a
-    /// miss, derived from a resident table of a subset or superset when
-    /// the lattice policy finds one, and otherwise computed under `budget`.
+    /// miss, extended from the set's seed if it has one, else derived from
+    /// a resident table of a subset or superset when the lattice policy
+    /// finds one, and otherwise computed under `budget`.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         self.memoized(&self.group_ids, attrs, || self.fill_ids(attrs, budget))
     }
 
-    /// The one cold grouping of `attrs`, shared by both caches: derived
-    /// from a resident id table ([`AnalysisContext::derive_ids`]) or, when
-    /// none serves, a kernel run under `budget`.  A kernel table is kept
-    /// as the source returns it, so a context over a one-shard relation
-    /// shares its shard's table instead of copying it.
+    /// The one cold grouping of `attrs`, shared by both caches: the seed
+    /// of `attrs` extended by the shards it does not cover, else derived
+    /// from a resident id table ([`AnalysisContext::derive_ids`]), else a
+    /// kernel run under `budget`.  A kernel table is kept as the source
+    /// returns it, so a context over a one-shard relation shares its
+    /// shard's table instead of copying it.
     fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(Arc<GroupIds>, Fill)> {
+        let seed = self.seeds.lock().ids.get_mut(attrs).and_then(Option::take);
+        if let Some(seed) = seed {
+            let mut spans = vec![seed.table];
+            spans.extend(self.source.spans_from(attrs, seed.shards, budget)?);
+            let domains = dictionaries(&self.source, attrs)?
+                .into_iter()
+                .map(<[Value]>::len);
+            let rows = self.source.num_rows();
+            let ids = merge_spans(attrs, domains, spans, rows, budget.get())?;
+            return Ok((ids, Fill::Extended));
+        }
         Ok(match self.derive_ids(attrs)? {
             Some(ids) => (Arc::new(ids), Fill::Derived),
             None => (self.source.group_ids_with(attrs, budget)?, Fill::Kernel),
@@ -930,12 +1068,52 @@ impl<S: GroupKernel> AnalysisContext<S> {
         }
     }
 
+    /// The seeds of the next epoch of this context's source, which extends
+    /// it by one or more shards: every completed id and count table, which
+    /// covers the `shards` shards of this epoch, plus the seeds this
+    /// context never consumed.  A set keeps one seed: its id table if it
+    /// has one (its counts decode from it), else its count table.  Only
+    /// completed slots are read (never an in-flight fill), and `∅` is
+    /// never seeded.
+    pub(crate) fn next_seeds(&self, shards: usize) -> Seeds {
+        fn collect<T, V>(
+            cache: &StripedCache<AttrSet, T>,
+            shards: usize,
+            into: &mut FxHashMap<AttrSet, V>,
+            wrap: fn(Seed<T>) -> V,
+        ) {
+            cache.visit_resident(|attrs, table| {
+                if !attrs.is_empty() {
+                    let table = Arc::clone(table);
+                    into.insert(attrs.clone(), wrap(Seed { table, shards }));
+                }
+            });
+        }
+        let mut next = {
+            let seeds = self.seeds.lock();
+            // ajd: allow(hash-iter-order, "collected into another hash map keyed by the same sets; no result depends on the visiting order")
+            let unconsumed = seeds.ids.iter().filter(|(_, seed)| seed.is_some());
+            Seeds {
+                ids: unconsumed
+                    .map(|(a, seed)| (a.clone(), seed.clone()))
+                    .collect(),
+                counts: seeds.counts.clone(),
+            }
+        };
+        collect(&self.group_ids, shards, &mut next.ids, Some);
+        collect(&self.group_counts, shards, &mut next.counts, |s| s);
+        let Seeds { ids, counts } = &mut next;
+        counts.retain(|attrs, _| !ids.contains_key(attrs));
+        next
+    }
+
     /// Snapshot of cache sizes and hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             derived: self.derived.load(Ordering::Relaxed),
+            extended: self.extended.load(Ordering::Relaxed),
             group_count_entries: self.group_counts.entries(),
             group_id_entries: self.group_ids.entries(),
             entropy: self.entropies.tier_stats(),
@@ -958,6 +1136,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
                 let counter = match how {
                     Fill::Kernel => Some(&self.misses),
                     Fill::Derived => Some(&self.derived),
+                    Fill::Extended => Some(&self.extended),
                     Fill::Decoded => Some(&self.hits),
                     Fill::Tier => None,
                 };

@@ -175,6 +175,24 @@ impl GroupIds {
         }
     }
 
+    /// The row ids, counts and group codes of `this`, with room for `rows`
+    /// row ids: taken over when no one else holds the table, copied
+    /// otherwise.
+    fn unshare(this: Arc<Self>, rows: usize) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+        match Arc::try_unwrap(this) {
+            Ok(own) => {
+                let mut row_ids = own.row_ids;
+                row_ids.reserve(rows - row_ids.len());
+                (row_ids, own.counts, own.group_codes)
+            }
+            Err(shared) => {
+                let mut row_ids = Vec::with_capacity(rows);
+                row_ids.extend_from_slice(&shared.row_ids);
+                (row_ids, shared.counts.clone(), shared.group_codes.clone())
+            }
+        }
+    }
+
     /// Rewrites every group code through `remaps[j]`, the code map of the
     /// j-th grouped column, into a buffer of exactly the codes' length (a
     /// shard keeps its table for as long as it lives, so the grouping's
@@ -959,7 +977,12 @@ impl Relation {
 /// the same reason a **single span is returned as is**, the same `Arc`: its
 /// local ids already are the global ones, so a one-shard relation skips
 /// the hash merge and the row rewrite, and its shard tier and the caller
-/// share one table.
+/// share one table.  Likewise the first span's groups arrive first and in
+/// id order, so its local → global map is the identity: its vectors are
+/// taken over when no one else holds the span and copied otherwise, never
+/// rewritten.  So a first span that is itself an earlier merge (an epoch's
+/// table, extended by the shards appended since) costs no row pass.  The
+/// grown vectors get amortized room, as a table grows by every epoch.
 ///
 /// `domains` gives the size of each grouped column's (common-code-space)
 /// domain, in `attrs` order; when their bit widths pack into 64 bits the
@@ -978,30 +1001,38 @@ pub(crate) fn merge_spans(
     total_rows: usize,
     rewrite_workers: usize,
 ) -> Result<Arc<GroupIds>> {
-    if spans.len() == 1 {
-        let span = spans.pop().expect("one span");
-        debug_assert_eq!(&span.attrs, attrs);
-        debug_assert_eq!(span.row_ids.len(), total_rows);
-        return Ok(span);
+    let later = spans.split_off(spans.len().min(1));
+    let Some(first) = spans.pop() else {
+        return Ok(Arc::new(
+            GroupInterner::new(domains, 0).into_ids(attrs, Vec::new()),
+        ));
+    };
+    if later.is_empty() {
+        debug_assert_eq!(&first.attrs, attrs);
+        debug_assert_eq!(first.row_ids.len(), total_rows);
+        return Ok(first);
     }
     let k = attrs.len();
-    let total_local: usize = spans.iter().map(|s| s.counts.len()).sum();
-    let mut interner = GroupInterner::new(domains, total_local);
-    let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(spans.len());
-    for span in &spans {
+    let later_groups: usize = later.iter().map(|s| s.counts.len()).sum();
+    let (mut row_ids, counts, group_codes) = GroupIds::unshare(first, total_rows);
+    let mut interner = GroupInterner::starting_with(domains, later_groups, counts, group_codes);
+    let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(later.len());
+    for span in &later {
         let map = (0..span.counts.len())
             .map(|g| interner.add(&span.group_codes[g * k..(g + 1) * k], span.counts[g]))
             .collect::<Result<Vec<u32>>>()?;
         local_to_global.push(map);
     }
 
-    // Rewrite each span's local row ids through its local → global map,
-    // into disjoint slices of the output.  Spans are partitioned into at
-    // most `workers` contiguous runs — never one thread per span, which for
-    // a many-shard relation would spawn thousands of OS threads.
-    let mut row_ids = vec![0u32; total_rows];
+    // The first span's ids are already in place; rewrite each later span's
+    // local row ids through its local → global map, into disjoint slices
+    // of the output.  Spans are partitioned into at most `workers`
+    // contiguous runs — never one thread per span, which for a many-shard
+    // relation would spawn thousands of OS threads.
+    let first_rows = row_ids.len();
+    row_ids.resize(total_rows, 0);
     let workers = rewrite_workers
-        .min(spans.len())
+        .min(later.len())
         .clamp(1, crate::parallel::MAX_CHUNK_WORKERS);
     fn rewrite_run(out: &mut [u32], run: &[Arc<GroupIds>], maps: &[Vec<u32>]) {
         let mut rest = out;
@@ -1013,13 +1044,14 @@ pub(crate) fn merge_spans(
             }
         }
     }
+    let rest = &mut row_ids[first_rows..];
     if workers <= 1 {
-        rewrite_run(&mut row_ids, &spans, &local_to_global);
+        rewrite_run(rest, &later, &local_to_global);
     } else {
         std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut row_ids;
-            for (s0, s1) in chunk_bounds(spans.len(), workers) {
-                let run = &spans[s0..s1];
+            let mut rest: &mut [u32] = rest;
+            for (s0, s1) in chunk_bounds(later.len(), workers) {
+                let run = &later[s0..s1];
                 let maps = &local_to_global[s0..s1];
                 let run_rows: usize = run.iter().map(|s| s.row_ids.len()).sum();
                 let (head, tail) = rest.split_at_mut(run_rows);
@@ -1032,9 +1064,59 @@ pub(crate) fn merge_spans(
     Ok(Arc::new(interner.into_ids(attrs, row_ids)))
 }
 
+/// Extends `seed`, the count table of a relation's first rows, by `spans`,
+/// the groupings of the rows after them, into the count table of all
+/// `total` rows.  The seed takes the place of the first span of
+/// [`merge_spans`], so its groups keep their ids, keys and codes; the
+/// spans' unseen groups follow in span order, and only their keys are
+/// decoded, through `dicts` (the dictionaries of the grouped columns, in
+/// whose code space seed and spans both are).  Bit-identical to decoding
+/// the merge of the whole relation's spans.  Key widths come from `dicts`,
+/// so the seed's narrower domains do not matter.
+pub(crate) fn extend_counts(
+    seed: Arc<GroupCounts>,
+    spans: &[Arc<GroupIds>],
+    dicts: &[&[Value]],
+    total: u128,
+) -> Result<GroupCounts> {
+    let k = dicts.len();
+    let later_groups: usize = spans.iter().map(|s| s.num_groups()).sum();
+    let attrs = seed.attrs.clone();
+    // Taken over when no one else holds the seed, copied otherwise.
+    let (mut keys, key_codes, counts) = match Arc::try_unwrap(seed) {
+        Ok(own) => (own.keys, own.key_codes, own.counts),
+        Err(shared) => (
+            shared.keys.clone(),
+            shared.key_codes.clone(),
+            shared.counts.clone(),
+        ),
+    };
+    let seeded = key_codes.len();
+    let domains = dicts.iter().map(|d| d.len());
+    let mut interner = GroupInterner::starting_with(domains, later_groups, counts, key_codes);
+    for span in spans {
+        for g in 0..span.num_groups() {
+            interner.add(span.group_code(g), span.counts[g])?;
+        }
+    }
+    let unseen = &interner.group_codes[seeded..];
+    keys.reserve(unseen.len());
+    for codes in unseen.chunks_exact(k.max(1)) {
+        keys.extend(codes.iter().zip(dicts).map(|(&c, d)| d[c as usize]));
+    }
+    Ok(GroupCounts::from_parts(
+        attrs,
+        total,
+        keys,
+        interner.group_codes,
+        interner.counts,
+    ))
+}
+
 /// Interns group code tuples of one code space into dense ids in order of
 /// first arrival, summing the counts each tuple arrives with: the one
-/// table-level hashing step behind [`merge_spans`] and [`coarsen_ids`].
+/// table-level hashing step behind [`merge_spans`], [`extend_counts`] and
+/// [`coarsen_ids`].
 /// Tuples whose bit widths pack into 64 bits are hashed as one `u64`,
 /// wider ones as boxed tuples.
 struct GroupInterner {
@@ -1064,7 +1146,40 @@ impl GroupInterner {
     /// `count` to its multiplicity.
     fn add(&mut self, codes: &[u32], count: u64) -> Result<u32> {
         let next = new_group_id(&self.counts)?;
-        let id = match &mut self.packed {
+        let id = self.id_of(codes, next);
+        if id == next {
+            self.counts.push(0);
+            self.group_codes.extend_from_slice(codes);
+        }
+        self.counts[id as usize] += count;
+        Ok(id)
+    }
+
+    /// An interner whose first ids are the distinct tuples `group_codes`
+    /// of a table, in id order, with their `counts`: the vectors are taken
+    /// over and only the tuples are hashed, so every tuple keeps its id.
+    /// The map is sized for `later` more tuples.
+    fn starting_with(
+        domains: impl Iterator<Item = usize>,
+        later: usize,
+        counts: Vec<u64>,
+        group_codes: Vec<u32>,
+    ) -> Self {
+        let mut interner = Self::new(domains, counts.len() + later);
+        let k = interner.bits.len();
+        for g in 0..counts.len() {
+            // A table numbers its tuples in u32, so `g` fits.
+            let id = interner.id_of(&group_codes[g * k..(g + 1) * k], g as u32);
+            debug_assert_eq!(id as usize, g, "a table's tuples are distinct");
+        }
+        interner.counts = counts;
+        interner.group_codes = group_codes;
+        interner
+    }
+
+    /// The id of `codes` in the map, `next` if it is new there.
+    fn id_of(&mut self, codes: &[u32], next: u32) -> u32 {
+        match &mut self.packed {
             Some(packed) => {
                 let key = codes
                     .iter()
@@ -1073,13 +1188,7 @@ impl GroupInterner {
                 *packed.entry(key).or_insert(next)
             }
             None => *self.wide.entry(codes.into()).or_insert(next),
-        };
-        if id == next {
-            self.counts.push(0);
-            self.group_codes.extend_from_slice(codes);
         }
-        self.counts[id as usize] += count;
-        Ok(id)
     }
 
     /// The grouping of `attrs` whose rows carry `row_ids`.

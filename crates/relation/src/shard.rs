@@ -53,10 +53,13 @@
 //! only pushes a new shard (copy-on-append: clones share every existing
 //! shard), so **appends keep all warm tables**: re-grouping after an append
 //! computes the new shard's table and re-merges — it never regroups the
-//! world.  [`ShardedRelation::shard_cache_stats`] exposes the counters that
-//! prove it, and the [epoch](ShardedRelation::epoch) — the shard count, so
-//! every append bumps it — lets higher layers key merged results by
-//! version.  A shard is identified by its index, which no append changes.
+//! world.  [`ShardedRelation::shard_cache_stats`] exposes the counters
+//! that prove it, and the [epoch](ShardedRelation::epoch) — the shard
+//! count, so every append bumps it — lets higher layers key merged results
+//! by version.  A shard is identified by its index, which no append
+//! changes.  A merged table of an earlier epoch is extended by
+//! [`GroupKernel::spans_from`], the tables of the shards appended since,
+//! which is how a [`crate::ShardedStore`] epoch skips even the re-merge.
 //! [`crate::ShardedStore`] turns this into a concurrent snapshot-swap
 //! handle that installs each epoch with its merged-result context.
 //!
@@ -361,9 +364,11 @@ impl ShardedRelation {
     /// The version of this relation: its shard count, so 0 when it has no
     /// shard and bumped by every [`ShardedRelation::append_shard`].  Higher
     /// layers key merged (whole-relation) results by epoch: a reader holding
-    /// a snapshot at epoch `e` sees a consistent shard list for `e`, and an
-    /// epoch bump is exactly the signal that merged results must be rebuilt
-    /// (per-shard tables stay warm).
+    /// a snapshot at epoch `e` sees a consistent shard list for `e`.  An
+    /// epoch bump means merged results no longer cover every row: a table
+    /// of epoch `e` covers the first `e` shards, so it is extended by the
+    /// spans of the shards after them ([`GroupKernel::spans_from`]) rather
+    /// than rebuilt (per-shard tables stay warm).
     pub fn epoch(&self) -> u64 {
         self.shards.len() as u64
     }
@@ -445,28 +450,30 @@ impl ShardedRelation {
         if positions.is_empty() {
             return Ok(Arc::new(GroupIds::empty_tuple(self.rows)));
         }
-        let spans = self.shard_spans(attrs, &positions, budget, cached)?;
+        let spans = self.shard_spans(attrs, &positions, 0, budget, cached)?;
         let domains = positions.iter().map(|&p| self.dicts[p].values.len());
         merge_spans(attrs, domains, spans, self.rows, budget.get())
     }
 
-    /// The shard-local pass: one table per shard, group codes remapped from
-    /// the shard's local dictionaries into the global code space (row ids
-    /// stay shard-local; the merge rewrites them).  Shards fan out over
-    /// the budget ([`fan_out`]: work-stealing, so a few large shards do not
-    /// stall the rest), and each shard's kernel gets the per-worker share —
-    /// layers divide one budget, never multiply.  With `cached`, warm
-    /// shards are pure cache reads and cold shards compute single-flight
-    /// ([`StripedCache::get_or_fill`]).
+    /// The shard-local pass over the shards from `first` on: one table per
+    /// shard, group codes remapped from the shard's local dictionaries into
+    /// the global code space (row ids stay shard-local; the merge rewrites
+    /// them).  Shards fan out over the budget ([`fan_out`]: work-stealing,
+    /// so a few large shards do not stall the rest), and each shard's
+    /// kernel gets the per-worker share — layers divide one budget, never
+    /// multiply.  With `cached`, warm shards are pure cache reads and cold
+    /// shards compute single-flight ([`StripedCache::get_or_fill`]).
     fn shard_spans(
         &self,
         attrs: &AttrSet,
         positions: &[usize],
+        first: usize,
         budget: ThreadBudget,
         cached: bool,
     ) -> Result<Vec<Arc<GroupIds>>> {
-        fan_out(self.shards.len(), budget, |s, share| {
-            let shard = &self.shards[s];
+        let shards = &self.shards[first.min(self.shards.len())..];
+        fan_out(shards.len(), budget, |s, share| {
+            let shard = &shards[s];
             let compute = || shard.compute_span(attrs, positions, share);
             if cached {
                 shard.spans.get_or_fill(attrs, compute).0
@@ -595,6 +602,18 @@ impl GroupKernel for ShardedRelation {
 
     fn dictionary(&self, pos: usize) -> &[Value] {
         &self.dicts[pos].values
+    }
+
+    /// The cached tables of the shards from `first` on, each computed once
+    /// per shard as in the merged grouping.
+    fn spans_from(
+        &self,
+        attrs: &AttrSet,
+        first: usize,
+        budget: ThreadBudget,
+    ) -> Result<Vec<Arc<GroupIds>>> {
+        let positions = self.attr_positions(attrs)?;
+        self.shard_spans(attrs, &positions, first, budget, true)
     }
 
     /// Borrows the shard's own column when there is one shard: the global

@@ -16,14 +16,18 @@
 //!   nothing a writer does can change them.
 //! * [`ShardedStore::append_shard`] builds the next version from the
 //!   current one (cloning shares all shards **and their warm group-table
-//!   caches**), wraps it in an empty context and installs the pair
-//!   atomically.  Writers are serialized by a dedicated mutex so epochs
-//!   advance by exactly one per append and no append is ever lost; the
-//!   swap itself is a single `Arc` store under a write lock, so a reader
-//!   observes either the old epoch or the new — never a torn mixture, and
-//!   never a context over another epoch's rows (model-checked in
-//!   `tests/model_snapshot.rs`).  This swap is the only place an epoch is
-//!   installed.
+//!   caches**), wraps it in a context seeded with the current context's
+//!   merged group tables, and installs the pair atomically.  The new
+//!   context holds no table of its own yet, but a cold fill of a seeded
+//!   set extends the old table by the appended shard instead of
+//!   re-merging every shard; the memo tiers (entropies, join sizes,
+//!   samples) are recomputed per epoch.  Writers are serialized by a
+//!   dedicated mutex so epochs advance by exactly one per append and no
+//!   append is ever lost; the swap itself is a single `Arc` store under a
+//!   write lock, so a reader observes either the old epoch or the new —
+//!   never a torn mixture, and never a context over another epoch's rows
+//!   (model-checked in `tests/model_snapshot.rs`).  This swap is the only
+//!   place an epoch is installed.
 //!
 //! The two locks are [`ajd_sync`] primitives, so the whole protocol runs
 //! under the `ajd-model` interleaving explorer unchanged.
@@ -115,20 +119,26 @@ impl ShardedStore {
         self.current.read().source().epoch()
     }
 
-    /// Appends `shard` as the next epoch, installs it with a fresh context
+    /// Appends `shard` as the next epoch, installs it with a new context
     /// and returns the new snapshot.
     ///
     /// The append is **all-or-nothing**: on error (schema mismatch,
     /// dictionary overflow) the current epoch is left installed and
     /// untouched.  Existing shards — and their warm per-shard group
-    /// tables — are shared with the new snapshot by `Arc`, so the new
-    /// epoch's first re-grouping computes only the appended shard.
+    /// tables — are shared with the new snapshot by `Arc`.  The new
+    /// context is seeded, under the writer mutex, with every completed id
+    /// and count table of the current context and the seeds it never
+    /// consumed, each tagged with the shards it covers, so the new
+    /// epoch's first fill of a seeded set computes only the appended
+    /// shard's table and extends the old table by it.
     pub fn append_shard(&self, shard: Relation) -> Result<Arc<ShardedRelation>> {
         let _writer = self.writer.lock();
-        let mut next = (*self.snapshot()).clone();
+        let current = self.context();
+        let mut next = (**current.source()).clone();
         next.append_shard(shard)?;
         let next = Arc::new(next);
-        let ctx = Arc::new(AnalysisContext::new(Arc::clone(&next)));
+        let seeds = current.next_seeds(current.source().num_shards());
+        let ctx = Arc::new(AnalysisContext::seeded(Arc::clone(&next), seeds));
         // The old epoch's context is dropped after the write lock is
         // released, so readers never wait on freeing its caches.
         let _old = std::mem::replace(&mut *self.current.write(), ctx);

@@ -1,6 +1,7 @@
 //! Model-checked invariants for the incremental sharding layer: per-shard
-//! single-flight group tables and the epoch-snapshot append protocol,
-//! which installs each epoch together with its analysis context.
+//! single-flight group tables, the epoch-snapshot append protocol, which
+//! installs each epoch together with its analysis context, and the seeds
+//! that context inherits from the previous epoch.
 //!
 //! These tests only compile under `RUSTFLAGS="--cfg ajd_model"`; the CI
 //! `model-check` job runs them.  Each body is executed once per explored
@@ -211,6 +212,138 @@ fn concurrent_appends_are_serialized_and_never_lost() {
     // still be a genuine exploration, not a single run.
     assert!(
         report.schedules >= 10,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
+/// The flat grouping of a snapshot's rows: what every epoch's fill must
+/// equal, whichever path served it.
+fn from_scratch(snap: &ShardedRelation, y: &AttrSet) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+    let g = snap.collect().unwrap().group_ids(y).unwrap();
+    (
+        g.row_ids().to_vec(),
+        g.counts().to_vec(),
+        g.group_codes().to_vec(),
+    )
+}
+
+/// A reader pinned at epoch 1 fills a set while the writer seeds epoch 2
+/// from epoch 1's context: the seed is taken only from a completed slot
+/// (an in-flight fill is not seeded, and epoch 2 then groups from
+/// scratch), so epoch 2's fill is exactly one kernel run or one extension,
+/// and equals the from-scratch grouping under every interleaving.
+fn reader_fill_vs_seeding_writer_body() {
+    let store = ShardedStore::from_initial_shard(shard(&[[0, 0], [1, 0]])).unwrap();
+    let y = AttrSet::from_slice(&[AttrId(0), AttrId(1)]);
+    let pinned = store.context();
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            let g = pinned.group_ids_with(&y, ThreadBudget::serial()).unwrap();
+            assert_eq!(g.row_ids(), &[0, 1], "the pinned epoch's rows");
+        });
+        s.spawn(|| {
+            store.append_shard(shard(&[[1, 0], [2, 1]])).unwrap();
+        });
+    });
+    let ctx = store.context();
+    assert_eq!(ctx.source().epoch(), 2);
+    let g = ctx.group_ids_with(&y, ThreadBudget::serial()).unwrap();
+    let flat = from_scratch(ctx.source(), &y);
+    assert_eq!(
+        (
+            g.row_ids().to_vec(),
+            g.counts().to_vec(),
+            g.group_codes().to_vec()
+        ),
+        flat
+    );
+    let stats = ctx.stats();
+    assert_eq!(
+        (stats.misses + stats.extended, stats.derived),
+        (1, 0),
+        "one fill at epoch 2, got {stats:?}"
+    );
+}
+
+#[test]
+fn seeding_the_next_epoch_never_reads_an_in_flight_fill() {
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(reader_fill_vs_seeding_writer_body);
+    assert!(
+        report.violation.is_none(),
+        "epoch seeding violated: {:?}",
+        report.violation
+    );
+    assert!(
+        report.schedules >= 100,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
+/// Two readers of epoch 2 race the seeded fill of a set, one asking for
+/// its ids and one for its counts: under every interleaving the seed is
+/// extended exactly once (single-flight in the id cache, and a count fill
+/// waits for the id fill instead of grouping again), the new shard's
+/// table is computed once, and both answers match the from-scratch
+/// grouping.
+fn racing_seeded_fill_body() {
+    let store = ShardedStore::from_initial_shard(shard(&[[0, 0], [1, 0]])).unwrap();
+    let y = AttrSet::from_slice(&[AttrId(0), AttrId(1)]);
+    store
+        .context()
+        .group_ids_with(&y, ThreadBudget::serial())
+        .unwrap();
+    store.append_shard(shard(&[[1, 0], [2, 1]])).unwrap();
+    let ctx = store.context();
+    let before = ctx.source().shard_cache_stats();
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            let g = ctx.group_ids_with(&y, ThreadBudget::serial()).unwrap();
+            assert_eq!(g.row_ids(), &[0, 1, 1, 2]);
+        });
+        s.spawn(|| {
+            let c = ctx.group_counts_with(&y, ThreadBudget::serial()).unwrap();
+            assert_eq!(c.counts(), &[1, 2, 1]);
+        });
+    });
+    let g = ctx.group_ids_with(&y, ThreadBudget::serial()).unwrap();
+    let flat = from_scratch(ctx.source(), &y);
+    assert_eq!(
+        (
+            g.row_ids().to_vec(),
+            g.counts().to_vec(),
+            g.group_codes().to_vec()
+        ),
+        flat
+    );
+    let stats = ctx.stats();
+    assert_eq!(
+        (stats.extended, stats.misses, stats.derived),
+        (1, 0, 0),
+        "one extension, got {stats:?}"
+    );
+    let after = ctx.source().shard_cache_stats();
+    assert_eq!(after.misses - before.misses, 1, "the new shard, once");
+    assert_eq!(after.hits, before.hits, "no old shard is consulted");
+}
+
+#[test]
+fn racing_readers_extend_a_seed_exactly_once() {
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(racing_seeded_fill_body);
+    assert!(
+        report.violation.is_none(),
+        "seeded single flight violated: {:?}",
+        report.violation
+    );
+    assert!(
+        report.schedules >= 100,
         "expected a real exploration, got {} schedules",
         report.schedules
     );

@@ -670,6 +670,7 @@ fn cache_json(stats: &CacheStats) -> Json {
         ("hits", Json::Num(stats.hits as f64)),
         ("misses", Json::Num(stats.misses as f64)),
         ("derived", Json::Num(stats.derived as f64)),
+        ("extended", Json::Num(stats.extended as f64)),
         (
             "group_count_entries",
             Json::Num(stats.group_count_entries as f64),
@@ -1266,34 +1267,42 @@ os,bob,r2
     fn stats_prove_appends_regroup_only_the_new_shard() {
         let stores = sharded_stores("courses", 2); // 4 rows → 2 shards
         let server = Server::new(&stores, ServerConfig::default()).unwrap();
-        let shard_cache = |server: &Server<'_>| {
+        // (shard hits, shard misses, merged kernel + derived fills, extended)
+        let counters = |server: &Server<'_>| {
             let frame = server.handle_line(r#"{"op":"stats","relation":"courses"}"#);
             let relations = ok_get(&frame, "relations").as_arr().unwrap();
+            let get = |o: &Json, key: &str| o.get(key).and_then(Json::as_u64).unwrap();
             let sc = relations[0].get("shard_cache").expect("shard_cache");
+            let cache = relations[0].get("cache").expect("cache");
             (
-                sc.get("hits").and_then(Json::as_u64).unwrap(),
-                sc.get("misses").and_then(Json::as_u64).unwrap(),
+                get(sc, "hits"),
+                get(sc, "misses"),
+                get(cache, "misses") + get(cache, "derived"),
+                get(cache, "extended"),
             )
         };
         let line = r#"{"op":"loss","relation":"courses","schema":[["course","teacher"],["course","room"]]}"#;
         server.handle_line(line);
-        let (cold_hits, cold_misses) = shard_cache(&server);
+        let (cold_hits, cold_misses, filled, _) = counters(&server);
         assert_eq!(cold_misses % 2, 0, "cold misses fill both shards");
-        let sets = cold_misses / 2;
-        assert!(sets > 0, "loss must group at least one attribute set");
+        assert!(
+            cold_misses > 0,
+            "loss must group at least one attribute set"
+        );
         server.handle_line(r#"{"op":"append","relation":"courses","rows":[["ml","cat","r3"]]}"#);
         server.handle_line(line);
-        let (hits, misses) = shard_cache(&server);
+        let (hits, misses, kernel, extended) = counters(&server);
+        assert_eq!(
+            (kernel, extended),
+            (0, filled),
+            "the new epoch extends every table the old one filled"
+        );
         assert_eq!(
             misses - cold_misses,
-            sets,
-            "the re-query computes only the new shard's tables"
+            filled,
+            "each extension computes only the new shard's table"
         );
-        assert_eq!(
-            hits - cold_hits,
-            cold_misses,
-            "both old shards answer every set from warm tables"
-        );
+        assert_eq!(hits, cold_hits, "no old shard is consulted");
     }
 
     #[test]
