@@ -2,7 +2,9 @@
 //!
 //! An MVD `φ = C ↠ A | B` (with `C ∪ A ∪ B = Ω`) holds in `R` iff
 //! `R = R[C∪A] ⋈ R[C∪B]`; its loss is
-//! `ρ(R,φ) = (|R[C∪A] ⋈ R[C∪B]| − |R|)/|R|` (eq. 28).
+//! `ρ(R,φ) = (|R[C∪A] ⋈ R[C∪B]| − |R|)/|R|` (eq. 28).  That is the loss
+//! of eq. (1) on the two-bag schema `{C∪A, C∪B}`, so an MVD's join size
+//! and loss are counted by [`crate::count`] over its two-node join tree.
 //!
 //! Beeri et al. showed that an acyclic join dependency over a join tree `T`
 //! is equivalent to the `m − 1` MVDs associated with `T`'s edges — its
@@ -10,6 +12,7 @@
 //! support `{Δᵢ ↠ Ω_{1:i-1} | Ω_{i:m}}_{i∈[2,m]}` induced by a depth-first
 //! enumeration of a rooted tree.  Both forms are provided here.
 
+use crate::count::{count_acyclic_join, loss_acyclic};
 use crate::tree::{JoinTree, RootedTree};
 use ajd_relation::{AttrSet, GroupSource, RelationError, Result};
 use serde::{Deserialize, Serialize};
@@ -76,59 +79,26 @@ impl Mvd {
 
     /// Size of the two-way join `|R[C∪A] ⋈ R[C∪B]|`.
     ///
-    /// Runs on interned group ids: both side projections and the
-    /// shared-attribute co-grouping are recovered from per-row id vectors
-    /// (number of *distinct* side tuples per shared group, multiplied
-    /// pairwise).  Over a caching [`GroupSource`] the support MVDs of many
-    /// trees over one relation never re-group `R`.
+    /// Eq. (28) is eq. (1) on the two-bag schema `{C∪A, C∪B}`, so this is
+    /// [`count_acyclic_join`] over [`Mvd::join_tree`]: over a caching
+    /// [`GroupSource`] the support MVDs of many trees over one relation
+    /// share its groupings and land in its join-size tier.
     ///
-    /// Counted in `u128` with checked arithmetic (the join can reach `N²`,
-    /// beyond `u64` at production scale); sizes beyond `u128` yield
-    /// [`RelationError::CountOverflow`].
+    /// Sizes beyond `u128` yield [`RelationError::CountOverflow`].
     pub fn join_size<S: GroupSource>(&self, src: &S) -> Result<u128> {
-        let shared = self.left.intersection(&self.right);
-        let shared_ids = src.group_ids(&shared)?;
-        // Number of *distinct* side tuples per shared-attribute group:
-        // map each side group to its shared group (`shared ⊆ side`), then
-        // count how many side groups land on each shared group.
-        let side_counts = |side: &AttrSet| -> Result<Vec<u64>> {
-            let side_ids = src.group_ids(side)?;
-            let mut counts = vec![0u64; shared_ids.num_groups()];
-            for sh in side_ids.map_to(&shared_ids) {
-                counts[sh as usize] += 1;
-            }
-            Ok(counts)
-        };
-        let left = side_counts(&self.left)?;
-        let right = side_counts(&self.right)?;
-        let mut total: u128 = 0;
-        for (&l, &r) in left.iter().zip(&right) {
-            // A product of two u64 counts always fits in u128; only the
-            // accumulated sum can overflow.
-            let pairs = (l as u128) * (r as u128);
-            total = total
-                .checked_add(pairs)
-                .ok_or(RelationError::CountOverflow(
-                    "two-way join size exceeds u128",
-                ))?;
-        }
-        Ok(total)
+        count_acyclic_join(src, &self.join_tree())
     }
 
     /// The loss `ρ(R, φ)` of eq. (28): relative number of spurious tuples of
-    /// the two-way decomposition.
+    /// the two-way decomposition, i.e. [`loss_acyclic`] over
+    /// [`Mvd::join_tree`].
     ///
     /// The baseline is the number of distinct tuples of `R` projected onto
     /// the MVD's attributes — `|R|` in the paper's setting (a set relation
     /// the MVD fully covers).  The join always contains that projection, so
     /// the loss is never negative, duplicates or not.
     pub fn loss<S: GroupSource>(&self, src: &S) -> Result<f64> {
-        if src.is_empty() {
-            return Err(RelationError::EmptyInput("relation for MVD loss"));
-        }
-        let join = self.join_size(src)? as f64;
-        let base = src.group_counts(&self.attributes())?.num_groups() as f64;
-        Ok((join - base) / base)
+        loss_acyclic(src, &self.join_tree())
     }
 
     /// `true` if the MVD holds in `R` (zero spurious tuples: the two-way

@@ -66,6 +66,7 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The grouping capability every measure is written against.
@@ -331,7 +332,13 @@ impl GroupKernel for Relation {
     }
 }
 
-impl<S: GroupSource + ?Sized> GroupSource for &S {
+/// A pointer to a source is a source (`&S`, `Arc<S>`, `Box<S>`, …): every
+/// method, the memo hooks included, forwards to the pointee.
+impl<P> GroupSource for P
+where
+    P: Deref,
+    P::Target: GroupSource,
+{
     fn schema(&self) -> &[AttrId] {
         (**self).schema()
     }
@@ -361,64 +368,12 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
     }
 }
 
-impl<S: GroupKernel + ?Sized> GroupKernel for &S {
-    fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
-        (**self).group_ids_with(attrs, budget)
-    }
-
-    fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
-        (**self).gather_rows(sorted_rows)
-    }
-
-    fn dictionary(&self, pos: usize) -> &[Value] {
-        (**self).dictionary(pos)
-    }
-
-    fn codes_at(&self, pos: usize) -> Cow<'_, [u32]> {
-        (**self).codes_at(pos)
-    }
-
-    fn spans_from(
-        &self,
-        attrs: &AttrSet,
-        first: usize,
-        budget: ThreadBudget,
-    ) -> Result<Vec<Arc<GroupIds>>> {
-        (**self).spans_from(attrs, first, budget)
-    }
-}
-
-impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
-    fn schema(&self) -> &[AttrId] {
-        (**self).schema()
-    }
-
-    fn num_rows(&self) -> usize {
-        (**self).num_rows()
-    }
-
-    fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
-        (**self).active_domain_size(attr)
-    }
-
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        (**self).group_counts(attrs)
-    }
-
-    fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
-        (**self).group_ids(attrs)
-    }
-
-    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
-        (**self).memo_entropy(attrs, formula)
-    }
-
-    fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
-        (**self).memo_join_size(bags, count)
-    }
-}
-
-impl<S: GroupKernel + ?Sized> GroupKernel for Arc<S> {
+/// A shareable pointer to a kernel is a kernel, forwarding to the pointee.
+impl<P> GroupKernel for P
+where
+    P: Deref + Send + Sync,
+    P::Target: GroupKernel,
+{
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
         (**self).group_ids_with(attrs, budget)
     }
@@ -720,8 +675,9 @@ enum Fill {
 ///
 /// 1. **refine** the resident id table of the largest `X ⊂ Y` (ties to
 ///    fewer groups) whose `g_X × Π_{a∈Y∖X} d_a` table fits the kernel's
-///    dense cap — one row pass keyed by (X-id, codes of `Y ∖ X`), the
-///    partition product of TANE (Huhtala et al., 1999);
+///    dense cap — one dense row pass of the grouping kernel over the key
+///    columns (X-id, codes of `Y ∖ X`), the partition product of TANE
+///    (Huhtala et al., 1999);
 /// 2. **coarsen** the resident id table of the `Z ⊃ Y` with the fewest
 ///    groups, only when the kernel would hash `Y` — one hash per Z-group
 ///    instead of one per row;

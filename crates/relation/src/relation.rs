@@ -44,35 +44,50 @@ pub type Value = u32;
 /// packed keys.
 const RADIX_TABLE_CAP: u128 = 1 << 26;
 
-/// One column of a [`Relation`]: a dictionary (code ⇄ value) plus the dense
-/// code of every row.
+/// An attribute dictionary: raw value ⇄ dense `u32` code, codes assigned in
+/// first-appearance order.  A [`Relation`]'s columns and the global
+/// dictionaries of a [`crate::ShardedRelation`] are both one.
 #[derive(Debug, Clone, Default)]
-struct Column {
+pub(crate) struct Dict {
     /// `code → value`, in first-appearance order.
-    values: Vec<Value>,
+    pub(crate) values: Vec<Value>,
     /// `value → code`.
     index: FxHashMap<Value, u32>,
-    /// Per-row dictionary codes.
-    codes: Vec<u32>,
 }
 
-impl Column {
+impl Dict {
     /// Interns `v`, returning its dense code.
-    fn encode(&mut self, v: Value) -> Result<u32> {
+    pub(crate) fn encode(&mut self, v: Value) -> Result<u32> {
         if let Some(&c) = self.index.get(&v) {
             return Ok(c);
         }
         let code = u32::try_from(self.values.len()).map_err(|_| {
-            RelationError::CountOverflow("column dictionary exceeds the u32 code space")
+            RelationError::CountOverflow("attribute dictionary exceeds the u32 code space")
         })?;
         self.values.push(v);
         self.index.insert(v, code);
         Ok(code)
     }
+}
 
+/// One column of a [`Relation`]: a dictionary plus the dense code of every
+/// row.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    dict: Dict,
+    /// Per-row dictionary codes.
+    codes: Vec<u32>,
+}
+
+impl Column {
     /// Number of distinct values interned (the active domain size).
     fn domain_size(&self) -> usize {
-        self.values.len()
+        self.dict.values.len()
+    }
+
+    /// The column as a grouping key column: its codes and its domain size.
+    fn key(&self) -> (&[u32], usize) {
+        (&self.codes, self.domain_size())
     }
 }
 
@@ -89,9 +104,9 @@ impl Column {
 /// multiplicity of each group, and [`GroupIds::group_codes`] holds each
 /// group's dictionary-code tuple (the *code-level* view; decode through
 /// [`Relation::group_counts`] or [`GroupIds::decoded_group`] when raw values
-/// are needed).  This is the layout the join-size message passing and the
-/// two-way co-grouping algorithms in `ajd-jointree` consume: dense integer
-/// ids and flat vectors, no hash lookups on boxed key tuples.
+/// are needed).  This is the layout the join-size message passing in
+/// `ajd-jointree` consumes: dense integer ids and flat vectors, no hash
+/// lookups on boxed key tuples.
 #[derive(Debug, Clone)]
 pub struct GroupIds {
     attrs: AttrSet,
@@ -151,7 +166,7 @@ impl GroupIds {
             .iter()
             .zip(&positions)
             .map(|(&code, &p)| {
-                r.columns[p].values.get(code as usize).copied().ok_or(
+                r.columns[p].dict.values.get(code as usize).copied().ok_or(
                     RelationError::SchemaMismatch {
                         detail: "group code outside the relation's dictionary".to_owned(),
                     },
@@ -212,7 +227,7 @@ impl GroupIds {
     /// of those attributes, so any representative row determines the coarse
     /// group; the map is recovered in one linear pass over the two per-row
     /// id vectors.  This is the co-grouping primitive behind the interned
-    /// join-size algorithms in `ajd-jointree`.
+    /// join-size count in `ajd-jointree` (eq. 1, and eq. 28 through it).
     ///
     /// Panics if `coarser` does not group by a subset of this grouping's
     /// attributes, or if the two groupings come from relations of different
@@ -501,7 +516,7 @@ impl Relation {
             });
         }
         for (col, &v) in self.columns.iter_mut().zip(row) {
-            let code = col.encode(v)?;
+            let code = col.dict.encode(v)?;
             col.codes.push(code);
         }
         self.data.extend_from_slice(row);
@@ -595,7 +610,7 @@ impl Relation {
     /// Served straight from the column dictionary — O(1), no scan.
     pub fn domain(&self, attr: AttrId) -> Result<&[Value]> {
         let pos = self.attr_pos(attr)?;
-        Ok(&self.columns[pos].values)
+        Ok(&self.columns[pos].dict.values)
     }
 
     /// Size of the active domain of an attribute: the number of distinct
@@ -619,7 +634,7 @@ impl Relation {
     /// occurs in this relation.
     pub fn code_of(&self, attr: AttrId, value: Value) -> Result<Option<u32>> {
         let pos = self.attr_pos(attr)?;
-        Ok(self.columns[pos].index.get(&value).copied())
+        Ok(self.columns[pos].dict.index.get(&value).copied())
     }
 
     /// Verifies the **dictionary occupancy invariant**: every code of every
@@ -635,10 +650,10 @@ impl Relation {
     /// against it; O(rows × arity).
     pub fn dictionaries_fully_occupied(&self) -> bool {
         self.columns.iter().all(|col| {
-            if col.index.len() != col.values.len() || col.codes.len() != self.rows {
+            if col.dict.index.len() != col.domain_size() || col.codes.len() != self.rows {
                 return false;
             }
-            let mut seen = vec![false; col.values.len()];
+            let mut seen = vec![false; col.domain_size()];
             for &c in &col.codes {
                 match seen.get_mut(c as usize) {
                     Some(slot) => *slot = true,
@@ -697,7 +712,7 @@ impl Relation {
             });
         }
 
-        let cols: Vec<&Column> = positions.iter().map(|&p| &self.columns[p]).collect();
+        let cols: Vec<_> = positions.iter().map(|&p| self.columns[p].key()).collect();
         group_span(attrs, &cols, 0, self.rows)
     }
 
@@ -740,7 +755,7 @@ impl Relation {
         if positions.len() <= 1 || workers <= 1 || self.rows == 0 {
             return self.group_ids(attrs);
         }
-        let cols: Vec<&Column> = positions.iter().map(|&p| &self.columns[p]).collect();
+        let cols: Vec<_> = positions.iter().map(|&p| self.columns[p].key()).collect();
         let budget = ThreadBudget::new(workers);
         let chunks = chunk_bounds(self.rows, budget.workers_for_items(self.rows));
         let spans = fan_out(chunks.len(), budget, |c, _| {
@@ -749,7 +764,7 @@ impl Relation {
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;
-        let domains = cols.iter().map(|c| c.domain_size());
+        let domains = cols.iter().map(|&(_, d)| d);
         // The chunk tables are ours alone, so the merged table is too.
         merge_spans(attrs, domains, spans, self.rows, chunks.len()).map(Arc::unwrap_or_clone)
     }
@@ -802,7 +817,7 @@ impl Relation {
         // occur; otherwise compare dense codes row-wise.
         let mut codes: Vec<u32> = Vec::with_capacity(row.len());
         for (col, &v) in self.columns.iter().zip(row) {
-            match col.index.get(&v) {
+            match col.dict.index.get(&v) {
                 Some(&c) => codes.push(c),
                 None => return false,
             }
@@ -916,7 +931,7 @@ impl Relation {
         let pos = self.attr_pos(attr)?;
         let mut out = Relation::new(self.schema.clone())?;
         // A value absent from the dictionary selects nothing.
-        let Some(&code) = self.columns[pos].index.get(&value) else {
+        let Some(&code) = self.columns[pos].dict.index.get(&value) else {
             return Ok(out);
         };
         for (i, &c) in self.columns[pos].codes.iter().enumerate() {
@@ -1202,18 +1217,25 @@ impl GroupInterner {
     }
 }
 
-/// Groups the rows `start..end` by the code tuples of `cols` (the columns
-/// of `attrs`), assigning dense ids in first-appearance order *within the
-/// span*.
+/// Groups the rows `start..end` by the code tuples of `cols` (the key
+/// columns of `attrs`, each its per-row codes and its domain size),
+/// assigning dense ids in first-appearance order *within the span*.
 ///
 /// This is the multi-column grouping kernel shared by the serial path
-/// (span = all rows) and the chunked parallel path (span = one chunk): a
-/// dense mixed-radix table when the domain product is small relative to the
-/// span, a hashed packed `u64` per row when the code tuple fits 64 bits,
-/// and a hashed boxed tuple as the wide-key fallback.
-fn group_span(attrs: &AttrSet, cols: &[&Column], start: usize, end: usize) -> Result<GroupIds> {
+/// (span = all rows), the chunked parallel path (span = one chunk) and
+/// [`refine_ids`] (key columns = a coarser grouping's row ids and the
+/// extra code columns): a dense mixed-radix table when the domain product
+/// is within [`dense_cap`] of the span, a hashed packed `u64` per row when
+/// the code tuple fits 64 bits, and a hashed boxed tuple as the wide-key
+/// fallback.
+fn group_span(
+    attrs: &AttrSet,
+    cols: &[(&[u32], usize)],
+    start: usize,
+    end: usize,
+) -> Result<GroupIds> {
     let rows = end - start;
-    let radix: u128 = cols.iter().map(|c| c.domain_size() as u128).product();
+    let radix: u128 = cols.iter().map(|&(_, d)| d as u128).product();
 
     let mut row_ids: Vec<u32> = Vec::with_capacity(rows);
     let mut counts: Vec<u64> = Vec::new();
@@ -1225,38 +1247,38 @@ fn group_span(attrs: &AttrSet, cols: &[&Column], start: usize, end: usize) -> Re
         let mut table = vec![u32::MAX; radix as usize];
         for i in start..end {
             let mut key = 0usize;
-            for c in cols {
-                key = key * c.domain_size() + c.codes[i] as usize;
+            for &(codes, d) in cols {
+                key = key * d + codes[i] as usize;
             }
             let mut id = table[key];
             if id == u32::MAX {
                 id = new_group_id(&counts)?;
                 table[key] = id;
                 counts.push(0);
-                for c in cols {
-                    group_codes.push(c.codes[i]);
+                for &(codes, _) in cols {
+                    group_codes.push(codes[i]);
                 }
             }
             counts[id as usize] += 1;
             row_ids.push(id);
         }
     } else {
-        let bits: Vec<u32> = cols.iter().map(|c| bit_width(c.domain_size())).collect();
+        let bits: Vec<u32> = cols.iter().map(|&(_, d)| bit_width(d)).collect();
         if bits.iter().sum::<u32>() <= 64 {
             // Pack the code tuple into one u64 and hash that — no
             // allocation per row.
             let mut intern: FxHashMap<u64, u32> = map_with_capacity(rows.min(1 << 20));
             for i in start..end {
                 let mut key = 0u64;
-                for (c, &b) in cols.iter().zip(&bits) {
-                    key = (key << b) | c.codes[i] as u64;
+                for (&(codes, _), &b) in cols.iter().zip(&bits) {
+                    key = (key << b) | codes[i] as u64;
                 }
                 let next = new_group_id(&counts)?;
                 let id = *intern.entry(key).or_insert(next);
                 if id == next {
                     counts.push(0);
-                    for c in cols {
-                        group_codes.push(c.codes[i]);
+                    for &(codes, _) in cols {
+                        group_codes.push(codes[i]);
                     }
                 }
                 counts[id as usize] += 1;
@@ -1269,8 +1291,8 @@ fn group_span(attrs: &AttrSet, cols: &[&Column], start: usize, end: usize) -> Re
             let mut intern: FxHashMap<Box<[u32]>, u32> = map_with_capacity(rows.min(1 << 20));
             let mut buf: Vec<u32> = vec![0; k];
             for i in start..end {
-                for (j, c) in cols.iter().enumerate() {
-                    buf[j] = c.codes[i];
+                for (j, &(codes, _)) in cols.iter().enumerate() {
+                    buf[j] = codes[i];
                 }
                 let next = new_group_id(&counts)?;
                 let id = *intern.entry(buf.clone().into_boxed_slice()).or_insert(next);
@@ -1294,31 +1316,39 @@ fn group_span(attrs: &AttrSet, cols: &[&Column], start: usize, end: usize) -> Re
 
 /// The largest dense table a grouping pass over `rows` rows allocates:
 /// [`RADIX_TABLE_CAP`] entries at most, and never much more than the rows
-/// themselves.  [`group_span`] hashes above it, and the lattice
-/// derivations ([`refine_ids`], [`coarsen_ids`]) are chosen against it.
+/// themselves.  [`group_span`], and so [`refine_ids`], hashes above it;
+/// the lattice policy of [`crate::AnalysisContext`] derives a grouping
+/// only where the pair table of a refinement fits within it, or where a
+/// coarsening replaces a kernel pass that would hash.
 pub(crate) fn dense_cap(rows: usize) -> u128 {
     // ajd: allow(silent-arithmetic, "capacity heuristic choosing dense vs hashed grouping; clamping only steers the strategy choice, results are identical either way")
     RADIX_TABLE_CAP.min((rows as u128).saturating_mul(8).max(4096))
 }
 
 /// Refines the grouping `base` of some `X ⊂ attrs` by the columns of
-/// `attrs ∖ X` into the grouping of `attrs`, in one row pass.
+/// `attrs ∖ X` into the grouping of `attrs`.
 ///
 /// `extra` holds each column of `attrs ∖ X` in ascending attribute order:
 /// its per-row codes and its domain size, in the code space of `base`'s
 /// group codes.  Each pair (X-id, extra codes) stands for exactly one tuple
-/// of `attrs`, so numbering the pairs by first appearance through a dense
-/// `g_X × Π d` table numbers the tuples by first appearance: the result is
-/// bit-identical to [`Relation::group_ids`] on `attrs`.  The caller keeps
-/// that table within [`dense_cap`].
+/// of `attrs`, so [`group_span`] over the key columns (`base`'s row ids
+/// with domain `g_X`, then the extra columns) numbers the tuples by first
+/// appearance; one pass over the groups then rewrites each pair into the
+/// codes of `attrs`.  The result is bit-identical to
+/// [`Relation::group_ids`] on `attrs`.  The pair table is dense within
+/// [`dense_cap`] and hashed above it, as the kernel is.
 pub(crate) fn refine_ids(
     attrs: &AttrSet,
     base: &GroupIds,
     extra: &[(&[u32], usize)],
 ) -> Result<GroupIds> {
+    let mut cols = vec![(&base.row_ids[..], base.num_groups())];
+    cols.extend_from_slice(extra);
+    let pairs = group_span(attrs, &cols, 0, base.row_ids.len())?;
     // Where each code of an `attrs` tuple comes from: `Ok(j)` is the j-th
-    // code of the base tuple, `Err(e)` the e-th extra column.
-    let mut next_extra = 0..extra.len();
+    // code of the base tuple, `Err(e)` the e-th code of a pair (the extra
+    // columns follow the X-id).
+    let mut next_extra = 1..cols.len();
     let from: Vec<std::result::Result<usize, usize>> = attrs
         .iter()
         .map(|a| {
@@ -1329,36 +1359,17 @@ pub(crate) fn refine_ids(
             })
         })
         .collect();
-    let radix: usize = extra.iter().map(|&(_, d)| d).product::<usize>() * base.num_groups();
-    let mut table = vec![u32::MAX; radix];
-    let rows = base.row_ids.len();
-    let mut row_ids: Vec<u32> = Vec::with_capacity(rows);
-    let mut counts: Vec<u64> = Vec::new();
-    let mut group_codes: Vec<u32> = Vec::new();
-    for (i, &x) in base.row_ids.iter().enumerate() {
-        let mut key = x as usize;
-        for &(codes, d) in extra {
-            key = key * d + codes[i] as usize;
-        }
-        let mut id = table[key];
-        if id == u32::MAX {
-            id = new_group_id(&counts)?;
-            table[key] = id;
-            counts.push(0);
-            let x_codes = base.group_code(x as usize);
-            group_codes.extend(from.iter().map(|src| match *src {
-                Ok(j) => x_codes[j],
-                Err(e) => extra[e].0[i],
-            }));
-        }
-        counts[id as usize] += 1;
-        row_ids.push(id);
+    let mut group_codes = Vec::with_capacity(pairs.num_groups() * from.len());
+    for pair in pairs.group_codes.chunks_exact(cols.len()) {
+        let x_codes = base.group_code(pair[0] as usize);
+        group_codes.extend(from.iter().map(|src| match *src {
+            Ok(j) => x_codes[j],
+            Err(e) => pair[e],
+        }));
     }
     Ok(GroupIds {
-        attrs: attrs.clone(),
-        row_ids,
-        counts,
         group_codes,
+        ..pairs
     })
 }
 
@@ -1615,7 +1626,8 @@ mod tests {
 
     /// Each of the kernel's three key paths — dense table, packed `u64`,
     /// boxed wide tuple — numbers groups exactly like a naive
-    /// first-appearance scan, and so does the shard merge of the wide
+    /// first-appearance scan, and so do the refinement of a one-column
+    /// grouping through the same path and the shard merge of the wide
     /// relation (whose interner boxes its keys too).
     #[test]
     fn grouping_kernel_paths_agree() {
@@ -1668,21 +1680,23 @@ mod tests {
             };
             assert!(forced, "{path}: domains {domains:?} miss the path");
             let (ids, counts, codes) = naive(&r);
-            let got = r.group_ids(&r.attrs()).unwrap();
-            assert_eq!(got.row_ids(), &ids[..], "{path}");
-            assert_eq!(got.counts(), &counts[..], "{path}");
-            assert_eq!(got.group_codes(), &codes[..], "{path}");
             assert!(counts.len() < r.len(), "{path}: no duplicate tuples");
+            let check = |how: &str, got: &GroupIds| {
+                assert_eq!(got.row_ids(), &ids[..], "{path} {how}");
+                assert_eq!(got.counts(), &counts[..], "{path} {how}");
+                assert_eq!(got.group_codes(), &codes[..], "{path} {how}");
+            };
+            check("kernel", &r.group_ids(&r.attrs()).unwrap());
+            // Refining the first column's grouping by the other columns:
+            // a one-column grouping has one group per code, so the pair
+            // table has the kernel's radix and key width and takes its
+            // path (above the dense cap for "packed").
+            let base = r.group_ids(&AttrSet::from_ids([0])).unwrap();
+            let extra: Vec<(&[u32], usize)> = r.columns[1..].iter().map(Column::key).collect();
+            check("refined", &refine_ids(&r.attrs(), &base, &extra).unwrap());
             if path == "boxed" {
-                let merged = r
-                    .clone()
-                    .into_shards(3)
-                    .unwrap()
-                    .group_ids(&r.attrs())
-                    .unwrap();
-                assert_eq!(merged.row_ids(), &ids[..], "{path} merged");
-                assert_eq!(merged.counts(), &counts[..], "{path} merged");
-                assert_eq!(merged.group_codes(), &codes[..], "{path} merged");
+                let sharded = r.clone().into_shards(3).unwrap();
+                check("merged", &sharded.group_ids(&r.attrs()).unwrap());
             }
         }
     }

@@ -76,38 +76,11 @@
 use crate::attr::{AttrId, AttrSet};
 use crate::context::{GroupKernel, GroupSource, StripedCache, TierStats};
 use crate::error::{RelationError, Result};
-use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
-use crate::relation::{merge_spans, GroupCounts, GroupIds, Relation, Value};
+use crate::relation::{merge_spans, Dict, GroupCounts, GroupIds, Relation, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
-
-/// A global (cross-shard) attribute dictionary: raw value → dense code, in
-/// shard-order first appearance — exactly the code assignment the flat
-/// relation's column dictionary would make on the concatenated rows.
-#[derive(Debug, Clone, Default)]
-struct GlobalDict {
-    /// `code → value`, in first-appearance order across shards.
-    values: Vec<Value>,
-    /// `value → code`.
-    index: FxHashMap<Value, u32>,
-}
-
-impl GlobalDict {
-    /// Interns `v`, returning its dense global code.
-    fn intern(&mut self, v: Value) -> Result<u32> {
-        if let Some(&c) = self.index.get(&v) {
-            return Ok(c);
-        }
-        let code = u32::try_from(self.values.len()).map_err(|_| {
-            RelationError::CountOverflow("global shard dictionary exceeds the u32 code space")
-        })?;
-        self.values.push(v);
-        self.index.insert(v, code);
-        Ok(code)
-    }
-}
 
 /// One shard of a [`ShardedRelation`]: a self-contained columnar span with
 /// its own dictionaries, its global row offset, its local → global code
@@ -216,8 +189,10 @@ impl RelationShard {
 pub struct ShardedRelation {
     schema: Vec<AttrId>,
     shards: Vec<Arc<RelationShard>>,
-    /// Global per-attribute dictionaries, indexed by schema position.
-    dicts: Vec<GlobalDict>,
+    /// Global per-attribute dictionaries, indexed by schema position: the
+    /// codes the flat relation's columns would assign to the concatenated
+    /// rows, in shard-order first appearance.
+    dicts: Vec<Dict>,
     rows: usize,
 }
 
@@ -236,7 +211,7 @@ impl ShardedRelation {
             }
         }
         Ok(ShardedRelation {
-            dicts: vec![GlobalDict::default(); schema.len()],
+            dicts: vec![Dict::default(); schema.len()],
             schema,
             shards: Vec::new(),
             rows: 0,
@@ -293,7 +268,7 @@ impl ShardedRelation {
             let dict = &mut self.dicts[pos];
             let mut map = Vec::with_capacity(locals.len());
             for &v in locals {
-                map.push(dict.intern(v)?);
+                map.push(dict.encode(v)?);
             }
             remap.push(map);
         }
