@@ -57,8 +57,11 @@ fn check_tree_covered(relation_attrs: &AttrSet, tree: &JoinTree) -> Result<()> {
 /// distinct projection tuples are the source's [`ajd_relation::GroupIds`]
 /// groups, and the message a node sends its parent is a dense `Vec<u128>`
 /// indexed by the separator's group ids — no per-tuple hashing, no key
-/// allocation.  The id mappings (bag group → separator group) are recovered
-/// from the per-row id vectors in one linear pass per edge.
+/// allocation.  The id mappings (bag group → separator group) come from
+/// [`ajd_relation::GroupIds::map_to`], which reads the separator id of each
+/// bag group's first row: O(bag groups) per edge endpoint, once a bag's
+/// first rows are known (one pass over its row ids on first use, or
+/// carried through a live epoch's extension of the bag's table).
 ///
 /// Returns [`RelationError::CountOverflow`] if the exact join size exceeds
 /// `u128`.

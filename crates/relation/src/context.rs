@@ -48,16 +48,17 @@
 //! and every reader of that epoch shares it.  The new context starts with
 //! no table, but it inherits the previous epoch's group tables as *seeds*:
 //! a cold fill of a seeded set extends the old table by the appended
-//! shards instead of regrouping every shard.  The memo tiers are never
-//! seeded; each epoch recomputes them from its own tables, so every float
-//! sum keeps its order.
+//! shards instead of regrouping every shard, and takes over the key map
+//! the old table's own extension kept, so it hashes only the new shards'
+//! groups.  The memo tiers are never seeded; each epoch recomputes them
+//! from its own tables, so every float sum keeps its order.
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
 use crate::relation::{
-    coarsen_ids, dense_cap, extend_counts, merge_spans, refine_ids, GroupCounts, GroupIds,
+    coarsen_ids, dense_cap, extend_counts, extend_ids, refine_ids, GroupCounts, GroupIds, KeyMap,
     Relation, Value,
 };
 use ajd_sync::atomic::{AtomicU64, Ordering};
@@ -288,6 +289,22 @@ fn dictionaries<'a, K: GroupKernel + ?Sized>(
         .collect())
 }
 
+/// The seed's kept key map if it still [fits](KeyMap::fits) `domains` and
+/// the seed's `groups` groups, and the code tuples its extension by
+/// `spans` hashes: the spans' groups, plus the seed's own when the map
+/// must be rebuilt.
+fn reusable(
+    key_map: Option<KeyMap>,
+    domains: &[usize],
+    groups: usize,
+    spans: &[Arc<GroupIds>],
+) -> (Option<KeyMap>, usize) {
+    let key_map = key_map.filter(|k| k.fits(domains, groups));
+    let rebuilt = if key_map.is_some() { 0 } else { groups };
+    let span_groups: usize = spans.iter().map(|s| s.num_groups()).sum();
+    (key_map, rebuilt + span_groups)
+}
+
 impl GroupSource for Relation {
     fn schema(&self) -> &[AttrId] {
         Relation::schema(self)
@@ -480,23 +497,53 @@ type Slot<T> = Arc<OnceSlot<Result<Arc<T>>>>;
 /// The key of the sample tier: the draw's seed and its planned size.
 type SampleKey = (u64, u64);
 
-/// A table of an earlier epoch of a live source and the number of shards
-/// it covers, a prefix of the current ones.  Tagged by shards, not rows,
-/// because empty shards exist.
-#[derive(Debug, Clone)]
+/// A table of an earlier epoch of a live source, the number of shards it
+/// covers (a prefix of the current ones), and the key map of its groups
+/// when the extension that built the table kept one.  Tagged by shards,
+/// not rows, because empty shards exist.
+#[derive(Debug)]
 struct Seed<T> {
     table: Arc<T>,
     shards: usize,
+    key_map: Option<KeyMap>,
+}
+
+impl<T> Seed<T> {
+    /// A seed of `table`, which covers `shards` shards, without a key map.
+    fn new(table: &Arc<T>, shards: usize) -> Self {
+        Seed {
+            table: Arc::clone(table),
+            shards,
+            key_map: None,
+        }
+    }
+
+    /// This seed for the next epoch: the same table, and the key map moved
+    /// along (an extension of this seed in this epoch then rebuilds it).
+    fn hand_on(&mut self) -> Self {
+        Seed {
+            table: Arc::clone(&self.table),
+            shards: self.shards,
+            key_map: self.key_map.take(),
+        }
+    }
 }
 
 /// The id and count tables one epoch's context hands the next one
-/// ([`AnalysisContext::next_seeds`]), keyed by attribute set.
+/// ([`AnalysisContext::next_seeds`]), keyed by attribute set, and the key
+/// maps the context's own extensions keep for the next epoch.
 #[derive(Debug, Default)]
 pub(crate) struct Seeds {
     /// An id seed is taken by the fill that extends it, but its entry
     /// stays, so the set's count fills still go through the id cache.
     ids: FxHashMap<AttrSet, Option<Seed<GroupIds>>>,
     counts: FxHashMap<AttrSet, Seed<GroupCounts>>,
+    /// The key map of each table this epoch extended, which
+    /// [`AnalysisContext::next_seeds`] moves into the table's seed.
+    kept: FxHashMap<AttrSet, KeyMap>,
+    /// Code tuples this epoch's extensions hashed: the appended spans'
+    /// groups, plus a seed's own groups wherever its key map was rebuilt.
+    hashed: u64,
 }
 
 /// A striped, single-flight memoization map, with exact counters of its
@@ -702,16 +749,26 @@ enum Fill {
 /// out of the map, so it is extended once:
 ///
 /// * an **id** seed goes first into the shard-order merge, where its groups
-///   keep their ids and its row ids are taken over or copied, never
-///   rewritten;
-/// * a **count** seed (kept only for a set without an id table) interns its
-///   code tuples and then the new spans' groups, and decodes the keys of
-///   the new groups only.
+///   keep their ids and its row ids (and its first rows, if known) are
+///   taken over or copied, never rewritten;
+/// * a **count** seed (kept only for a set without an id table) interns the
+///   new spans' groups after its own, and decodes the keys of the new
+///   groups only.
 ///
-/// Key widths come from the current dictionaries, so a dictionary that
-/// crosses a power of two changes nothing.  An extended fill counts in
-/// [`CacheStats::extended`], so `misses + derived + extended` is one per
-/// distinct filled set at any timing.
+/// An extended fill also **keeps its key map**, the code tuple → id map
+/// its interning built, and the store hands it to the next epoch's
+/// context with the table.  The next extension of the set takes the map
+/// over and hashes only the appended shards' groups, so a seeded read
+/// costs O(new rows + new groups) per epoch, not O(groups).  The map is moved
+/// under the seeds lock, never copied, so at most one extension consumes
+/// it.  It is rebuilt from the seed's groups, as on the first extension of
+/// a kernel table, when it is missing (a seed handed on before its
+/// extension here) or when any grouped column's key width changed (key
+/// widths come from the current dictionaries, and packing depends on
+/// them).  Kernel-filled and derived tables never carry one, so a context
+/// over a flat or never-appended relation holds no map.  An extended fill
+/// counts in [`CacheStats::extended`], so `misses + derived + extended` is
+/// one per distinct filled set at any timing.
 ///
 /// Three **memo tiers** sit on top of the caches, each single-flight
 /// through the same slot machinery and counted in [`TierStats`]:
@@ -834,8 +891,12 @@ impl<S: GroupKernel> AnalysisContext<S> {
             if let Some(seed) = seed {
                 let spans = self.source.spans_from(attrs, seed.shards, budget)?;
                 let dicts = dictionaries(&self.source, attrs)?;
+                let domains: Vec<usize> = dicts.iter().map(|d| d.len()).collect();
+                let groups = seed.table.num_groups();
+                let (key_map, hashed) = reusable(seed.key_map, &domains, groups, &spans);
                 let total = self.source.num_rows() as u128;
-                let counts = extend_counts(seed.table, &spans, &dicts, total)?;
+                let (counts, key_map) = extend_counts(seed.table, key_map, &spans, &dicts, total)?;
+                self.keep(attrs, key_map, hashed);
                 return Ok((Arc::new(counts), Fill::Extended));
             }
             // A set whose ids an earlier epoch held gets them again,
@@ -867,14 +928,18 @@ impl<S: GroupKernel> AnalysisContext<S> {
     fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(Arc<GroupIds>, Fill)> {
         let seed = self.seeds.lock().ids.get_mut(attrs).and_then(Option::take);
         if let Some(seed) = seed {
-            let mut spans = vec![seed.table];
-            spans.extend(self.source.spans_from(attrs, seed.shards, budget)?);
-            let domains = dictionaries(&self.source, attrs)?
+            let spans = self.source.spans_from(attrs, seed.shards, budget)?;
+            let domains: Vec<usize> = dictionaries(&self.source, attrs)?
                 .into_iter()
-                .map(<[Value]>::len);
+                .map(<[Value]>::len)
+                .collect();
+            let groups = seed.table.num_groups();
+            let (key_map, hashed) = reusable(seed.key_map, &domains, groups, &spans);
             let rows = self.source.num_rows();
-            let ids = merge_spans(attrs, domains, spans, rows, budget.get())?;
-            return Ok((ids, Fill::Extended));
+            let (ids, key_map) =
+                extend_ids(seed.table, key_map, &spans, &domains, rows, budget.get())?;
+            self.keep(attrs, key_map, hashed);
+            return Ok((Arc::new(ids), Fill::Extended));
         }
         Ok(match self.derive_ids(attrs)? {
             Some(ids) => (Arc::new(ids), Fill::Derived),
@@ -1031,36 +1096,74 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// has one (its counts decode from it), else its count table.  Only
     /// completed slots are read (never an in-flight fill), and `∅` is
     /// never seeded.
+    ///
+    /// Key maps move, under the seeds lock, with their tables: the map
+    /// this epoch's extension of a set kept goes with the set's table, and
+    /// an unconsumed seed takes its own map along.  A map is never copied,
+    /// so at most one extension consumes it; one this context loses (a
+    /// table still in flight, or an unconsumed seed it extends after this
+    /// hand-over) is rebuilt by the extension that lacks it.
     pub(crate) fn next_seeds(&self, shards: usize) -> Seeds {
-        fn collect<T, V>(
-            cache: &StripedCache<AttrSet, T>,
-            shards: usize,
-            into: &mut FxHashMap<AttrSet, V>,
-            wrap: fn(Seed<T>) -> V,
-        ) {
-            cache.visit_resident(|attrs, table| {
-                if !attrs.is_empty() {
-                    let table = Arc::clone(table);
-                    into.insert(attrs.clone(), wrap(Seed { table, shards }));
-                }
-            });
-        }
-        let mut next = {
-            let seeds = self.seeds.lock();
-            // ajd: allow(hash-iter-order, "collected into another hash map keyed by the same sets; no result depends on the visiting order")
-            let unconsumed = seeds.ids.iter().filter(|(_, seed)| seed.is_some());
-            Seeds {
-                ids: unconsumed
-                    .map(|(a, seed)| (a.clone(), seed.clone()))
-                    .collect(),
-                counts: seeds.counts.clone(),
+        let mut next = Seeds::default();
+        self.group_ids.visit_resident(|attrs, table| {
+            if !attrs.is_empty() {
+                next.ids
+                    .insert(attrs.clone(), Some(Seed::new(table, shards)));
             }
-        };
-        collect(&self.group_ids, shards, &mut next.ids, Some);
-        collect(&self.group_counts, shards, &mut next.counts, |s| s);
-        let Seeds { ids, counts } = &mut next;
+        });
+        self.group_counts.visit_resident(|attrs, table| {
+            if !attrs.is_empty() && !next.ids.contains_key(attrs) {
+                next.counts.insert(attrs.clone(), Seed::new(table, shards));
+            }
+        });
+        let mut seeds = self.seeds.lock();
+        let Seeds {
+            ids, counts, kept, ..
+        } = &mut *seeds;
+        // ajd: allow(hash-iter-order, "each map moves to the seed of its own set; no result depends on the visiting order")
+        for (attrs, key_map) in kept.drain() {
+            if let Some(Some(seed)) = next.ids.get_mut(&attrs) {
+                seed.key_map = Some(key_map);
+            } else if let Some(seed) = next.counts.get_mut(&attrs) {
+                seed.key_map = Some(key_map);
+            }
+        }
+        for (attrs, seed) in ids.iter_mut() {
+            if let Some(seed) = seed {
+                next.ids
+                    .entry(attrs.clone())
+                    .or_insert_with(|| Some(seed.hand_on()));
+            }
+        }
+        for (attrs, seed) in counts.iter_mut() {
+            if !next.ids.contains_key(attrs) {
+                next.counts
+                    .entry(attrs.clone())
+                    .or_insert_with(|| seed.hand_on());
+            }
+        }
+        drop(seeds);
+        let Seeds { ids, counts, .. } = &mut next;
         counts.retain(|attrs, _| !ids.contains_key(attrs));
         next
+    }
+
+    /// Keeps `key_map`, the key map of this epoch's extended table of
+    /// `attrs`, for [`AnalysisContext::next_seeds`] to hand on, and counts
+    /// the `hashed` code tuples the extension hashed.
+    fn keep(&self, attrs: &AttrSet, key_map: KeyMap, hashed: usize) {
+        let mut seeds = self.seeds.lock();
+        seeds.kept.insert(attrs.clone(), key_map);
+        seeds.hashed += hashed as u64;
+    }
+
+    /// Code tuples this context's extended fills have hashed: each
+    /// appended span's groups, plus a seed's own groups wherever its kept
+    /// key map was missing or no longer fit.  A test observation of the
+    /// kept maps, not a cache statistic.
+    #[cfg(any(test, ajd_model))]
+    pub fn extension_hashes(&self) -> u64 {
+        self.seeds.lock().hashed
     }
 
     /// Snapshot of cache sizes and hit/miss counters.
@@ -1564,5 +1667,199 @@ mod tests {
         let ids = ctx.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
         assert_eq!(ids.total(), 0);
+    }
+
+    /// The kept key maps of seeded extensions: a live store whose contexts
+    /// extend the previous epoch's tables.
+    mod kept_key_maps {
+        use super::*;
+        use crate::{ShardedRelation, ShardedStore};
+
+        type Ctx = AnalysisContext<Arc<ShardedRelation>>;
+
+        fn batch(arity: u32, rows: &[Vec<Value>]) -> Relation {
+            Relation::from_rows((0..arity).map(AttrId).collect(), rows).unwrap()
+        }
+
+        /// The groups of the shards from `first` on: what an extension
+        /// with a kept map hashes.
+        fn span_groups(ctx: &Ctx, attrs: &AttrSet, first: usize) -> u64 {
+            let shards = &ctx.source().shards()[first..];
+            let groups = shards
+                .iter()
+                .map(|s| s.relation().group_ids(attrs).unwrap());
+            groups.map(|g| g.num_groups() as u64).sum()
+        }
+
+        /// `ctx`'s ids of `attrs`, checked against the flat relation of its
+        /// rows, and their `map_to` onto the first attribute against the
+        /// row pass.
+        fn ids(ctx: &Ctx, attrs: &AttrSet) -> Arc<GroupIds> {
+            let got = ctx.group_ids_with(attrs, ThreadBudget::serial()).unwrap();
+            let flat = ctx.source().collect().unwrap();
+            let want = flat.group_ids(attrs).unwrap();
+            assert_eq!(got.row_ids(), want.row_ids(), "{attrs}: row ids");
+            assert_eq!(got.counts(), want.counts(), "{attrs}: counts");
+            assert_eq!(got.group_codes(), want.group_codes(), "{attrs}: codes");
+            let head = AttrSet::singleton(attrs.iter().next().unwrap());
+            let coarse = flat.group_ids(&head).unwrap();
+            let mut map = vec![0; got.num_groups()];
+            for (&f, &c) in got.row_ids().iter().zip(coarse.row_ids()) {
+                map[f as usize] = c;
+            }
+            assert_eq!(got.map_to(&coarse), map, "{attrs}: map_to");
+            got
+        }
+
+        /// `ctx`'s counts of `attrs`, checked against the flat relation.
+        fn counts(ctx: &Ctx, attrs: &AttrSet) -> Arc<GroupCounts> {
+            let got = ctx
+                .group_counts_with(attrs, ThreadBudget::serial())
+                .unwrap();
+            let want = ctx.source().collect().unwrap().group_counts(attrs).unwrap();
+            assert_eq!(got.total, want.total, "{attrs}: total");
+            assert_eq!(got.counts(), want.counts(), "{attrs}: counts");
+            for g in 0..want.num_groups() {
+                assert_eq!(got.key(g), want.key(g), "{attrs}: key {g}");
+                assert_eq!(got.key_codes(g), want.key_codes(g), "{attrs}: codes {g}");
+            }
+            got
+        }
+
+        /// The first extension of a kernel table hashes the seed's groups
+        /// and the new shard's; the second, which takes over the kept map,
+        /// hashes the new shard's groups only.
+        #[test]
+        fn a_second_extension_hashes_only_the_new_shards_groups() {
+            let rows = |k: u32| -> Vec<Vec<Value>> {
+                (0..12)
+                    .map(|i| vec![(i + k) % 4, i % 3, (i * k) % 2])
+                    .collect()
+            };
+            let store = ShardedStore::from_initial_shard(batch(3, &rows(0))).unwrap();
+            let y = bag(&[0, 1]);
+            let seed = ids(&store.context(), &y).num_groups() as u64;
+            store.append_shard(batch(3, &rows(1))).unwrap();
+            let ctx = store.context();
+            let first = ids(&ctx, &y);
+            assert_eq!(ctx.extension_hashes(), seed + span_groups(&ctx, &y, 1));
+            drop((ctx, first));
+            for (e, k) in [(2, 2), (3, 5), (4, 1)] {
+                store.append_shard(batch(3, &rows(k))).unwrap();
+                let ctx = store.context();
+                ids(&ctx, &y);
+                assert_eq!(ctx.extension_hashes(), span_groups(&ctx, &y, e));
+                assert_eq!(ctx.stats().extended, 1);
+            }
+        }
+
+        /// An append that pushes a dictionary across a power of two widens
+        /// a packed key, so the kept map no longer fits and is rebuilt; the
+        /// rebuilt map is kept for the extension after it.
+        #[test]
+        fn a_wider_dictionary_rebuilds_the_kept_map() {
+            let rows: Vec<Vec<Value>> = (0..12).map(|i| vec![i % 4, i % 3, i % 2]).collect();
+            let store = ShardedStore::from_initial_shard(batch(3, &rows)).unwrap();
+            let y = bag(&[0, 1, 2]);
+            ids(&store.context(), &y);
+            store.append_shard(batch(3, &rows[..5])).unwrap();
+            let seed = ids(&store.context(), &y).num_groups() as u64;
+            // A fifth value of attribute 0: 2 bits become 3.
+            store
+                .append_shard(batch(3, &[vec![4, 0, 0], vec![1, 1, 1]]))
+                .unwrap();
+            let ctx = store.context();
+            ids(&ctx, &y);
+            assert_eq!(ctx.extension_hashes(), seed + span_groups(&ctx, &y, 2));
+            drop(ctx);
+            store
+                .append_shard(batch(3, &[vec![4, 2, 1], vec![3, 0, 1]]))
+                .unwrap();
+            let ctx = store.context();
+            ids(&ctx, &y);
+            assert_eq!(ctx.extension_hashes(), span_groups(&ctx, &y, 3));
+        }
+
+        /// Eight attributes of 256 values pack Ω into exactly 64 bits; a
+        /// 257th value of one of them pushes the key past 64 bits, so the
+        /// packed map is rebuilt as a boxed one, which is kept in turn.
+        #[test]
+        fn a_key_past_64_bits_rebuilds_the_kept_map() {
+            let row = |i: u32| -> Vec<Value> { (0..8).map(|j| (i * (2 * j + 1)) % 256).collect() };
+            let base: Vec<Vec<Value>> = (0..256).map(row).collect();
+            let store = ShardedStore::from_initial_shard(batch(8, &base)).unwrap();
+            let omega = AttrSet::range(8);
+            ids(&store.context(), &omega);
+            store.append_shard(batch(8, &base[..9])).unwrap();
+            let seed = ids(&store.context(), &omega).num_groups() as u64;
+            let mut wide = row(3);
+            wide[0] = 256;
+            store.append_shard(batch(8, &[wide, row(7)])).unwrap();
+            let ctx = store.context();
+            ids(&ctx, &omega);
+            assert_eq!(ctx.extension_hashes(), seed + span_groups(&ctx, &omega, 2));
+            drop(ctx);
+            store.append_shard(batch(8, &[row(5), row(300)])).unwrap();
+            let ctx = store.context();
+            ids(&ctx, &omega);
+            assert_eq!(ctx.extension_hashes(), span_groups(&ctx, &omega, 3));
+        }
+
+        /// A reader still pinned to the old epoch holds the seed: the next
+        /// epoch copies its row ids (and first rows) instead of taking them
+        /// over, but still takes over its kept map.
+        #[test]
+        fn a_pinned_seed_is_copied_but_its_map_is_taken_over() {
+            let rows: Vec<Vec<Value>> = (0..20).map(|i| vec![i % 5, i % 3, i % 4]).collect();
+            let store = ShardedStore::from_initial_shard(batch(3, &rows)).unwrap();
+            let y = bag(&[0, 2]);
+            ids(&store.context(), &y);
+            store.append_shard(batch(3, &rows[3..9])).unwrap();
+            let pinned = store.context();
+            let old = ids(&pinned, &y);
+            let old_rows = old.row_ids().to_vec();
+            store
+                .append_shard(batch(3, &[vec![0, 0, 1], vec![2, 1, 0]]))
+                .unwrap();
+            let ctx = store.context();
+            let new = ids(&ctx, &y);
+            assert_eq!(ctx.extension_hashes(), span_groups(&ctx, &y, 2));
+            assert!(!Arc::ptr_eq(&old, &new));
+            assert_eq!(
+                old.row_ids(),
+                &old_rows[..],
+                "the pinned table is untouched"
+            );
+            ids(&pinned, &y);
+            assert_eq!(new.row_ids()[..old_rows.len()], old_rows[..]);
+        }
+
+        /// Ω read for its counts alone: each epoch extends the count seed
+        /// through `extend_counts`, and from the second extension on only
+        /// the new shard's groups are hashed; no id table is ever made.
+        #[test]
+        fn an_omega_count_seed_keeps_its_map() {
+            let rows = |k: u32| -> Vec<Vec<Value>> {
+                (0..15)
+                    .map(|i| vec![(i + k) % 5, (i * k) % 3, i % 2])
+                    .collect()
+            };
+            let store = ShardedStore::from_initial_shard(batch(3, &rows(0))).unwrap();
+            let omega = AttrSet::range(3);
+            let seed = counts(&store.context(), &omega).num_groups() as u64;
+            store.append_shard(batch(3, &rows(1))).unwrap();
+            let ctx = store.context();
+            counts(&ctx, &omega);
+            assert_eq!(ctx.extension_hashes(), seed + span_groups(&ctx, &omega, 1));
+            drop(ctx);
+            for (e, k) in [(2, 2), (3, 4)] {
+                store.append_shard(batch(3, &rows(k))).unwrap();
+                let ctx = store.context();
+                counts(&ctx, &omega);
+                assert_eq!(ctx.extension_hashes(), span_groups(&ctx, &omega, e));
+                let stats = ctx.stats();
+                assert_eq!((stats.extended, stats.group_id_entries), (1, 0));
+            }
+        }
     }
 }

@@ -107,6 +107,12 @@ impl Column {
 /// are needed).  This is the layout the join-size message passing in
 /// `ajd-jointree` consumes: dense integer ids and flat vectors, no hash
 /// lookups on boxed key tuples.
+///
+/// A grouping also knows the first row of each group, one `u32` per group,
+/// which makes [`GroupIds::map_to`] O(groups).  Ids are numbered by first
+/// appearance, so the list is increasing.  The row pass of the first
+/// [`GroupIds::map_to`] finds it, and an extension of a grouping that has
+/// it scans only the appended rows.
 #[derive(Debug, Clone)]
 pub struct GroupIds {
     attrs: AttrSet,
@@ -114,9 +120,23 @@ pub struct GroupIds {
     counts: Vec<u64>,
     /// Flattened code tuples, `attrs.len()` codes per group.
     group_codes: Vec<u32>,
+    /// The first row of each group, found by the first `map_to` or carried
+    /// from a seed; `None` when a row index does not fit a `u32`.
+    first_rows: ajd_sync::OnceSlot<Option<Vec<u32>>>,
 }
 
 impl GroupIds {
+    /// A grouping of `attrs` from its parts, first rows not yet known.
+    fn new(attrs: AttrSet, row_ids: Vec<u32>, counts: Vec<u64>, group_codes: Vec<u32>) -> Self {
+        GroupIds {
+            attrs,
+            row_ids,
+            counts,
+            group_codes,
+            first_rows: ajd_sync::OnceSlot::new(),
+        }
+    }
+
     /// The attribute set the rows are grouped by.
     pub fn attrs(&self) -> &AttrSet {
         &self.attrs
@@ -178,32 +198,33 @@ impl GroupIds {
     /// The grouping by zero attributes: every one of `rows` rows projects
     /// to the empty tuple, so they form one group (none when `rows` is 0).
     pub(crate) fn empty_tuple(rows: usize) -> Self {
-        GroupIds {
-            attrs: AttrSet::empty(),
-            row_ids: vec![0; rows],
-            counts: if rows == 0 {
-                Vec::new()
-            } else {
-                vec![rows as u64]
-            },
-            group_codes: Vec::new(),
-        }
+        let counts = if rows == 0 {
+            Vec::new()
+        } else {
+            vec![rows as u64]
+        };
+        GroupIds::new(AttrSet::empty(), vec![0; rows], counts, Vec::new())
     }
 
-    /// The row ids, counts and group codes of `this`, with room for `rows`
-    /// row ids: taken over when no one else holds the table, copied
-    /// otherwise.
-    fn unshare(this: Arc<Self>, rows: usize) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+    /// `this` as an owned table with room for `rows` row ids: taken over
+    /// when no one else holds it, copied otherwise (the first rows only if
+    /// they are complete).
+    fn unshare(this: Arc<Self>, rows: usize) -> Self {
         match Arc::try_unwrap(this) {
-            Ok(own) => {
-                let mut row_ids = own.row_ids;
-                row_ids.reserve(rows - row_ids.len());
-                (row_ids, own.counts, own.group_codes)
+            Ok(mut own) => {
+                own.row_ids.reserve(rows - own.row_ids.len());
+                own
             }
             Err(shared) => {
                 let mut row_ids = Vec::with_capacity(rows);
                 row_ids.extend_from_slice(&shared.row_ids);
-                (row_ids, shared.counts.clone(), shared.group_codes.clone())
+                GroupIds {
+                    attrs: shared.attrs.clone(),
+                    row_ids,
+                    counts: shared.counts.clone(),
+                    group_codes: shared.group_codes.clone(),
+                    first_rows: shared.first_rows.clone(),
+                }
             }
         }
     }
@@ -225,9 +246,12 @@ impl GroupIds {
     ///
     /// Rows with equal projections onto `self.attrs()` agree on any subset
     /// of those attributes, so any representative row determines the coarse
-    /// group; the map is recovered in one linear pass over the two per-row
-    /// id vectors.  This is the co-grouping primitive behind the interned
-    /// join-size count in `ajd-jointree` (eq. 1, and eq. 28 through it).
+    /// group: the map reads the coarse id of each group's first row, in
+    /// O(groups).  The first call maps by one pass over both groupings' row
+    /// ids, which also finds the first rows (an extended grouping inherits
+    /// them from its seed and scans only the appended rows).  This is the
+    /// co-grouping primitive behind the interned join-size count in
+    /// `ajd-jointree` (eq. 1, and eq. 28 through it).
     ///
     /// Panics if `coarser` does not group by a subset of this grouping's
     /// attributes, or if the two groupings come from relations of different
@@ -243,12 +267,60 @@ impl GroupIds {
             coarser.row_ids.len(),
             "map_to requires groupings of the same relation"
         );
-        let mut map = vec![0u32; self.num_groups()];
-        for (&fine, &coarse) in self.row_ids.iter().zip(&coarser.row_ids) {
-            map[fine as usize] = coarse;
+        match self.first_rows.get() {
+            Some(Some(first)) => {
+                let map: Vec<u32> = first
+                    .iter()
+                    .map(|&row| coarser.row_ids[row as usize])
+                    .collect();
+                debug_assert_eq!(map, self.map_by_rows(coarser).0, "stale first rows");
+                map
+            }
+            Some(None) => self.map_by_rows(coarser).0,
+            None => {
+                let (map, first) = self.map_by_rows(coarser);
+                // A racing first call may have set them already: equal.
+                let _ = self.first_rows.set(first);
+                map
+            }
         }
-        map
     }
+
+    /// [`GroupIds::map_to`] by one pass over both groupings' row ids, and
+    /// the first row of each group, found by the same pass: it runs
+    /// backwards, so the last row of a group it meets is the first.  This
+    /// is the reference the first rows must agree with.  The first rows
+    /// are `None` when a row index does not fit a `u32`.
+    fn map_by_rows(&self, coarser: &GroupIds) -> (Vec<u32>, Option<Vec<u32>>) {
+        let mut map = vec![0u32; self.num_groups()];
+        let pairs = self.row_ids.iter().zip(&coarser.row_ids);
+        let Ok(rows) = u32::try_from(self.row_ids.len()) else {
+            for (&fine, &coarse) in pairs {
+                map[fine as usize] = coarse;
+            }
+            return (map, None);
+        };
+        let mut first = vec![0u32; self.num_groups()];
+        for (row, (&fine, &coarse)) in (0..rows).zip(pairs).rev() {
+            map[fine as usize] = coarse;
+            first[fine as usize] = row;
+        }
+        (map, Some(first))
+    }
+}
+
+/// Appends to `first` — the first rows of a grouping's first
+/// `first.len()` groups, all before row `from` of `row_ids` — the first
+/// rows of the groups that start at or after `from`.  Ids are numbered by
+/// first appearance, so the next group to start is always id
+/// `first.len()`.  `None` if a row index does not fit a `u32`.
+fn push_first_rows(first: &mut Vec<u32>, row_ids: &[u32], from: usize) -> Option<()> {
+    for (row, &id) in row_ids.iter().enumerate().skip(from) {
+        if id as usize == first.len() {
+            first.push(u32::try_from(row).ok()?);
+        }
+    }
+    Some(())
 }
 
 /// Counts of distinct grouped rows: the multiplicity of every distinct
@@ -704,12 +776,12 @@ impl Relation {
                 "column dictionary holds zero-occurrence codes; \
                  single-column grouping would emit phantom groups"
             );
-            return Ok(GroupIds {
-                attrs: attrs.clone(),
-                row_ids: col.codes.clone(),
+            return Ok(GroupIds::new(
+                attrs.clone(),
+                col.codes.clone(),
                 counts,
-                group_codes: (0..d as u32).collect(),
-            });
+                (0..d as u32).collect(),
+            ));
         }
 
         let cols: Vec<_> = positions.iter().map(|&p| self.columns[p].key()).collect();
@@ -993,11 +1065,11 @@ impl Relation {
 /// local ids already are the global ones, so a one-shard relation skips
 /// the hash merge and the row rewrite, and its shard tier and the caller
 /// share one table.  Likewise the first span's groups arrive first and in
-/// id order, so its local → global map is the identity: its vectors are
-/// taken over when no one else holds the span and copied otherwise, never
-/// rewritten.  So a first span that is itself an earlier merge (an epoch's
-/// table, extended by the shards appended since) costs no row pass.  The
-/// grown vectors get amortized room, as a table grows by every epoch.
+/// id order, so its local → global map is the identity: the merge is
+/// [`extend_ids`] of the first span by the others, which never rewrites
+/// the first span's row ids.  So a first span that is itself an earlier
+/// merge (an epoch's table, extended by the shards appended since) costs
+/// no row pass.
 ///
 /// `domains` gives the size of each grouped column's (common-code-space)
 /// domain, in `attrs` order; when their bit widths pack into 64 bits the
@@ -1016,35 +1088,67 @@ pub(crate) fn merge_spans(
     total_rows: usize,
     rewrite_workers: usize,
 ) -> Result<Arc<GroupIds>> {
+    let domains: Vec<usize> = domains.collect();
     let later = spans.split_off(spans.len().min(1));
     let Some(first) = spans.pop() else {
-        return Ok(Arc::new(
-            GroupInterner::new(domains, 0).into_ids(attrs, Vec::new()),
-        ));
+        let (empty, _) = GroupInterner::new(&domains, 0).into_ids(attrs, Vec::new());
+        return Ok(Arc::new(empty));
     };
     if later.is_empty() {
         debug_assert_eq!(&first.attrs, attrs);
         debug_assert_eq!(first.row_ids.len(), total_rows);
         return Ok(first);
     }
-    let k = attrs.len();
+    let (ids, _) = extend_ids(first, None, &later, &domains, total_rows, rewrite_workers)?;
+    Ok(Arc::new(ids))
+}
+
+/// Extends `seed`, the grouping of a relation's first rows, by `later`,
+/// the span groupings of the rows after them, in span order: the merge of
+/// [`merge_spans`] with `seed` as its first span.  The seed's groups keep
+/// their ids, and its vectors are taken over when no one else holds it and
+/// copied otherwise, never rewritten; the grown vectors get amortized
+/// room, as a table grows by every epoch.  If the seed knows its first
+/// rows, the result knows them too, from a scan of the appended rows only.
+///
+/// `domains` and `rewrite_workers` are as for [`merge_spans`].  `key_map`
+/// is the [`KeyMap`] of the seed's groups, which the extension that built
+/// the seed returned; it must [fit](KeyMap::fits) `domains`.  Without it
+/// the seed's tuples are hashed again.  Returns the grouping of all
+/// `total_rows` rows and the key map of its groups.
+pub(crate) fn extend_ids(
+    seed: Arc<GroupIds>,
+    key_map: Option<KeyMap>,
+    later: &[Arc<GroupIds>],
+    domains: &[usize],
+    total_rows: usize,
+    rewrite_workers: usize,
+) -> Result<(GroupIds, KeyMap)> {
     let later_groups: usize = later.iter().map(|s| s.counts.len()).sum();
-    let (mut row_ids, counts, group_codes) = GroupIds::unshare(first, total_rows);
-    let mut interner = GroupInterner::starting_with(domains, later_groups, counts, group_codes);
+    let GroupIds {
+        attrs,
+        mut row_ids,
+        counts,
+        group_codes,
+        first_rows,
+    } = GroupIds::unshare(seed, total_rows);
+    let k = attrs.len();
+    let mut interner =
+        GroupInterner::starting_with(domains, later_groups, counts, group_codes, key_map);
     let mut local_to_global: Vec<Vec<u32>> = Vec::with_capacity(later.len());
-    for span in &later {
+    for span in later {
         let map = (0..span.counts.len())
             .map(|g| interner.add(&span.group_codes[g * k..(g + 1) * k], span.counts[g]))
             .collect::<Result<Vec<u32>>>()?;
         local_to_global.push(map);
     }
 
-    // The first span's ids are already in place; rewrite each later span's
-    // local row ids through its local → global map, into disjoint slices
-    // of the output.  Spans are partitioned into at most `workers`
-    // contiguous runs — never one thread per span, which for a many-shard
-    // relation would spawn thousands of OS threads.
-    let first_rows = row_ids.len();
+    // The seed's ids are already in place; rewrite each later span's local
+    // row ids through its local → global map, into disjoint slices of the
+    // output.  Spans are partitioned into at most `workers` contiguous
+    // runs — never one thread per span, which for a many-shard relation
+    // would spawn thousands of OS threads.
+    let seed_rows = row_ids.len();
     row_ids.resize(total_rows, 0);
     let workers = rewrite_workers
         .min(later.len())
@@ -1059,9 +1163,9 @@ pub(crate) fn merge_spans(
             }
         }
     }
-    let rest = &mut row_ids[first_rows..];
+    let rest = &mut row_ids[seed_rows..];
     if workers <= 1 {
-        rewrite_run(rest, &later, &local_to_global);
+        rewrite_run(rest, later, &local_to_global);
     } else {
         std::thread::scope(|scope| {
             let mut rest: &mut [u32] = rest;
@@ -1076,7 +1180,17 @@ pub(crate) fn merge_spans(
         });
     }
 
-    Ok(Arc::new(interner.into_ids(attrs, row_ids)))
+    let groups = interner.counts.len();
+    let first_rows = first_rows.into_inner().flatten().and_then(|mut first| {
+        push_first_rows(&mut first, &row_ids, seed_rows)?;
+        debug_assert_eq!(first.len(), groups, "row ids number groups in order");
+        Some(first)
+    });
+    let (ids, key_map) = interner.into_ids(&attrs, row_ids);
+    if let Some(first) = first_rows {
+        let _ = ids.first_rows.set(Some(first));
+    }
+    Ok((ids, key_map))
 }
 
 /// Extends `seed`, the count table of a relation's first rows, by `spans`,
@@ -1088,12 +1202,16 @@ pub(crate) fn merge_spans(
 /// whose code space seed and spans both are).  Bit-identical to decoding
 /// the merge of the whole relation's spans.  Key widths come from `dicts`,
 /// so the seed's narrower domains do not matter.
+///
+/// `key_map` is the seed's [`KeyMap`], as for [`extend_ids`]; the key map
+/// of the result is returned with it.
 pub(crate) fn extend_counts(
     seed: Arc<GroupCounts>,
+    key_map: Option<KeyMap>,
     spans: &[Arc<GroupIds>],
     dicts: &[&[Value]],
     total: u128,
-) -> Result<GroupCounts> {
+) -> Result<(GroupCounts, KeyMap)> {
     let k = dicts.len();
     let later_groups: usize = spans.iter().map(|s| s.num_groups()).sum();
     let attrs = seed.attrs.clone();
@@ -1107,8 +1225,9 @@ pub(crate) fn extend_counts(
         ),
     };
     let seeded = key_codes.len();
-    let domains = dicts.iter().map(|d| d.len());
-    let mut interner = GroupInterner::starting_with(domains, later_groups, counts, key_codes);
+    let domains: Vec<usize> = dicts.iter().map(|d| d.len()).collect();
+    let mut interner =
+        GroupInterner::starting_with(&domains, later_groups, counts, key_codes, key_map);
     for span in spans {
         for g in 0..span.num_groups() {
             interner.add(span.group_code(g), span.counts[g])?;
@@ -1119,77 +1238,67 @@ pub(crate) fn extend_counts(
     for codes in unseen.chunks_exact(k.max(1)) {
         keys.extend(codes.iter().zip(dicts).map(|(&c, d)| d[c as usize]));
     }
-    Ok(GroupCounts::from_parts(
-        attrs,
-        total,
-        keys,
-        interner.group_codes,
-        interner.counts,
-    ))
+    let GroupInterner {
+        key_map,
+        counts,
+        group_codes,
+    } = interner;
+    let table = GroupCounts::from_parts(attrs, total, keys, group_codes, counts);
+    Ok((table, key_map))
 }
 
-/// Interns group code tuples of one code space into dense ids in order of
-/// first arrival, summing the counts each tuple arrives with: the one
-/// table-level hashing step behind [`merge_spans`], [`extend_counts`] and
-/// [`coarsen_ids`].
-/// Tuples whose bit widths pack into 64 bits are hashed as one `u64`,
-/// wider ones as boxed tuples.
-struct GroupInterner {
+/// The code tuple → id map of a [`GroupInterner`], for tuples over
+/// domains of fixed sizes.  Tuples whose bit widths pack into 64 bits are
+/// hashed as one `u64`, wider ones as boxed tuples.
+///
+/// An extension ([`extend_ids`], [`extend_counts`]) returns the map of the
+/// table it built, so the next extension of that table can take the map
+/// over and hash only the appended spans' groups ([`crate::AnalysisContext`]
+/// keeps one per extended table).  A map is moved, never cloned, so no
+/// two extensions share one.
+#[derive(Debug)]
+pub(crate) struct KeyMap {
     bits: Vec<u32>,
     packed: Option<FxHashMap<u64, u32>>,
     wide: FxHashMap<Box<[u32]>, u32>,
-    counts: Vec<u64>,
-    group_codes: Vec<u32>,
 }
 
-impl GroupInterner {
-    /// An empty interner for tuples over domains of the given sizes, sized
-    /// for about `capacity` distinct tuples.
-    fn new(domains: impl Iterator<Item = usize>, capacity: usize) -> Self {
-        let bits: Vec<u32> = domains.map(bit_width).collect();
+impl KeyMap {
+    /// An empty map for tuples over domains of the given sizes, sized for
+    /// about `capacity` distinct tuples.
+    fn new(domains: &[usize], capacity: usize) -> Self {
+        let bits: Vec<u32> = domains.iter().map(|&d| bit_width(d)).collect();
         let packable = bits.iter().sum::<u32>() <= 64;
-        GroupInterner {
+        KeyMap {
             bits,
             packed: packable.then(|| map_with_capacity(capacity)),
             wide: map_with_capacity(if packable { 0 } else { capacity }),
-            counts: Vec::new(),
-            group_codes: Vec::new(),
         }
     }
 
-    /// The id of `codes` (a new one on first arrival), after adding
-    /// `count` to its multiplicity.
-    fn add(&mut self, codes: &[u32], count: u64) -> Result<u32> {
-        let next = new_group_id(&self.counts)?;
-        let id = self.id_of(codes, next);
-        if id == next {
-            self.counts.push(0);
-            self.group_codes.extend_from_slice(codes);
-        }
-        self.counts[id as usize] += count;
-        Ok(id)
+    /// `true` if this map can serve the extension of a table of `groups`
+    /// groups over domains of the given sizes: it holds `groups` tuples
+    /// and packs them to the widths of those domains.  A key width that
+    /// changed (a dictionary crossed a power of two) changes every packed
+    /// key, so the map must be rebuilt.
+    pub(crate) fn fits(&self, domains: &[usize], groups: usize) -> bool {
+        let widths = domains.iter().map(|&d| bit_width(d));
+        self.len() == groups && self.bits.iter().copied().eq(widths)
     }
 
-    /// An interner whose first ids are the distinct tuples `group_codes`
-    /// of a table, in id order, with their `counts`: the vectors are taken
-    /// over and only the tuples are hashed, so every tuple keeps its id.
-    /// The map is sized for `later` more tuples.
-    fn starting_with(
-        domains: impl Iterator<Item = usize>,
-        later: usize,
-        counts: Vec<u64>,
-        group_codes: Vec<u32>,
-    ) -> Self {
-        let mut interner = Self::new(domains, counts.len() + later);
-        let k = interner.bits.len();
-        for g in 0..counts.len() {
-            // A table numbers its tuples in u32, so `g` fits.
-            let id = interner.id_of(&group_codes[g * k..(g + 1) * k], g as u32);
-            debug_assert_eq!(id as usize, g, "a table's tuples are distinct");
+    /// Number of tuples in the map.
+    fn len(&self) -> usize {
+        self.packed
+            .as_ref()
+            .map_or(self.wide.len(), |packed| packed.len())
+    }
+
+    /// Makes room for `more` tuples.
+    fn reserve(&mut self, more: usize) {
+        match &mut self.packed {
+            Some(packed) => packed.reserve(more),
+            None => self.wide.reserve(more),
         }
-        interner.counts = counts;
-        interner.group_codes = group_codes;
-        interner
     }
 
     /// The id of `codes` in the map, `next` if it is new there.
@@ -1205,15 +1314,84 @@ impl GroupInterner {
             None => *self.wide.entry(codes.into()).or_insert(next),
         }
     }
+}
 
-    /// The grouping of `attrs` whose rows carry `row_ids`.
-    fn into_ids(self, attrs: &AttrSet, row_ids: Vec<u32>) -> GroupIds {
-        GroupIds {
-            attrs: attrs.clone(),
-            row_ids,
-            counts: self.counts,
-            group_codes: self.group_codes,
+/// Interns group code tuples of one code space into dense ids in order of
+/// first arrival, summing the counts each tuple arrives with: the one
+/// table-level hashing step behind [`merge_spans`], [`extend_ids`],
+/// [`extend_counts`] and [`coarsen_ids`].
+struct GroupInterner {
+    key_map: KeyMap,
+    counts: Vec<u64>,
+    group_codes: Vec<u32>,
+}
+
+impl GroupInterner {
+    /// An empty interner for tuples over domains of the given sizes, sized
+    /// for about `capacity` distinct tuples.
+    fn new(domains: &[usize], capacity: usize) -> Self {
+        GroupInterner {
+            key_map: KeyMap::new(domains, capacity),
+            counts: Vec::new(),
+            group_codes: Vec::new(),
         }
+    }
+
+    /// The id of `codes` (a new one on first arrival), after adding
+    /// `count` to its multiplicity.
+    fn add(&mut self, codes: &[u32], count: u64) -> Result<u32> {
+        let next = new_group_id(&self.counts)?;
+        let id = self.key_map.id_of(codes, next);
+        if id == next {
+            self.counts.push(0);
+            self.group_codes.extend_from_slice(codes);
+        }
+        self.counts[id as usize] += count;
+        Ok(id)
+    }
+
+    /// An interner whose first ids are the distinct tuples `group_codes`
+    /// of a table, in id order, with their `counts`: the vectors are taken
+    /// over, so every tuple keeps its id.  So is `kept`, the table's key
+    /// map, if there is one (it must [fit](KeyMap::fits) `domains`);
+    /// otherwise the tuples are hashed into a new map.  The map is sized
+    /// for `later` more tuples.
+    fn starting_with(
+        domains: &[usize],
+        later: usize,
+        counts: Vec<u64>,
+        group_codes: Vec<u32>,
+        kept: Option<KeyMap>,
+    ) -> Self {
+        let key_map = match kept {
+            Some(mut key_map) => {
+                debug_assert!(key_map.fits(domains, counts.len()), "a stale key map");
+                key_map.reserve(later);
+                key_map
+            }
+            None => {
+                let mut key_map = KeyMap::new(domains, counts.len() + later);
+                let k = domains.len();
+                for g in 0..counts.len() {
+                    // A table numbers its tuples in u32, so `g` fits.
+                    let id = key_map.id_of(&group_codes[g * k..(g + 1) * k], g as u32);
+                    debug_assert_eq!(id as usize, g, "a table's tuples are distinct");
+                }
+                key_map
+            }
+        };
+        GroupInterner {
+            key_map,
+            counts,
+            group_codes,
+        }
+    }
+
+    /// The grouping of `attrs` whose rows carry `row_ids`, and the key map
+    /// of its groups.
+    fn into_ids(self, attrs: &AttrSet, row_ids: Vec<u32>) -> (GroupIds, KeyMap) {
+        let ids = GroupIds::new(attrs.clone(), row_ids, self.counts, self.group_codes);
+        (ids, self.key_map)
     }
 }
 
@@ -1306,12 +1484,7 @@ fn group_span(
         }
     }
 
-    Ok(GroupIds {
-        attrs: attrs.clone(),
-        row_ids,
-        counts,
-        group_codes,
-    })
+    Ok(GroupIds::new(attrs.clone(), row_ids, counts, group_codes))
 }
 
 /// The largest dense table a grouping pass over `rows` rows allocates:
@@ -1392,7 +1565,7 @@ pub(crate) fn coarsen_ids(attrs: &AttrSet, fine: &GroupIds, domains: &[usize]) -
                 .expect("coarsening target is a subset of the fine attributes")
         })
         .collect();
-    let mut interner = GroupInterner::new(domains.iter().copied(), fine.num_groups());
+    let mut interner = GroupInterner::new(domains, fine.num_groups());
     let mut key: Vec<u32> = vec![0; at.len()];
     let map = (0..fine.num_groups())
         .map(|z| {
@@ -1404,7 +1577,7 @@ pub(crate) fn coarsen_ids(attrs: &AttrSet, fine: &GroupIds, domains: &[usize]) -
         })
         .collect::<Result<Vec<u32>>>()?;
     let row_ids = fine.row_ids.iter().map(|&z| map[z as usize]).collect();
-    Ok(interner.into_ids(attrs, row_ids))
+    Ok(interner.into_ids(attrs, row_ids).0)
 }
 
 /// Allocates the next dense group id, failing (instead of wrapping into an

@@ -1,7 +1,7 @@
 //! Model-checked invariants for the incremental sharding layer: per-shard
 //! single-flight group tables, the epoch-snapshot append protocol, which
 //! installs each epoch together with its analysis context, and the seeds
-//! that context inherits from the previous epoch.
+//! (and kept key maps) that context inherits from the previous epoch.
 //!
 //! These tests only compile under `RUSTFLAGS="--cfg ajd_model"`; the CI
 //! `model-check` job runs them.  Each body is executed once per explored
@@ -11,9 +11,10 @@
 
 use ajd_model::Model;
 use ajd_relation::{
-    AttrId, AttrSet, GroupKernel, GroupSource, Relation, ShardedRelation, ShardedStore,
-    ThreadBudget,
+    AnalysisContext, AttrId, AttrSet, GroupIds, GroupKernel, GroupSource, Relation,
+    ShardedRelation, ShardedStore, ThreadBudget,
 };
+use std::sync::Arc;
 
 fn shard(rows: &[[u32; 2]]) -> Relation {
     let rows: Vec<&[u32]> = rows.iter().map(|r| &r[..]).collect();
@@ -340,6 +341,148 @@ fn racing_readers_extend_a_seed_exactly_once() {
     assert!(
         report.violation.is_none(),
         "seeded single flight violated: {:?}",
+        report.violation
+    );
+    assert!(
+        report.schedules >= 100,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
+/// Fills `y` in `ctx` under the serial budget.
+fn fill_ids(ctx: &AnalysisContext<Arc<ShardedRelation>>, y: &AttrSet) -> Arc<GroupIds> {
+    ctx.group_ids_with(y, ThreadBudget::serial()).unwrap()
+}
+
+/// Asserts `g` equals the from-scratch grouping of `snap`'s rows.
+fn assert_from_scratch(g: &GroupIds, snap: &ShardedRelation, y: &AttrSet) {
+    let got = (
+        g.row_ids().to_vec(),
+        g.counts().to_vec(),
+        g.group_codes().to_vec(),
+    );
+    assert_eq!(got, from_scratch(snap, y), "epoch {}", snap.epoch());
+}
+
+/// A store at epoch 3 whose seed of {0,1} is epoch 2's extended table
+/// (3 groups) together with the key map that extension kept.
+fn store_with_a_kept_map(y: &AttrSet) -> ShardedStore {
+    let store = ShardedStore::from_initial_shard(shard(&[[0, 0], [1, 0]])).unwrap();
+    fill_ids(&store.context(), y);
+    store.append_shard(shard(&[[1, 0], [2, 1]])).unwrap();
+    fill_ids(&store.context(), y);
+    store.append_shard(shard(&[[3, 1]])).unwrap();
+    store
+}
+
+/// A reader of epoch 3 extends the seed of a set, which carries its kept
+/// key map, while the writer appends epoch 4 and moves the seeds on.  The
+/// seeds lock hands the map to exactly one of them: either the fill takes
+/// it, hashing only the appended shard's one group, or the writer moves it
+/// to epoch 4 with the unconsumed seed, and the fill rebuilds it from the
+/// seed's 3 groups.  Under every interleaving both epochs' tables equal
+/// the from-scratch grouping, epoch 4 never rebuilds a map, and the
+/// extension hashes show no map was used twice (which would read (1, 4))
+/// or lost (epoch 4 rebuilding).  No append widens a key, so every map
+/// fits.
+fn kept_map_vs_next_seeds_body() {
+    let y = AttrSet::from_slice(&[AttrId(0), AttrId(1)]);
+    let store = store_with_a_kept_map(&y);
+    let ctx3 = store.context();
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            assert_eq!(fill_ids(&ctx3, &y).row_ids(), &[0, 1, 1, 2, 3]);
+        });
+        s.spawn(|| {
+            store
+                .append_shard(shard(&[[0, 0], [3, 0], [2, 0]]))
+                .unwrap();
+        });
+    });
+    assert_from_scratch(&fill_ids(&ctx3, &y), ctx3.source(), &y);
+    let ctx4 = store.context();
+    assert_from_scratch(&fill_ids(&ctx4, &y), ctx4.source(), &y);
+    let stats = ctx4.stats();
+    let seen = (
+        ctx3.extension_hashes(),
+        ctx4.extension_hashes(),
+        stats.extended,
+        stats.misses,
+    );
+    match seen {
+        // The fill took the map; epoch 4 extends its table with the map
+        // it kept, or regroups if that table was still in flight.
+        (1, 3, 1, 0) | (1, 0, 0, 1) => {}
+        // The writer moved the map on: epoch 4 extends epoch 2's table
+        // by shards 3 and 4 with it.
+        (4, 4, 1, 0) => {}
+        other => panic!("a key map was shared or lost: {other:?}"),
+    }
+}
+
+#[test]
+fn a_kept_map_goes_to_one_extension_when_the_fill_races_the_writer() {
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(kept_map_vs_next_seeds_body);
+    assert!(
+        report.violation.is_none(),
+        "kept map hand-over violated: {:?}",
+        report.violation
+    );
+    assert!(
+        report.schedules >= 100,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
+/// A reader still pinned to epoch 2 reads the table that seeds epoch 3,
+/// finding its first rows for `map_to`, while a reader of epoch 3 extends
+/// it.  The seed is shared, so epoch 3 copies its row ids (and its first
+/// rows, if they are complete) but takes over its kept map: under every
+/// interleaving epoch 3 hashes only the appended shard's group, the
+/// pinned table is untouched, and both epochs read like from-scratch
+/// groupings, `map_to` included.
+fn kept_map_vs_pinned_reader_body() {
+    let y = AttrSet::from_slice(&[AttrId(0), AttrId(1)]);
+    let x = AttrSet::singleton(AttrId(0));
+    let store = ShardedStore::from_initial_shard(shard(&[[0, 0], [1, 0]])).unwrap();
+    fill_ids(&store.context(), &y);
+    store.append_shard(shard(&[[1, 0], [2, 1]])).unwrap();
+    let pinned = store.context();
+    fill_ids(&pinned, &y);
+    fill_ids(&pinned, &x);
+    store.append_shard(shard(&[[3, 1]])).unwrap();
+    let ctx3 = store.context();
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            assert_eq!(fill_ids(&ctx3, &y).row_ids(), &[0, 1, 1, 2, 3]);
+        });
+        s.spawn(|| {
+            let old = fill_ids(&pinned, &y);
+            assert_eq!(old.map_to(&fill_ids(&pinned, &x)), &[0, 1, 2]);
+            assert_eq!(old.row_ids(), &[0, 1, 1, 2], "the pinned table");
+        });
+    });
+    assert_eq!(ctx3.extension_hashes(), 1, "the kept map was taken over");
+    let (fine, coarse) = (fill_ids(&ctx3, &y), fill_ids(&ctx3, &x));
+    assert_from_scratch(&fine, ctx3.source(), &y);
+    assert_eq!(fine.map_to(&coarse), &[0, 1, 2, 3]);
+    assert_from_scratch(&fill_ids(&pinned, &y), pinned.source(), &y);
+}
+
+#[test]
+fn a_kept_map_is_taken_over_while_a_pinned_reader_holds_the_seed() {
+    let report = Model::new()
+        .max_schedules(2_000)
+        .preemption_bound(2)
+        .explore(kept_map_vs_pinned_reader_body);
+    assert!(
+        report.violation.is_none(),
+        "pinned seed extension violated: {:?}",
         report.violation
     );
     assert!(
