@@ -9,8 +9,11 @@
 //! regenerate.  Each experiment is a binary under `src/bin/` that prints a
 //! column-aligned table (and writes a CSV next to it when `--csv DIR` is
 //! given).  The benches under `benches/` are plain binaries on the
-//! [`perf`] harness: they time the substrate operations and the
-//! counting-vs-materialising ablation, and write `BENCH_<name>.json`.
+//! [`perf`] harness, and each writes `BENCH_<name>.json`.  They time what
+//! the repository benchmark (`perfbench/`) does not: the sampling
+//! strategies behind `choose_strategy`, the columnar kernel against the
+//! row-hashing one, thread-budget scaling, one-shard appends and the
+//! estimation tier.
 //!
 //! | Binary | Paper artefact |
 //! |--------|----------------|

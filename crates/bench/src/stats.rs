@@ -1,9 +1,7 @@
 //! Small descriptive-statistics helpers for experiment outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample of `f64` values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

@@ -17,8 +17,8 @@
 //! 4. the total at the root is `|⋈ᵢ R[Ωᵢ]|`.
 //!
 //! Because every projection originates from the same relation `R`, no
-//! semijoin reduction is needed: every partial assignment extends to at
-//! least one full join result.
+//! dangling tuples need to be reduced away first: every partial assignment
+//! extends to at least one full join result.
 //!
 //! Counts are accumulated in `u128` with **checked** arithmetic: already
 //! for ten attributes with domain size 100 the cross-product join exceeds

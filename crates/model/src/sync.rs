@@ -479,12 +479,6 @@ impl<T> OnceSlot<T> {
         self.inner.set(value)
     }
 
-    /// The value, through exclusive access (no scheduling point: `&mut`
-    /// proves no concurrent initialisation is possible).
-    pub fn get_mut(&mut self) -> Option<&mut T> {
-        self.inner.get_mut()
-    }
-
     /// Consumes the slot and returns the value, if any.
     pub fn into_inner(self) -> Option<T> {
         self.inner.into_inner()

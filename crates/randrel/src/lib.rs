@@ -28,11 +28,9 @@
 
 pub mod generators;
 pub mod model;
-pub mod planted;
 pub mod product;
 pub mod sampling;
 
 pub use model::RandomRelationModel;
-pub use planted::{PlantedRelation, PlantedTreeRelation};
 pub use product::ProductDomain;
 pub use sampling::{sample_distinct, SamplingStrategy};

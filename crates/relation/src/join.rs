@@ -1,4 +1,4 @@
-//! Natural joins, semijoins and join cardinality.
+//! Natural joins and the materialised loss.
 //!
 //! The paper's central combinatorial quantity is the size of the acyclic
 //! join `|⋈ᵢ R[Ωᵢ]|`, from which the relative number of spurious tuples
@@ -7,11 +7,10 @@
 //!
 //! * [`natural_join`] — classic build/probe hash join of two relations on
 //!   their shared attributes.
-//! * [`natural_join_all`] — left-to-right multiway join (used as the
-//!   *materialising baseline* in benchmarks and tests).
-//! * [`semijoin`] — `R ⋉ S`, used by Yannakakis-style processing.
-//! * [`count_natural_join`] — cardinality of a two-way join without
-//!   materialising the output.
+//! * [`natural_join_all`] — left-to-right multiway join, the
+//!   *materialising baseline* that tests check join-tree counting against.
+//! * [`decompose`] and [`loss_materialized`] — the projections onto a
+//!   schema and eq. (1) computed by joining them.
 //!
 //! Joins run on **dictionary codes**: the probe side's codes are remapped
 //! into the build side's code space through the column dictionaries (one
@@ -27,8 +26,8 @@
 
 use crate::attr::{AttrId, AttrSet};
 use crate::error::{RelationError, Result};
-use crate::hash::{map_with_capacity, set_with_capacity, FxHashMap};
-use crate::relation::{GroupCounts, Relation, Value};
+use crate::hash::{map_with_capacity, FxHashMap};
+use crate::relation::{Relation, Value};
 
 /// Sentinel key for probe rows whose shared values cannot occur in the build
 /// side (the key space is capped at `u64::MAX - 1`, so this never collides).
@@ -201,63 +200,10 @@ pub fn natural_join(left: &Relation, right: &Relation) -> Result<Relation> {
     Ok(out)
 }
 
-/// Counts `|left ⋈ right|` without materialising the join output.
-///
-/// The count is `Σ_k c_left(k) · c_right(k)` over the shared-attribute
-/// groups of the two sides, accumulated in `u128` with checked arithmetic
-/// (two-way joins reach `N²`, which exceeds `u64` at production scale);
-/// a result beyond `u128` yields [`RelationError::CountOverflow`].
-pub fn count_natural_join(left: &Relation, right: &Relation) -> Result<u128> {
-    let shared = left.attrs().intersection(&right.attrs());
-    let left_counts = left.group_counts(&shared)?;
-    let right_counts = right.group_counts(&shared)?;
-    count_join_of_group_counts(&left_counts, &right_counts)
-}
-
-/// Counts the join size `Σ_k c_left(k) · c_right(k)` from pre-grouped
-/// counts of the two sides on their shared attributes.
-///
-/// This is the arithmetic core of [`count_natural_join`], exposed so cached
-/// group counts (see [`crate::AnalysisContext`]) can be combined without
-/// re-grouping, and so the overflow behaviour is testable with synthetic
-/// counts.  Both inputs must be grouped by the same attribute set.
-pub fn count_join_of_group_counts(left: &GroupCounts, right: &GroupCounts) -> Result<u128> {
-    if left.attrs != right.attrs {
-        return Err(RelationError::SchemaMismatch {
-            detail: format!(
-                "join counting needs both sides grouped by the same attributes, got {} and {}",
-                left.attrs, right.attrs
-            ),
-        });
-    }
-    // Probe the smaller side against the larger one.
-    let (probe, build) = if left.num_groups() <= right.num_groups() {
-        (left, right)
-    } else {
-        (right, left)
-    };
-    let mut total: u128 = 0;
-    for (key, count) in probe.iter() {
-        let other = build.count_of(key);
-        if other > 0 {
-            // A product of two u64 counts always fits in u128; only the
-            // accumulated sum can overflow.
-            let pairs = (count as u128) * (other as u128);
-            total = total
-                .checked_add(pairs)
-                .ok_or(RelationError::CountOverflow(
-                    "two-way join size exceeds u128",
-                ))?;
-        }
-    }
-    Ok(total)
-}
-
 /// Joins a sequence of relations left to right: `r₁ ⋈ r₂ ⋈ … ⋈ r_k`.
 ///
 /// This is the *materialising baseline* used to validate the join-tree based
-/// counting; for cyclic join orders intermediate results can explode, which
-/// is exactly the behaviour the ablation benchmark demonstrates.
+/// counting; for cyclic join orders intermediate results can explode.
 pub fn natural_join_all(relations: &[Relation]) -> Result<Relation> {
     let mut iter = relations.iter();
     let first = iter.next().ok_or(RelationError::EmptyInput(
@@ -268,40 +214,6 @@ pub fn natural_join_all(relations: &[Relation]) -> Result<Relation> {
         acc = natural_join(&acc, r)?;
     }
     Ok(acc)
-}
-
-/// Computes the semijoin `left ⋉ right`: the tuples of `left` that agree
-/// with at least one tuple of `right` on their shared attributes.
-pub fn semijoin(left: &Relation, right: &Relation) -> Result<Relation> {
-    let shared = left.attrs().intersection(&right.attrs());
-    let mut out = Relation::new(left.schema().to_vec())?;
-
-    if let Some((left_keys, right_keys)) = shared_code_keys(left, right, &shared)? {
-        let mut keys = set_with_capacity(right.len());
-        for &k in &right_keys {
-            if k != MISS {
-                keys.insert(k);
-            }
-        }
-        for (i, row) in left.iter_rows().enumerate() {
-            if keys.contains(&left_keys[i]) {
-                out.push_row(row)?;
-            }
-        }
-    } else {
-        let left_key_pos = left.attr_positions(&shared)?;
-        let right_key_pos = right.attr_positions(&shared)?;
-        let mut keys = set_with_capacity(right.len());
-        for row in right.iter_rows() {
-            keys.insert(decoded_key(row, &right_key_pos));
-        }
-        for row in left.iter_rows() {
-            if keys.contains(&decoded_key(row, &left_key_pos)) {
-                out.push_row(row)?;
-            }
-        }
-    }
-    Ok(out)
 }
 
 /// Decomposes `r` onto a database schema: returns `[Π_{Ω₁}(R), …, Π_{Ω_m}(R)]`.
@@ -348,7 +260,6 @@ mod tests {
         assert!(j.contains_row(&[1, 10, 100]));
         assert!(j.contains_row(&[2, 10, 200]));
         assert!(!j.contains_row(&[3, 20, 300]));
-        assert_eq!(count_natural_join(&r, &s).unwrap(), 4);
     }
 
     #[test]
@@ -357,7 +268,6 @@ mod tests {
         let s = rel(&[1], &[&[7], &[8], &[9]]);
         let j = natural_join(&r, &s).unwrap();
         assert_eq!(j.len(), 6);
-        assert_eq!(count_natural_join(&r, &s).unwrap(), 6);
     }
 
     #[test]
@@ -387,9 +297,6 @@ mod tests {
         let j = natural_join(&r, &s).unwrap();
         assert_eq!(j.len(), 1);
         assert!(j.contains_row(&[1, 10, 5]));
-        let sj = semijoin(&r, &s).unwrap();
-        assert_eq!(sj.len(), 1);
-        assert!(sj.contains_row(&[1, 10]));
     }
 
     #[test]
@@ -436,17 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn semijoin_filters_left_side() {
-        let r = rel(&[0, 1], &[&[1, 10], &[2, 20], &[3, 30]]);
-        let s = rel(&[1], &[&[10], &[30]]);
-        let sj = semijoin(&r, &s).unwrap();
-        assert_eq!(sj.len(), 2);
-        assert!(sj.contains_row(&[1, 10]));
-        assert!(sj.contains_row(&[3, 30]));
-        assert_eq!(sj.schema(), r.schema());
-    }
-
-    #[test]
     fn join_all_of_nothing_is_an_error() {
         assert!(natural_join_all(&[]).is_err());
     }
@@ -456,60 +352,5 @@ mod tests {
         let r = Relation::new(vec![AttrId(0), AttrId(1)]).unwrap();
         let schema = vec![AttrSet::singleton(AttrId(0)), AttrSet::singleton(AttrId(1))];
         assert!(loss_materialized(&r, &schema).is_err());
-    }
-
-    #[test]
-    fn count_matches_materialised_join_size() {
-        let r = rel(&[0, 1], &[&[1, 1], &[1, 2], &[2, 1], &[3, 3]]);
-        let s = rel(&[1, 2], &[&[1, 9], &[1, 8], &[2, 7], &[4, 6]]);
-        assert_eq!(
-            count_natural_join(&r, &s).unwrap(),
-            natural_join(&r, &s).unwrap().len() as u128
-        );
-    }
-
-    fn synthetic_counts(attr: u32, counts: &[(Value, u64)]) -> GroupCounts {
-        let mut g = GroupCounts::new(AttrSet::singleton(AttrId(attr)));
-        for &(v, c) in counts {
-            // `insert` maintains `total` with checked u128 accumulation, so
-            // the synthetic overflow scenarios below stay exactly
-            // representable without saturation.
-            g.insert(&[v], c).unwrap();
-        }
-        g
-    }
-
-    /// Regression: the count used to accumulate in `u64`, silently wrapping
-    /// for joins beyond `2^64` pairs; it now widens to `u128` with checked
-    /// arithmetic.
-    #[test]
-    fn count_from_group_counts_handles_beyond_u64() {
-        // A single shared key with 2^40 matches on each side: the join has
-        // 2^80 tuples, far beyond u64, and must be reported exactly.
-        let big = 1u64 << 40;
-        let left = synthetic_counts(0, &[(7, big)]);
-        let right = synthetic_counts(0, &[(7, big)]);
-        assert_eq!(
-            count_join_of_group_counts(&left, &right).unwrap(),
-            1u128 << 80
-        );
-    }
-
-    /// Regression: counts whose sum exceeds `u128` must error out instead of
-    /// wrapping or saturating (a clamped join size yields a wrong loss).
-    #[test]
-    fn count_from_group_counts_overflow_is_an_error() {
-        let huge = u64::MAX;
-        let left = synthetic_counts(0, &[(0, huge), (1, huge), (2, huge)]);
-        let right = synthetic_counts(0, &[(0, huge), (1, huge), (2, huge)]);
-        let err = count_join_of_group_counts(&left, &right).unwrap_err();
-        assert!(matches!(err, RelationError::CountOverflow(_)));
-    }
-
-    #[test]
-    fn count_from_group_counts_rejects_mismatched_groupings() {
-        let left = synthetic_counts(0, &[(0, 1)]);
-        let right = synthetic_counts(1, &[(0, 1)]);
-        assert!(count_join_of_group_counts(&left, &right).is_err());
     }
 }

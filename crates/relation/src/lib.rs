@@ -21,8 +21,8 @@
 //!   hashing — never a heap-allocated key per row).
 //! * [`GroupCounts`] / [`GroupIds`] — the two views of a grouping: decoded
 //!   multiplicity tables and dense interned ids with per-row labels.
-//! * [`join`] — natural joins, semijoins and join-size counting over
-//!   remapped dictionary codes.
+//! * [`join`] — natural joins over remapped dictionary codes, and the
+//!   materialised loss they give.
 //! * [`GroupSource`] — the capability trait the measure stack is generic
 //!   over: a plain [`Relation`] computes groupings fresh, an
 //!   [`AnalysisContext`] memoizes them, and both run the same kernel so the

@@ -338,17 +338,16 @@ fn push_first_rows(first: &mut Vec<u32>, row_ids: &[u32], from: usize) -> Option
 /// Entropies only scan the flat count vector, and the KL sum of
 /// `ajd_info::kl_report` reads its marginals through interned
 /// [`GroupIds`].  Point lookups on decoded tuples (`P^T` evaluated on
-/// arbitrary rows, synthetic inserts) are the only callers that pay for the
-/// hash table.
+/// arbitrary rows) are the only callers that pay for the hash table.
 #[derive(Debug, Clone, Default)]
 pub struct GroupCounts {
     /// Attribute set the rows are grouped by (ascending attribute order).
     pub attrs: AttrSet,
     /// Total number of rows that were grouped (the `N` of the relation).
     ///
-    /// Carried as `u128` so synthetic tables whose per-group counts sum
-    /// beyond `u64` (the overflow scenarios the join-size tests pin) stay
-    /// *exactly* representable — the counting discipline never saturates.
+    /// Carried as `u128`, the width the counting paths use for join sizes
+    /// and totals (`ajd_info::entropy_of_count_values` takes it as is), so
+    /// `N` reaches them exactly, with no narrowing cast.
     pub total: u128,
     arity: usize,
     /// Flattened decoded group keys, `arity` values per group.
@@ -362,62 +361,6 @@ pub struct GroupCounts {
 }
 
 impl GroupCounts {
-    /// Creates an empty count table grouped by `attrs` (used by synthetic
-    /// constructions in tests and bounds code; relation-backed counts come
-    /// from [`Relation::group_counts`]).
-    pub fn new(attrs: AttrSet) -> Self {
-        GroupCounts {
-            arity: attrs.len(),
-            attrs,
-            ..GroupCounts::default()
-        }
-    }
-
-    /// Inserts (or overwrites) the multiplicity of a grouped key, keeping
-    /// [`GroupCounts::total`] in sync with **checked** `u128` accumulation.
-    ///
-    /// `key` must have exactly `attrs.len()` values.  An overwrite replaces
-    /// the previous multiplicity in the total (subtract old, add new); an
-    /// accumulation that leaves `u128` — only reachable when `total` was
-    /// poked directly, since `u128::MAX / u64::MAX` inserts don't happen —
-    /// fails with [`RelationError::CountOverflow`] instead of saturating:
-    /// a clamped `N` would silently corrupt every ρ/J quantity derived
-    /// from it.
-    ///
-    /// Intended for tables built from scratch via [`GroupCounts::new`]
-    /// (synthetic counts in tests and bounds code): there is no backing
-    /// dictionary, so the inserted key doubles as its own code tuple.  Do
-    /// not mix inserts into counts produced by [`Relation::group_counts`] —
-    /// the code-level view ([`GroupCounts::key_codes`]) of inserted groups
-    /// would not correspond to any dictionary code.
-    pub fn insert(&mut self, key: &[Value], count: u64) -> Result<()> {
-        assert_eq!(key.len(), self.arity, "group key arity mismatch");
-        const OVERFLOW: RelationError =
-            RelationError::CountOverflow("synthetic group-count total exceeds u128");
-        if let Some(&g) = self.index().get(key) {
-            let old = self.counts[g as usize];
-            self.total = self
-                .total
-                .checked_sub(old as u128)
-                .and_then(|t| t.checked_add(count as u128))
-                .ok_or(OVERFLOW)?;
-            self.counts[g as usize] = count;
-            return Ok(());
-        }
-        self.total = self.total.checked_add(count as u128).ok_or(OVERFLOW)?;
-        let g = self.counts.len() as u32;
-        self.keys.extend_from_slice(key);
-        // Synthetic keys have no dictionary; mirror the values as codes so
-        // the code-level view stays well-formed.
-        self.key_codes.extend_from_slice(key);
-        self.counts.push(count);
-        self.index
-            .get_mut()
-            .expect("index() above initialised the lookup table")
-            .insert(key.to_vec().into_boxed_slice(), g);
-        Ok(())
-    }
-
     /// Assembles a decoded count table from its parts (used by
     /// [`GroupKernel::decode_group_counts`], which decodes group codes
     /// through the source's dictionaries).
@@ -1953,37 +1896,6 @@ mod tests {
         assert_eq!(ids.counts(), &[4]);
         let counts = r.group_counts(&AttrSet::empty()).unwrap();
         assert_eq!(counts.count_of(&[]), 4);
-    }
-
-    #[test]
-    fn synthetic_group_counts_support_insert() {
-        let mut g = GroupCounts::new(AttrSet::singleton(AttrId(0)));
-        g.insert(&[7], 3).unwrap();
-        g.insert(&[9], 1).unwrap();
-        assert_eq!(g.total, 4);
-        g.insert(&[7], 5).unwrap(); // overwrite: total swaps 3 for 5
-        assert_eq!(g.total, 6);
-        assert_eq!(g.num_groups(), 2);
-        assert_eq!(g.count_of(&[7]), 5);
-        assert_eq!(g.count_of(&[9]), 1);
-        assert_eq!(g.count_of(&[8]), 0);
-    }
-
-    #[test]
-    fn synthetic_group_counts_insert_reports_overflow() {
-        let mut g = GroupCounts::new(AttrSet::singleton(AttrId(0)));
-        g.insert(&[1], u64::MAX).unwrap();
-        assert_eq!(g.total, u64::MAX as u128);
-        // Poke the (public) total to the ceiling: the next accumulation
-        // must error, never saturate — a clamped N corrupts ρ/J silently.
-        g.total = u128::MAX;
-        assert!(matches!(
-            g.insert(&[2], 1),
-            Err(RelationError::CountOverflow(_))
-        ));
-        // The failed insert must not half-apply: no new group appeared.
-        assert_eq!(g.num_groups(), 1);
-        assert_eq!(g.count_of(&[2]), 0);
     }
 
     #[test]
