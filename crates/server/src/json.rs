@@ -141,17 +141,49 @@ impl Json {
     /// Parses one JSON value from `input` (surrounding whitespace allowed,
     /// trailing non-whitespace rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
+        let mut p = Parser::new(input);
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after the value"));
-        }
+        p.end()?;
         Ok(value)
+    }
+
+    /// Parses `input` exactly as [`Json::parse`] does, except that when the
+    /// value is an object, the value under its key `key` is first offered
+    /// to `take`.  If `take` decodes it (`Some`), the key is left out of the
+    /// returned object and the decoded value comes back beside it.  If not,
+    /// the value is parsed again from its start as a [`Json`] tree.  So the
+    /// accepted inputs, the errors and their offsets are those of
+    /// [`Json::parse`], provided `take` accepts only what the tree path
+    /// accepts and stops where it stops.
+    pub(crate) fn parse_taking<T>(
+        input: &str,
+        key: &str,
+        mut take: impl FnMut(&mut Parser<'_>) -> Option<T>,
+    ) -> Result<(Json, Option<T>), JsonError> {
+        let mut p = Parser::new(input);
+        let mut taken = None;
+        let mut value = if p.peek() == Some(b'{') {
+            // `value(0)` on an object, with the member hook.
+            p.object_with(|p, k| {
+                if k == key {
+                    let start = p.pos;
+                    if let Some(t) = take(p) {
+                        taken = Some(t);
+                        // A placeholder, so a repeated key is still a duplicate.
+                        return Ok(Json::Null);
+                    }
+                    p.pos = start;
+                }
+                p.value(1)
+            })?
+        } else {
+            p.value(0)?
+        };
+        p.end()?;
+        if let (Some(_), Json::Obj(pairs)) = (&taken, &mut value) {
+            pairs.retain(|(k, _)| k != key);
+        }
+        Ok((value, taken))
     }
 }
 
@@ -222,12 +254,34 @@ fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-struct Parser<'a> {
+/// The recursive-descent parser behind [`Json::parse`].  Crate-visible so
+/// a payload decoder can read a value straight from the line with the
+/// same string and whitespace routines (see [`Json::parse_taking`]).
+pub(crate) struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// A parser at the first non-whitespace byte of `input`.
+    fn new(input: &'a str) -> Self {
+        let mut p = Parser {
+            bytes: input.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Accepts only trailing whitespace after the value.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after the value"));
+        }
+        Ok(())
+    }
+
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -235,7 +289,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
@@ -245,8 +299,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is the next byte.
+    pub(crate) fn eat(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        if next {
+            self.pos += 1;
+        }
+        next
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -309,6 +372,14 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.object_with(|p, _| p.value(depth + 1))
+    }
+
+    /// An object whose member values `field` parses, given the member key.
+    fn object_with(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
         self.skip_ws();
@@ -325,7 +396,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
+            let value = field(self, &key)?;
             pairs.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -340,8 +411,14 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
         let mut out = String::new();
+        self.string_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Parses a string and appends its decoded text to `out`.
+    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.expect(b'"')?;
         loop {
             let start = self.pos;
             // Fast path: copy the longest escape-free UTF-8 run in one go.
@@ -365,11 +442,11 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    self.escape(out)?;
                 }
                 Some(_) => return Err(self.error("unescaped control character in string")),
                 None => return Err(self.error("unterminated string")),

@@ -67,6 +67,6 @@ pub mod store;
 pub use admission::{Admission, AdmissionConfig, Pool, PoolGuard, PoolStats};
 pub use client::Client;
 pub use json::{Json, JsonError};
-pub use protocol::{ErrorCode, Failure, Request, PROTOCOL_VERSION};
+pub use protocol::{ErrorCode, Failure, Request, Rows, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig, ShutdownToken};
 pub use store::RelationStore;

@@ -9,8 +9,10 @@
 //! root, and the spec's own JSON examples are round-trip-tested against a
 //! live server in `tests/protocol_spec.rs`.  This module is the
 //! implementation: [`Request::parse`] turns a parsed [`Json`] frame into a
-//! typed request (or a structured [`ErrorCode`]), and the `*_frame`
-//! helpers build the response envelopes.
+//! typed request (or a structured [`ErrorCode`]), [`Request::decode`] does
+//! the same from the request line while decoding an append's `rows`
+//! straight into one flat [`Rows`] table, and the `*_frame` helpers build
+//! the response envelopes.
 //!
 //! Versioning rule: every response carries `"v": 1`
 //! ([`PROTOCOL_VERSION`]).  Requests may carry `"v"`; a request with a
@@ -20,7 +22,7 @@
 //! remove or re-type them, and unknown *request* fields are ignored —
 //! clients must tolerate new fields.
 
-use crate::json::Json;
+use crate::json::{Json, Parser};
 use ajd_relation::RelationError;
 
 /// The protocol version this server speaks (the `"v"` field of every
@@ -190,19 +192,177 @@ pub enum Request {
         seed: Option<u64>,
     },
     /// Append a batch of rows to a **sharded** relation as one new shard,
-    /// advancing its epoch.  Exactly one of `rows` / `text` carries the
-    /// payload.
+    /// advancing its epoch.  The wire carries the batch in exactly one of
+    /// `rows` (one array of label strings per row) or `text` (delimited
+    /// lines); both decode to the same table.
     Append {
         /// Catalog entry to append to.
         relation: String,
-        /// Inline payload: one array of label strings per row.
-        rows: Option<Vec<Vec<String>>>,
-        /// Delimited payload: newline-separated rows, fields split on
-        /// `delimiter` (no header line).
-        text: Option<String>,
-        /// Field delimiter for `text`; `,` when omitted.
-        delimiter: Option<char>,
+        /// The batch's labels, row by row.
+        rows: Rows,
     },
+}
+
+/// An append's rows as one flat label table: every cell's label back to
+/// back in one `String`, the byte offset at which each cell starts and
+/// ends, and the cell index at which each row starts and ends.
+///
+/// Offsets are only recorded where a whole label ends, so they fall on
+/// `char` boundaries; every read goes through checked `get`s all the same.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rows {
+    labels: String,
+    /// `cell_bounds[i]..cell_bounds[i + 1]` is cell `i`'s label.
+    cell_bounds: Vec<usize>,
+    /// `row_bounds[r]..row_bounds[r + 1]` are row `r`'s cells.
+    row_bounds: Vec<usize>,
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows {
+            labels: String::new(),
+            cell_bounds: vec![0],
+            row_bounds: vec![0],
+        }
+    }
+}
+
+impl Rows {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one row of labels.
+    pub fn push_row<'l>(&mut self, labels: impl IntoIterator<Item = &'l str>) {
+        for label in labels {
+            self.labels.push_str(label);
+            self.end_cell();
+        }
+        self.end_row();
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.row_bounds.len() - 1
+    }
+
+    /// `true` if the table holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows in order, each as an iterator over its labels.
+    pub fn iter(&self) -> impl Iterator<Item = Row<'_>> + '_ {
+        self.row_bounds.windows(2).map(move |w| {
+            let cells = match *w {
+                [start, end] => self.cell_bounds.get(start..=end),
+                _ => None,
+            };
+            Row {
+                labels: &self.labels,
+                bounds: cells.unwrap_or_default(),
+            }
+        })
+    }
+
+    /// Splits a delimited `text` payload: one row per line that is not
+    /// blank, fields split on `delimiter` and whitespace-trimmed (the
+    /// conventions [`ajd_relation::ReadOptions`] defaults to, minus the
+    /// header line: an append addresses an existing catalog entry).
+    pub fn from_text(text: &str, delimiter: char) -> Self {
+        let mut rows = Rows::new();
+        for line in text.lines().filter(|line| !line.trim().is_empty()) {
+            rows.push_row(line.split(delimiter).map(str::trim));
+        }
+        rows
+    }
+
+    fn end_cell(&mut self) {
+        self.cell_bounds.push(self.labels.len());
+    }
+
+    fn end_row(&mut self) {
+        self.row_bounds.push(self.cell_bounds.len() - 1);
+    }
+
+    /// Decodes a JSON array of arrays of strings from `p`, or `None` at the
+    /// first byte that does not continue one (the caller then re-parses
+    /// the value as a tree, which reports any error).  Mirrors the array
+    /// grammar of [`Json::parse`] token for token, so on success it stops
+    /// exactly where the tree parse would.
+    fn decode(p: &mut Parser<'_>) -> Option<Rows> {
+        let mut rows = Rows::new();
+        if !p.eat(b'[') {
+            return None;
+        }
+        p.skip_ws();
+        if p.eat(b']') {
+            return Some(rows);
+        }
+        loop {
+            p.skip_ws();
+            if !p.eat(b'[') {
+                return None;
+            }
+            p.skip_ws();
+            if !p.eat(b']') {
+                loop {
+                    p.skip_ws();
+                    if p.peek() != Some(b'"') {
+                        return None;
+                    }
+                    p.string_into(&mut rows.labels).ok()?;
+                    rows.end_cell();
+                    p.skip_ws();
+                    if p.eat(b']') {
+                        break;
+                    }
+                    if !p.eat(b',') {
+                        return None;
+                    }
+                }
+            }
+            rows.end_row();
+            p.skip_ws();
+            if p.eat(b']') {
+                return Some(rows);
+            }
+            if !p.eat(b',') {
+                return None;
+            }
+        }
+    }
+}
+
+/// One row of a [`Rows`] table.
+#[derive(Debug, Clone, Copy)]
+pub struct Row<'r> {
+    labels: &'r str,
+    /// The row's cell bounds: one more than its cells.
+    bounds: &'r [usize],
+}
+
+impl<'r> Row<'r> {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.bounds.windows(2).len()
+    }
+
+    /// `true` if the row has no cell.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The row's labels in order.
+    pub fn labels(&self) -> impl Iterator<Item = &'r str> + 'r {
+        let labels = self.labels;
+        self.bounds.windows(2).filter_map(move |w| match *w {
+            [start, end] => labels.get(start..end),
+            _ => None,
+        })
+    }
 }
 
 /// The measure an `estimate` request targets, with its operands already
@@ -270,6 +430,30 @@ impl Request {
     /// (`Failure`) and the caller still gets the `"id"` (when one could be
     /// extracted) so the error frame can be correlated.
     pub fn parse(frame: &Json) -> (Option<Json>, Result<Request, Failure>) {
+        Self::parse_with(frame, None)
+    }
+
+    /// Parses one request line: the same request, `"id"` and failure as
+    /// [`Json::parse`] followed by [`Request::parse`], with a line that is
+    /// not JSON answered as `bad_request`.  A top-level `rows` array of
+    /// string arrays is decoded straight from the line into [`Rows`],
+    /// without a [`Json`] tree or a `String` per cell.
+    pub fn decode(line: &str) -> (Option<Json>, Result<Request, Failure>) {
+        match Json::parse_taking(line, "rows", Rows::decode) {
+            Ok((frame, rows)) => Self::parse_with(&frame, rows),
+            Err(err) => (
+                None,
+                Err(Failure::new(
+                    ErrorCode::BadRequest,
+                    format!("invalid JSON: {err}"),
+                )),
+            ),
+        }
+    }
+
+    /// [`Request::parse`], with the `rows` field already decoded when
+    /// `rows` is `Some` (it is then absent from `frame`).
+    fn parse_with(frame: &Json, rows: Option<Rows>) -> (Option<Json>, Result<Request, Failure>) {
         let Some(_) = frame.as_obj() else {
             return (
                 None,
@@ -280,10 +464,10 @@ impl Request {
             );
         };
         let id = frame.get("id").cloned();
-        (id, Self::parse_fields(frame))
+        (id, Self::parse_fields(frame, rows))
     }
 
-    fn parse_fields(frame: &Json) -> Result<Request, Failure> {
+    fn parse_fields(frame: &Json, rows: Option<Rows>) -> Result<Request, Failure> {
         if let Some(v) = frame.get("v") {
             let Some(v) = v.as_u64() else {
                 return Err(Failure::new(
@@ -313,7 +497,7 @@ impl Request {
         match op {
             "catalog" => Ok(Request::Catalog),
             "stats" => Ok(Request::Stats {
-                relation: optional_string(frame, "relation")?,
+                relation: optional_str(frame, "relation")?.map(str::to_owned),
             }),
             "entropy" => Ok(Request::Entropy {
                 relation: required_string(frame, "relation")?,
@@ -394,21 +578,23 @@ impl Request {
             }
             "append" => {
                 let relation = required_string(frame, "relation")?;
-                let rows = rows_field(frame)?;
-                let text = optional_string(frame, "text")?;
+                let rows = match rows {
+                    Some(rows) => Some(rows),
+                    None => rows_field(frame)?,
+                };
+                let text = optional_str(frame, "text")?;
                 let delimiter = delimiter_field(frame)?;
-                if rows.is_some() == text.is_some() {
-                    return Err(Failure::new(
-                        ErrorCode::BadRequest,
-                        "append carries its payload in exactly one of \"rows\" or \"text\"",
-                    ));
-                }
-                Ok(Request::Append {
-                    relation,
-                    rows,
-                    text,
-                    delimiter,
-                })
+                let rows = match (rows, text) {
+                    (Some(rows), None) => rows,
+                    (None, Some(text)) => Rows::from_text(text, delimiter.unwrap_or(',')),
+                    _ => {
+                        return Err(Failure::new(
+                            ErrorCode::BadRequest,
+                            "append carries its payload in exactly one of \"rows\" or \"text\"",
+                        ))
+                    }
+                };
+                Ok(Request::Append { relation, rows })
             }
             other => Err(Failure::new(
                 ErrorCode::UnknownOp,
@@ -432,10 +618,10 @@ fn required_string(frame: &Json, field: &str) -> Result<String, Failure> {
     }
 }
 
-fn optional_string(frame: &Json, field: &str) -> Result<Option<String>, Failure> {
+fn optional_str<'f>(frame: &'f Json, field: &str) -> Result<Option<&'f str>, Failure> {
     match frame.get(field) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        Some(Json::Str(s)) => Ok(Some(s)),
         Some(_) => Err(Failure::new(
             ErrorCode::BadRequest,
             format!("field \"{field}\" must be a string when present"),
@@ -506,7 +692,7 @@ fn string_array(frame: &Json, field: &str) -> Result<Vec<String>, Failure> {
         .collect()
 }
 
-fn rows_field(frame: &Json) -> Result<Option<Vec<Vec<String>>>, Failure> {
+fn rows_field(frame: &Json) -> Result<Option<Rows>, Failure> {
     let rows = match frame.get("rows") {
         None | Some(Json::Null) => return Ok(None),
         Some(value) => value.as_arr().ok_or_else(|| {
@@ -516,29 +702,29 @@ fn rows_field(frame: &Json) -> Result<Option<Vec<Vec<String>>>, Failure> {
             )
         })?,
     };
-    rows.iter()
-        .map(|row| {
-            let Some(labels) = row.as_arr() else {
-                return Err(Failure::new(
-                    ErrorCode::BadRequest,
-                    "each row must be an array of label strings",
-                ));
-            };
-            labels
-                .iter()
-                .map(|label| {
-                    label.as_str().map(str::to_owned).ok_or_else(|| {
-                        Failure::new(ErrorCode::BadRequest, "rows must contain only strings")
-                    })
+    let mut table = Rows::new();
+    for row in rows {
+        let Some(labels) = row.as_arr() else {
+            return Err(Failure::new(
+                ErrorCode::BadRequest,
+                "each row must be an array of label strings",
+            ));
+        };
+        let labels = labels
+            .iter()
+            .map(|label| {
+                label.as_str().ok_or_else(|| {
+                    Failure::new(ErrorCode::BadRequest, "rows must contain only strings")
                 })
-                .collect()
-        })
-        .collect::<Result<Vec<Vec<String>>, Failure>>()
-        .map(Some)
+            })
+            .collect::<Result<Vec<&str>, Failure>>()?;
+        table.push_row(labels);
+    }
+    Ok(Some(table))
 }
 
 fn delimiter_field(frame: &Json) -> Result<Option<char>, Failure> {
-    let Some(s) = optional_string(frame, "delimiter")? else {
+    let Some(s) = optional_str(frame, "delimiter")? else {
         return Ok(None);
     };
     let mut chars = s.chars();
@@ -653,6 +839,14 @@ mod tests {
         req.unwrap_err()
     }
 
+    fn table(rows: &[&[&str]]) -> Rows {
+        let mut table = Rows::new();
+        for row in rows {
+            table.push_row(row.iter().copied());
+        }
+        table
+    }
+
     #[test]
     fn parses_every_op() {
         assert_eq!(parse_ok(r#"{"op":"catalog"}"#), Request::Catalog);
@@ -745,21 +939,14 @@ mod tests {
             parse_ok(r#"{"op":"append","relation":"r","rows":[["a","b"],["c","d"]]}"#),
             Request::Append {
                 relation: "r".into(),
-                rows: Some(vec![
-                    vec!["a".into(), "b".into()],
-                    vec!["c".into(), "d".into()],
-                ]),
-                text: None,
-                delimiter: None,
+                rows: table(&[&["a", "b"], &["c", "d"]]),
             }
         );
         assert_eq!(
             parse_ok(r#"{"op":"append","relation":"r","text":"a|b\nc|d","delimiter":"|"}"#),
             Request::Append {
                 relation: "r".into(),
-                rows: None,
-                text: Some("a|b\nc|d".into()),
-                delimiter: Some('|'),
+                rows: table(&[&["a", "b"], &["c", "d"]]),
             }
         );
     }

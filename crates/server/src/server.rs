@@ -14,12 +14,14 @@
 //! computation, and the `stats` frame proves it with hit/miss counters.
 //!
 //! Sharded entries accept the `append` op, which ingests a batch of rows
-//! as one new shard and advances the entry's epoch.  Readers keep pinning
-//! consistent snapshots while the append installs; thanks to the two-tier
-//! cache (per-shard group tables + per-epoch merged results) the first
-//! query after an append re-groups only the appended shard, which the
-//! per-tier counters in `stats` make observable.  On one shard the two
-//! tiers hold the same table, not two copies.
+//! as one new shard and advances the entry's epoch.  The batch arrives as
+//! one flat label table ([`Rows`](crate::protocol::Rows)), decoded from
+//! the request line without a JSON tree; every row's arity is checked
+//! before the entry's catalog is locked, and only then are the labels
+//! interned, so a refused batch leaves the catalog unchanged.  Readers
+//! keep pinning consistent snapshots while the append installs.  The new
+//! epoch's context extends the previous epoch's tables by the appended
+//! shard alone, which the `extended` counter in `stats` makes observable.
 //!
 //! Dispatch is transport-free: [`Server::handle_line`] maps one request
 //! line to one response frame and is what both the TCP loop and the
@@ -39,7 +41,9 @@ use ajd_core::{
     DiscoveryConfig, EstimateConfig, EstimatedAnalyzer, LiveAnalyzer, LossReport, SchemaMiner,
 };
 use ajd_jointree::JoinTree;
-use ajd_relation::{AttrSet, CacheStats, Catalog, Relation, ShardedStore, ThreadBudget, TierStats};
+use ajd_relation::{
+    AttrSet, CacheStats, Catalog, Relation, RelationError, ShardedStore, ThreadBudget, TierStats,
+};
 use ajd_sync::atomic::{AtomicBool, Ordering};
 use ajd_sync::RwLock;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -177,16 +181,7 @@ impl<'a> Server<'a> {
     /// envelope.  Errors — including a line that is not valid JSON — come
     /// back as structured error frames, never panics.
     pub fn handle_line(&self, line: &str) -> Json {
-        let frame = match Json::parse(line) {
-            Ok(frame) => frame,
-            Err(err) => {
-                return error_frame(
-                    None,
-                    &Failure::new(ErrorCode::BadRequest, format!("invalid JSON: {err}")),
-                )
-            }
-        };
-        let (id, parsed) = Request::parse(&frame);
+        let (id, parsed) = Request::decode(line);
         let request = match parsed {
             Ok(request) => request,
             Err(failure) => return error_frame(id.clone(), &failure),
@@ -364,12 +359,7 @@ impl<'a> Server<'a> {
                     ("exact".to_owned(), Json::Bool(est.is_exact())),
                 ])
             }
-            Request::Append {
-                relation,
-                rows,
-                text,
-                delimiter,
-            } => {
+            Request::Append { relation, rows } => {
                 let _slot = self.admit_point()?;
                 let entry = self.find(relation)?;
                 if !entry.store.is_sharded() {
@@ -380,34 +370,36 @@ impl<'a> Server<'a> {
                         ),
                     ));
                 }
-                let live = &entry.live;
-                let batch: Vec<Vec<String>> = match (rows, text) {
-                    (Some(rows), None) => rows.clone(),
-                    (None, Some(text)) => split_rows(text, delimiter.unwrap_or(',')),
-                    _ => {
-                        return Err(Failure::new(
-                            ErrorCode::BadRequest,
-                            "append carries its payload in exactly one of \"rows\" or \"text\"",
-                        ))
-                    }
-                };
-                if batch.is_empty() {
+                if rows.is_empty() {
                     return Err(Failure::new(
                         ErrorCode::BadRequest,
                         "append needs at least one row",
                     ));
                 }
+                // Every row's arity is checked before anything is interned,
+                // so a refused batch leaves the catalog as it was.
+                let live = &entry.live;
+                let schema = live.store().snapshot().schema().to_vec();
+                if let Some(row) = rows.iter().find(|row| row.len() != schema.len()) {
+                    return Err(RelationError::ArityMismatch {
+                        expected: schema.len(),
+                        got: row.len(),
+                    }
+                    .into());
+                }
                 // The write lock serializes appends to this entry and keeps
                 // the catalog consistent with the installed data: no reader
-                // ever sees codes the catalog cannot decode.  (If the append
-                // fails after some rows were encoded, the newly interned
-                // labels stay in the catalog — a harmless superset.)
+                // ever sees codes the catalog cannot decode.
                 let mut catalog = entry.catalog.write();
-                let mut shard = Relation::new(live.store().snapshot().schema().to_vec())?;
-                for row in &batch {
-                    let labels: Vec<&str> = row.iter().map(String::as_str).collect();
-                    let coded = catalog.encode_row(&labels)?;
-                    shard.push_row(&coded)?;
+                let attrs = catalog.all_attributes();
+                let mut shard = Relation::with_capacity(schema, rows.len())?;
+                let mut codes = Vec::with_capacity(attrs.len());
+                for row in rows.iter() {
+                    codes.clear();
+                    for (attr, label) in attrs.iter().zip(row.labels()) {
+                        codes.push(catalog.intern_value(attr, label)?);
+                    }
+                    shard.push_row(&codes)?;
                 }
                 let epoch = live.append_shard(shard)?;
                 let snap = live.store().snapshot();
@@ -415,7 +407,7 @@ impl<'a> Server<'a> {
                 Ok(vec![
                     ("op".to_owned(), Json::str("append")),
                     ("relation".to_owned(), Json::str(relation.clone())),
-                    ("rows_appended".to_owned(), Json::Num(batch.len() as f64)),
+                    ("rows_appended".to_owned(), Json::Num(rows.len() as f64)),
                     ("rows".to_owned(), Json::Num(snap.len() as f64)),
                     ("epoch".to_owned(), Json::Num(epoch as f64)),
                     ("shards".to_owned(), Json::Num(snap.num_shards() as f64)),
@@ -595,21 +587,6 @@ const MAX_LINE_BYTES: usize = 16 << 20;
 /// The `bad_request` frame for a line that never reached the parser.
 fn bad_line(message: String) -> Json {
     error_frame(None, &Failure::new(ErrorCode::BadRequest, message))
-}
-
-/// Splits a delimited `text` payload into rows of field labels: one row
-/// per non-empty line, fields split on `delimiter`, whitespace-trimmed
-/// (the same conventions [`ajd_relation::ReadOptions`] defaults to, minus
-/// the header line — appends address an existing catalog entry).
-fn split_rows(text: &str, delimiter: char) -> Vec<Vec<String>> {
-    text.lines()
-        .filter(|line| !line.trim().is_empty())
-        .map(|line| {
-            line.split(delimiter)
-                .map(|field| field.trim().to_owned())
-                .collect()
-        })
-        .collect()
 }
 
 /// Resolves a wire schema (bags of attribute names) against an entry's
@@ -1261,6 +1238,33 @@ os,bob,r2
         let frame = server.handle_line(r#"{"op":"catalog"}"#);
         let relations = ok_get(&frame, "relations").as_arr().unwrap();
         assert_eq!(relations[0].get("rows").and_then(Json::as_u64), Some(4));
+    }
+
+    /// Regression: a batch refused for one row's arity used to intern the
+    /// labels of the rows before it, so failing batches grew the catalog
+    /// without bound.
+    #[test]
+    fn refused_append_leaves_the_catalog_unchanged() {
+        let stores = sharded_stores("courses", 2);
+        let server = Server::new(&stores, ServerConfig::default()).unwrap();
+        let domains = |server: &Server<'_>| {
+            let catalog = server.entries[0].catalog.read();
+            let attrs = catalog.all_attributes();
+            attrs
+                .iter()
+                .map(|a| catalog.domain_size(a).unwrap())
+                .collect::<Vec<usize>>()
+        };
+        let before = domains(&server);
+        let frame = server.handle_line(
+            r#"{"op":"append","relation":"courses","rows":[["ml","cat","r3"],["short"]]}"#,
+        );
+        let error = frame.get("error").expect("error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("invalid_schema")
+        );
+        assert_eq!(domains(&server), before);
     }
 
     #[test]
