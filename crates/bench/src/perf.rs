@@ -243,8 +243,11 @@ mod tests {
 
     #[test]
     fn time_median_measures_something() {
+        // Each term passes through `black_box`, so the sum cannot fold to
+        // a constant that runs faster than the 1 ns resolution of the
+        // per-iteration median.
         let d = time_median(Duration::from_millis(5), || {
-            std::hint::black_box((0..100u64).sum::<u64>())
+            (0..100u64).map(std::hint::black_box).sum::<u64>()
         });
         assert!(d > Duration::ZERO);
     }

@@ -637,9 +637,8 @@ impl<S: GroupKernel> GroupSource for Analyzer<S> {
         self.ctx.group_ids_with(attrs, self.threads)
     }
 
-    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
-        self.ctx
-            .entropy_tier(attrs, || Ok(formula(&*self.group_counts(attrs)?)))
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
+        self.ctx.entropy_with(attrs, self.threads, formula)
     }
 
     fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {

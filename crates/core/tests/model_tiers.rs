@@ -6,10 +6,13 @@
 //! tests.
 #![cfg(ajd_model)]
 
-use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer};
+use ajd_core::{Analyzer, EstimateConfig, EstimatedAnalyzer, LiveAnalyzer};
 use ajd_jointree::JoinTree;
-use ajd_relation::{AttrId, AttrSet, Relation};
+use ajd_relation::{
+    AttrId, AttrSet, GroupKernel, GroupSource, Relation, ShardedStore, ThreadBudget,
+};
 use ajd_sync::Mutex;
+use std::sync::Arc;
 
 /// 16 rows over three attributes: enough for an ε = 2 estimate to plan an
 /// 8-row sample instead of falling back.
@@ -112,4 +115,94 @@ fn racing_entropy_fills_miss_once_per_set() {
         "expected a real exploration, got {} schedules",
         report.schedules
     );
+}
+
+/// One thread fills the ids of a set and then reads its entropy while
+/// another fills the set's entropy.  The fill reads the id table if it is
+/// resident (or seeded) by then and the count table otherwise; under every
+/// interleaving both threads read the serial bits and the tier misses once.
+/// Returns the context's kernel runs and extensions.
+fn entropy_races_its_id_fill(
+    an: &Analyzer<impl GroupKernel>,
+    y: &AttrSet,
+    bits: u64,
+) -> (u64, u64) {
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| {
+            an.group_ids(y).unwrap();
+            assert_eq!(an.entropy(y).unwrap().to_bits(), bits);
+        });
+        s.spawn(|| assert_eq!(an.entropy(y).unwrap().to_bits(), bits));
+    });
+    let stats = an.cache_stats();
+    assert_eq!(
+        (stats.entropy.misses, stats.entropy.hits),
+        (1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(stats.derived, 0, "{stats:?}");
+    (stats.misses, stats.extended)
+}
+
+/// Explores `body` under the bounds of the other tier checks.  The id fill
+/// runs on the first thread spawned: in that order the bounded search
+/// reaches both schedules where its table is resident when the entropy
+/// fill looks and schedules where it is not (in the other order, the first
+/// 1,000 schedules all read the count table).
+fn explore_entropy_race(body: impl Fn() + Sync) {
+    let report = ajd_model::Model::new()
+        .max_schedules(1_000)
+        .preemption_bound(2)
+        .explore(body);
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    assert!(
+        report.schedules >= 100,
+        "expected a real exploration, got {} schedules",
+        report.schedules
+    );
+}
+
+/// Over a flat relation: the id fill is one grouping, and the entropy
+/// fill groups once more only if it read the count table before the ids
+/// were resident.
+#[test]
+fn entropy_fill_racing_its_id_fill_gives_the_serial_bits() {
+    let r = sample();
+    let y = bag(&[0, 1]);
+    let bits = Analyzer::new(&r)
+        .with_threads(1)
+        .entropy(&y)
+        .unwrap()
+        .to_bits();
+    explore_entropy_race(|| {
+        let an = Analyzer::new(&r).with_threads(1);
+        let (misses, extended) = entropy_races_its_id_fill(&an, &y, bits);
+        assert!((1..=2).contains(&misses), "{misses} groupings");
+        assert_eq!(extended, 0);
+    });
+}
+
+/// Over a live relation whose epoch holds the set's id seed: the entropy
+/// fill and the id fill meet on the one extension of the seed, so the set
+/// is extended once and never grouped.
+#[test]
+fn entropy_fill_racing_its_seed_extension_gives_the_serial_bits() {
+    let r = sample();
+    let y = bag(&[0, 1]);
+    let bits = Analyzer::new(&r)
+        .with_threads(1)
+        .entropy(&y)
+        .unwrap()
+        .to_bits();
+    let rows: Vec<&[u32]> = (0..r.len()).map(|i| r.row(i)).collect();
+    let shard = |rows: &[&[u32]]| Relation::from_rows(r.schema().to_vec(), rows).unwrap();
+    let (first, second) = rows.split_at(10);
+    explore_entropy_race(|| {
+        let store = Arc::new(ShardedStore::from_initial_shard(shard(first)).unwrap());
+        let live = LiveAnalyzer::with_thread_budget(store, ThreadBudget::serial());
+        live.pin().group_ids(&y).unwrap();
+        live.append_shard(shard(second)).unwrap();
+        let (misses, extended) = entropy_races_its_id_fill(&live.pin(), &y, bits);
+        assert_eq!((misses, extended), (0, 1));
+    });
 }

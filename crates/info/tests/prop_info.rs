@@ -2,6 +2,7 @@
 //! arguments rest on, evaluated on empirical distributions of random
 //! relations.
 
+use ajd_info::entropy::{entropy_of_count_values, TERM_TABLE_LEN};
 use ajd_info::{
     conditional_entropy, conditional_mutual_information, entropy, j_measure, kl_divergence_to_tree,
     kl_report, mutual_information, TreeFactoredDistribution,
@@ -27,6 +28,23 @@ fn bag(ids: &[u32]) -> AttrSet {
     AttrSet::from_ids(ids.iter().copied())
 }
 
+/// Count vectors that mix 0s and 1s, small counts, counts around the end
+/// of the term table and counts past it, often with more counts ≥ 2 than
+/// one block of the sum holds (256).
+fn counts_strategy() -> impl Strategy<Value = Vec<u64>> {
+    let end = TERM_TABLE_LEN as u64;
+    prop::collection::vec(0..4 * end, 0..700).prop_map(move |raw| {
+        raw.into_iter()
+            .map(|x| match x % 4 {
+                0 => x / 4 % 2,
+                1 => x % 16,
+                2 => end - 8 + x % 16,
+                _ => x,
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -40,6 +58,29 @@ proptest! {
             prop_assert!(h <= groups.ln() + 1e-9);
             prop_assert!(h <= (r.len() as f64).ln() + 1e-9);
         }
+    }
+
+    /// The entropy sum, with its skipped 0/1 counts and its per-call term
+    /// table, carries exactly the bits of one `c ln c` per positive count,
+    /// added in order.
+    #[test]
+    fn entropy_sum_is_bit_identical_to_the_per_group_loop(counts in counts_strategy()) {
+        let total: u128 = counts.iter().map(|&c| c as u128).sum();
+        let expected = if total == 0 {
+            0.0
+        } else {
+            let n = total as f64;
+            let mut acc = 0.0f64;
+            for &c in &counts {
+                if c > 0 {
+                    let cf = c as f64;
+                    acc += cf * cf.ln();
+                }
+            }
+            n.ln() - acc / n
+        };
+        let got = entropy_of_count_values(counts.iter().copied(), total);
+        prop_assert_eq!(got.to_bits(), expected.to_bits());
     }
 
     /// Monotonicity and sub-additivity: H(A) ≤ H(AB) ≤ H(A) + H(B).

@@ -102,17 +102,20 @@ pub trait GroupSource {
     /// Interned group keys for `attrs` (see [`GroupIds`]).
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>>;
 
-    /// The entropy `H(attrs)`, with `formula` turning a count table into
-    /// its entropy.  A plain source applies `formula` to
+    /// The entropy `H(attrs)`, with `formula` turning the multiplicities of
+    /// the distinct `attrs`-projections, in group order, and the row count
+    /// into the entropy.  A plain source applies `formula` to the counts of
     /// [`GroupSource::group_counts`]; an [`AnalysisContext`] answers from
-    /// its entropy tier ([`AnalysisContext::entropy_tier`]), whose miss
-    /// path does exactly that.
+    /// its entropy tier ([`AnalysisContext::entropy_with`]), whose miss path
+    /// reads the same multiplicities from whichever table of `attrs` it
+    /// holds.
     ///
     /// The tier is keyed by `attrs` alone, so every caller must pass the
-    /// same formula: `ajd_info::entropy_from_counts`, the one definition of
-    /// the entropy sum (it lives above this crate, hence the parameter).
-    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
-        Ok(formula(&*self.group_counts(attrs)?))
+    /// same formula: the sum of `ajd_info::entropy`, the one definition of
+    /// the entropy (it lives above this crate, hence the parameter).
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
+        let counts = self.group_counts(attrs)?;
+        Ok(formula(counts.counts(), counts.total))
     }
 
     /// The size `|⋈ᵢ R[Ωᵢ]|` of the acyclic join of the projections onto
@@ -376,7 +379,7 @@ where
         (**self).group_ids(attrs)
     }
 
-    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
         (**self).memo_entropy(attrs, formula)
     }
 
@@ -447,7 +450,7 @@ pub struct CacheStats {
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
     pub group_id_entries: usize,
-    /// The entropy tier ([`AnalysisContext::entropy_tier`]).
+    /// The entropy tier ([`AnalysisContext::entropy_with`]).
     pub entropy: TierStats,
     /// The join-size tier ([`AnalysisContext::join_size_tier`]).
     pub join_size: TierStats,
@@ -712,7 +715,10 @@ enum Fill {
 /// on every count lookup would raise peak memory for count-only callers).
 /// Callers that need both for a set — the full analysis — ask for the ids
 /// first.  [`CacheStats::misses`] counts kernel runs only; a decoded count
-/// table counts as a hit.
+/// table counts as a hit.  An entropy fill needs the multiplicities alone,
+/// which both tables hold, so it reads them from the set's id table when
+/// one is resident or seeded and creates no count table then; otherwise it
+/// goes through the count cache like any count lookup.
 ///
 /// A cold fill of a multi-attribute set `Y` (an id fill, or a count fill
 /// with no resident ids) also reuses the **attribute lattice**: the bags,
@@ -774,7 +780,7 @@ enum Fill {
 /// through the same slot machinery and counted in [`TierStats`]:
 ///
 /// * the **entropy tier** — `H(Y)` per [`AttrSet`]
-///   ([`AnalysisContext::entropy_tier`]);
+///   ([`AnalysisContext::entropy_with`]);
 /// * the **join-size tier** — `|⋈ᵢ R[Ωᵢ]|` per sorted bag list
 ///   ([`AnalysisContext::join_size_tier`]);
 /// * the **sample tier** — a gathered row sample with its own context, per
@@ -1018,13 +1024,43 @@ impl<S: GroupKernel> AnalysisContext<S> {
         }
     }
 
-    /// The entropy tier: memoized `H(attrs)`, computed by `fill` on a miss.
+    /// The entropy tier's fill: memoized `H(attrs)`, with `formula` applied
+    /// on a miss to the multiplicities of the groups of `attrs`, in group
+    /// order, and the row count.
     ///
+    /// The multiplicities come from the set's id table whenever this
+    /// context holds one — resident, or as an id seed the fill extends
+    /// ([`AnalysisContext::group_ids_with`]) — and from its count table
+    /// ([`AnalysisContext::group_counts_with`]) otherwise; a miss of either
+    /// is filled under `budget`.  Both tables hold the same counts in the
+    /// same order, so the value is bit-identical on either path and to the
+    /// uncached one, and an id-backed fill decodes no count table.
+    pub fn entropy_with(
+        &self,
+        attrs: &AttrSet,
+        budget: ThreadBudget,
+        formula: fn(&[u64], u128) -> f64,
+    ) -> Result<f64> {
+        self.entropy_tier(attrs, || {
+            let ids = match self.group_ids.resident(attrs) {
+                Some(ids) => Some(ids),
+                None if self.seeds.lock().ids.contains_key(attrs) => {
+                    Some(self.group_ids_with(attrs, budget)?)
+                }
+                None => None,
+            };
+            let total = self.source.num_rows() as u128;
+            Ok(match ids {
+                Some(ids) => formula(ids.counts(), total),
+                None => formula(self.group_counts_with(attrs, budget)?.counts(), total),
+            })
+        })
+    }
+
+    /// The entropy tier: memoized `H(attrs)`, computed by `fill` on a miss.
     /// `fill` must compute the entropy of `attrs` over this context's
-    /// source — [`GroupSource::memo_entropy`] passes the entropy formula
-    /// applied to the cached count table, so a tier value is bit-identical
-    /// to the uncached one (the same counts, summed in the same order).
-    pub fn entropy_tier(&self, attrs: &AttrSet, fill: impl FnOnce() -> Result<f64>) -> Result<f64> {
+    /// source, as [`AnalysisContext::entropy_with`]'s does.
+    fn entropy_tier(&self, attrs: &AttrSet, fill: impl FnOnce() -> Result<f64>) -> Result<f64> {
         self.memoized(&self.entropies, attrs, || {
             Ok((Arc::new(fill()?), Fill::Tier))
         })
@@ -1268,8 +1304,8 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
         self.group_ids_with(attrs, ThreadBudget::default())
     }
 
-    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&GroupCounts) -> f64) -> Result<f64> {
-        self.entropy_tier(attrs, || Ok(formula(&*self.group_counts(attrs)?)))
+    fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
+        self.entropy_with(attrs, ThreadBudget::default(), formula)
     }
 
     fn memo_join_size(&self, bags: &[AttrSet], count: &dyn Fn() -> Result<u128>) -> Result<u128> {
@@ -1626,7 +1662,7 @@ mod tests {
         let ctx = AnalysisContext::new(&r);
         let y = bag(&[9]);
         for _ in 0..2 {
-            assert!(ctx.memo_entropy(&y, |c| c.total as f64).is_err());
+            assert!(ctx.memo_entropy(&y, |_, total| total as f64).is_err());
         }
         assert_eq!(ctx.stats().entropy, TierStats::default());
         let fine = ctx.entropy_tier(&y, || Ok(1.5)).unwrap();
