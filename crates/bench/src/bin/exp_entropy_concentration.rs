@@ -9,7 +9,7 @@
 //! it to both bounds.
 
 use ajd_bench::harness::{parallel_trials, ExperimentArgs};
-use ajd_bench::stats::{fraction_where, Summary};
+use ajd_bench::stats::{fraction_where, Summary, ZeroRates};
 use ajd_bench::table::{f, Table};
 use ajd_bounds::{c_of_d, thm52_entropy_deviation, thm52_qualifying_condition};
 use ajd_info::entropy;
@@ -52,6 +52,7 @@ fn main() {
         ],
     );
 
+    let mut rates = ZeroRates::default();
     for &(d, eta_raw) in &configs {
         {
             let eta = eta_raw.min(d * d); // cannot exceed the domain
@@ -64,7 +65,10 @@ fn main() {
             let s = Summary::of(&deficits);
             let bound = thm52_entropy_deviation(d as f64, eta as f64, delta);
             let qualified = thm52_qualifying_condition(d as f64, eta as f64, delta);
-            let violations = fraction_where(&deficits, |&x| x > bound);
+            let violations = rates.check(
+                &format!("d={d} eta={eta}"),
+                fraction_where(&deficits, |&x| x > bound),
+            );
             table.push_row(vec![
                 d.to_string(),
                 eta.to_string(),
@@ -84,4 +88,5 @@ fn main() {
          Prop 5.4) and the 20*sqrt(d log^3(eta/delta)/eta) high-probability bound (Thm 5.2);\n\
          violations must be 0.000, and the deficit shrinks as eta grows."
     );
+    rates.exit_on_violation();
 }

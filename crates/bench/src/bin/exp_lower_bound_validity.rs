@@ -6,7 +6,7 @@
 //! `log(1+ρ) − J ≥ 0` and the (always zero) violation rate.
 
 use ajd_bench::harness::{parallel_trials, ExperimentArgs};
-use ajd_bench::stats::{fraction_where, Summary};
+use ajd_bench::stats::{fraction_where, Summary, ZeroRates};
 use ajd_bench::table::{f, Table};
 use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
@@ -79,12 +79,16 @@ fn main() {
             cell.push(per_trial.iter().map(|trial| trial[t]).collect());
         }
     }
+    let mut rates = ZeroRates::default();
     for ((name, _), cell) in trees.iter().zip(&cells) {
         for (rows, &n) in cell.iter().zip(&sizes) {
             let slacks: Vec<f64> = rows.iter().map(|(j, l)| l - j).collect();
             let js: Vec<f64> = rows.iter().map(|(j, _)| *j).collect();
             let ls: Vec<f64> = rows.iter().map(|(_, l)| *l).collect();
-            let violation_rate = fraction_where(&slacks, |&s| s < -1e-9);
+            let violation_rate = rates.check(
+                &format!("tree={name} N={n}"),
+                fraction_where(&slacks, |&s| s < -1e-9),
+            );
             table.push_row(vec![
                 name.to_string(),
                 n.to_string(),
@@ -103,4 +107,5 @@ fn main() {
         "Paper's shape: violations must be 0.000 everywhere (the bound is deterministic);\n\
          the slack shrinks as N approaches the full domain (the relation becomes closer to a product)."
     );
+    rates.exit_on_violation();
 }

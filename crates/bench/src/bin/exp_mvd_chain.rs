@@ -9,7 +9,7 @@
 //! per-MVD sum in general.
 
 use ajd_bench::harness::{parallel_trials, ExperimentArgs};
-use ajd_bench::stats::{fraction_where, Summary};
+use ajd_bench::stats::{fraction_where, Summary, ZeroRates};
 use ajd_bench::table::{f, Table};
 use ajd_core::Analyzer;
 use ajd_jointree::JoinTree;
@@ -53,6 +53,7 @@ fn main() {
         ],
     );
 
+    let mut rates = ZeroRates::default();
     for &m in &ms {
         for (shape, bags) in [("path", pair_bags(m)), ("star", star_bags(m))] {
             let tree = JoinTree::from_acyclic_schema(&bags).expect("acyclic by construction");
@@ -72,7 +73,10 @@ fn main() {
             let lhs: Vec<f64> = rows.iter().map(|(j, _, _)| *j).collect();
             let rhs: Vec<f64> = rows.iter().map(|(_, r, _)| *r).collect();
             let log1p: Vec<f64> = rows.iter().map(|(_, _, l)| *l).collect();
-            let violations = fraction_where(&rows, |(j, r, _)| *j > *r + 1e-9);
+            let violations = rates.check(
+                &format!("shape={shape} m={m}"),
+                fraction_where(&rows, |(j, r, _)| *j > *r + 1e-9),
+            );
             let lhs_mean = Summary::of(&lhs).mean;
             let rhs_mean = Summary::of(&rhs).mean;
             table.push_row(vec![
@@ -97,4 +101,5 @@ fn main() {
         "Paper's shape: violations are 0.000 everywhere; the ratio J/rhs stays below 1 and\n\
          decreases as the number of bags grows (the per-MVD sum becomes looser)."
     );
+    rates.exit_on_violation();
 }

@@ -13,7 +13,7 @@
 //! always holds.
 
 use ajd_bench::harness::{parallel_trials, ExperimentArgs};
-use ajd_bench::stats::{fraction_where, Summary};
+use ajd_bench::stats::{fraction_where, Summary, ZeroRates};
 use ajd_bench::table::{f, Table};
 use ajd_bounds::{epsilon_star, thm51_minimum_n, thm51_qualifying_condition, Thm51Params};
 use ajd_info::conditional_mutual_information;
@@ -52,6 +52,7 @@ fn main() {
         ],
     );
 
+    let mut rates = ZeroRates::default();
     for &(d, d_c) in &configs {
         // The qualifying N of condition (37) usually exceeds the domain at
         // these sizes; cap at 90% of the domain so the relation stays lossy.
@@ -81,7 +82,10 @@ fn main() {
             let cmis: Vec<f64> = rows.iter().map(|(_, c)| *c).collect();
             let gaps: Vec<f64> = rows.iter().map(|(l, c)| l - c).collect();
             let raw_viol = fraction_where(&rows, |(l, c)| *l > *c + 1e-9);
-            let bound_viol = fraction_where(&rows, |(l, c)| *l > *c + eps);
+            let bound_viol = rates.check(
+                &format!("d={d} d_C={d_c} N={n}"),
+                fraction_where(&rows, |(l, c)| *l > *c + eps),
+            );
             table.push_row(vec![
                 d.to_string(),
                 d_c.to_string(),
@@ -105,4 +109,5 @@ fn main() {
          which is precisely why the theorem needs the additive eps* term. eps* itself is a very\n\
          conservative constant that only vanishes for astronomically large N."
     );
+    rates.exit_on_violation();
 }

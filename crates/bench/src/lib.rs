@@ -37,5 +37,5 @@ pub mod table;
 
 pub use harness::{parallel_trials, ExperimentArgs};
 pub use perf::{time_median, BenchJson, BenchRecord};
-pub use stats::Summary;
+pub use stats::{Summary, ZeroRates};
 pub use table::Table;

@@ -265,10 +265,10 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
 
     let n = src.num_rows() as u64;
     // Interned ids first, counts after.  The join count, `distinct_n`, the
-    // KL sum and the support-MVD losses all read `GroupIds`; a count table
-    // whose ids are already resident is then decoded from them instead of
-    // grouped again.  In the other order each bag, separator, Ω and MVD
-    // side would be grouped twice, once for each cache.
+    // KL sum and the support-MVD losses all read `GroupIds`; a count lookup
+    // of a set whose ids are resident then reads them instead of grouping
+    // again.  In the other order each bag, separator, Ω and MVD side would
+    // be grouped twice, once for each cache.
     let join_size = count_acyclic_join(src, tree)?;
     // For a set relation this is `n`; for a multiset it is the size of
     // `distinct(R)`, the baseline the rejoined (set-semantic) join must be
@@ -289,9 +289,9 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
         .map(|mvd| mvd.loss(src))
         .collect::<Result<Vec<_>>>()?;
 
-    // The count consumers.  Every count table below is decoded from the
-    // ids fetched above, except the supports of exclusive MVD sides that no
-    // step above grouped.
+    // The count consumers.  Every count lookup below reads the ids fetched
+    // above, except the supports of exclusive MVD sides that no step above
+    // grouped.
     let j = j_measure(src, tree)?;
     let theorem22 = j_measure_bounds(src, tree, 0)?;
 
@@ -302,7 +302,7 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
         match attrs.as_slice() {
             [] => Ok(1),
             [single] => Ok(src.active_domain_size(*single)? as u64),
-            _ => Ok(src.group_counts(attrs)?.num_groups() as u64),
+            _ => Ok(src.distinct(attrs)? as u64),
         }
     };
 
@@ -635,6 +635,10 @@ impl<S: GroupKernel> GroupSource for Analyzer<S> {
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.ctx.group_ids_with(attrs, self.threads)
+    }
+
+    fn distinct(&self, attrs: &AttrSet) -> Result<usize> {
+        self.ctx.distinct_with(attrs, self.threads)
     }
 
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {

@@ -424,7 +424,7 @@ impl<S: GroupKernel> EstimatedAnalyzer<S> {
         // stand-in for k (a lower bound, so this allowance is indicative).
         let mut bias = 0.0;
         for attrs in terms {
-            let k = sample.group_counts(attrs)?.num_groups() as f64;
+            let k = sample.distinct(attrs)? as f64;
             bias += ((k - 1.0).max(0.0) / n as f64).ln_1p();
         }
         Ok(Estimate {

@@ -149,7 +149,7 @@ fn entropy_races_its_id_fill(
 /// reaches both schedules where its table is resident when the entropy
 /// fill looks and schedules where it is not (in the other order, the first
 /// 1,000 schedules all read the count table).
-fn explore_entropy_race(body: impl Fn() + Sync) {
+fn explore_id_race(body: impl Fn() + Sync) {
     let report = ajd_model::Model::new()
         .max_schedules(1_000)
         .preemption_bound(2)
@@ -174,7 +174,7 @@ fn entropy_fill_racing_its_id_fill_gives_the_serial_bits() {
         .entropy(&y)
         .unwrap()
         .to_bits();
-    explore_entropy_race(|| {
+    explore_id_race(|| {
         let an = Analyzer::new(&r).with_threads(1);
         let (misses, extended) = entropy_races_its_id_fill(&an, &y, bits);
         assert!((1..=2).contains(&misses), "{misses} groupings");
@@ -197,12 +197,93 @@ fn entropy_fill_racing_its_seed_extension_gives_the_serial_bits() {
     let rows: Vec<&[u32]> = (0..r.len()).map(|i| r.row(i)).collect();
     let shard = |rows: &[&[u32]]| Relation::from_rows(r.schema().to_vec(), rows).unwrap();
     let (first, second) = rows.split_at(10);
-    explore_entropy_race(|| {
+    explore_id_race(|| {
         let store = Arc::new(ShardedStore::from_initial_shard(shard(first)).unwrap());
         let live = LiveAnalyzer::with_thread_budget(store, ThreadBudget::serial());
         live.pin().group_ids(&y).unwrap();
         live.append_shard(shard(second)).unwrap();
         let (misses, extended) = entropy_races_its_id_fill(&live.pin(), &y, bits);
         assert_eq!((misses, extended), (0, 1));
+    });
+}
+
+/// One thread fills the ids of a set while another reads its distinct
+/// count.  The count lookup reads the id table when its slot exists by
+/// then (resident or in flight) or the set is id-seeded, and fills a count
+/// table otherwise.  Under every interleaving the count is the serial one;
+/// returns the context's counters.
+fn distinct_races_its_id_fill(
+    an: &Analyzer<impl GroupKernel>,
+    y: &AttrSet,
+    groups: usize,
+) -> ajd_relation::CacheStats {
+    ajd_sync::thread::scope(|s| {
+        s.spawn(|| an.group_ids(y).unwrap());
+        s.spawn(|| assert_eq!(an.distinct(y).unwrap(), groups));
+    });
+    let stats = an.cache_stats();
+    assert_eq!((stats.derived, stats.group_id_entries), (0, 1), "{stats:?}");
+    stats
+}
+
+/// Over a flat relation: one kernel run when the count lookup finds the
+/// id slot, and a second only in the schedules where the count fill began
+/// before the slot existed, which then leave a count table (a count fill
+/// keeps no row ids, so the id fill cannot use it).  Both kinds of
+/// schedule are explored.
+#[test]
+fn distinct_fill_racing_its_id_fill_groups_once_per_table() {
+    let r = sample();
+    let y = bag(&[0, 1]);
+    let groups = r.group_ids(&y).unwrap().num_groups();
+    let shared = std::sync::atomic::AtomicUsize::new(0);
+    let report = ajd_model::Model::new()
+        .max_schedules(1_000)
+        .preemption_bound(2)
+        .explore(|| {
+            let an = Analyzer::new(&r).with_threads(1);
+            let stats = distinct_races_its_id_fill(&an, &y, groups);
+            assert_eq!(stats.extended, 0);
+            assert_eq!(
+                stats.misses,
+                1 + stats.group_count_entries as u64,
+                "one kernel run per table: {stats:?}"
+            );
+            if stats.misses == 1 {
+                shared.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+        });
+    assert!(report.violation.is_none(), "{:?}", report.violation);
+    let shared = shared.into_inner();
+    assert!(
+        shared > 0 && shared < report.schedules,
+        "both paths must be explored: {shared} of {} schedules read the ids",
+        report.schedules
+    );
+}
+
+/// Over a live relation whose epoch holds the set's id seed: the count
+/// lookup and the id fill meet on the one extension of the seed, so under
+/// every interleaving the set is extended once, never grouped, and gets
+/// no count table.
+#[test]
+fn distinct_fill_racing_its_seed_extension_extends_once() {
+    let r = sample();
+    let y = bag(&[0, 1]);
+    let groups = r.group_ids(&y).unwrap().num_groups();
+    let rows: Vec<&[u32]> = (0..r.len()).map(|i| r.row(i)).collect();
+    let shard = |rows: &[&[u32]]| Relation::from_rows(r.schema().to_vec(), rows).unwrap();
+    let (first, second) = rows.split_at(10);
+    explore_id_race(|| {
+        let store = Arc::new(ShardedStore::from_initial_shard(shard(first)).unwrap());
+        let live = LiveAnalyzer::with_thread_budget(store, ThreadBudget::serial());
+        live.pin().group_ids(&y).unwrap();
+        live.append_shard(shard(second)).unwrap();
+        let stats = distinct_races_its_id_fill(&live.pin(), &y, groups);
+        assert_eq!(
+            (stats.misses, stats.extended, stats.group_count_entries),
+            (0, 1, 0),
+            "{stats:?}"
+        );
     });
 }

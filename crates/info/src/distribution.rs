@@ -34,9 +34,9 @@ use std::sync::Arc;
 /// Marginal counts of a relation on the bags and separators of a join tree,
 /// together with the plumbing needed to evaluate `P^T` on tuples.
 ///
-/// The marginals are held as shared [`GroupCounts`] handles, so a
-/// distribution built over a caching [`GroupSource`] (an `AnalysisContext`,
-/// via `ajd_core::Analyzer`) aliases the cache instead of copying counts.
+/// The marginals are [`GroupCounts`] tables with decoded keys, which a
+/// caching [`GroupSource`] (an `AnalysisContext`, via `ajd_core::Analyzer`)
+/// decodes from its cached groupings when the distribution is built.
 #[derive(Debug, Clone)]
 pub struct TreeFactoredDistribution {
     /// Number of tuples of the underlying relation.

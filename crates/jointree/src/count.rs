@@ -157,7 +157,7 @@ pub fn loss_acyclic<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<f64> {
         return Err(RelationError::EmptyInput("relation for loss computation"));
     }
     let join_size = count_acyclic_join(src, tree)? as f64;
-    let base = src.group_counts(&tree.attributes())?.num_groups() as f64;
+    let base = src.distinct(&tree.attributes())? as f64;
     Ok((join_size - base) / base)
 }
 

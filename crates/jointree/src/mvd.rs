@@ -105,7 +105,7 @@ impl Mvd {
     /// join reproduces exactly the distinct tuples of `R` on the MVD's
     /// attributes).
     pub fn holds_in<S: GroupSource>(&self, src: &S) -> Result<bool> {
-        let base = src.group_counts(&self.attributes())?.num_groups() as u128;
+        let base = src.distinct(&self.attributes())? as u128;
         Ok(self.join_size(src)? == base)
     }
 }

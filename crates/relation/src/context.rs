@@ -13,8 +13,9 @@
 //! Two pieces live here:
 //!
 //! * [`GroupSource`] — the capability every measure in the workspace is
-//!   written against: "give me group counts / interned group ids / an
-//!   entropy for this attribute set, or the join size of this schema".  A
+//!   written against: "give me the interned group ids / the number of
+//!   groups / the entropy of this attribute set, or the join size of this
+//!   schema".  A
 //!   plain [`Relation`] implements it by computing fresh (the one-shot
 //!   path); an [`AnalysisContext`] implements it by memoizing (the shared
 //!   path).  Because both implementations call the *same* columnar kernel,
@@ -22,8 +23,8 @@
 //!   uncached counterpart — a property the workspace's tests assert.
 //! * [`AnalysisContext`] — the memoization layer, in the spirit of the
 //!   lattice-level entropy caching of Kenig et al. (*Mining Approximate
-//!   Acyclic Schemes from Relations*, 2019): caches of [`GroupCounts`] and
-//!   interned [`GroupIds`] keyed by [`AttrSet`], **striped** across
+//!   Acyclic Schemes from Relations*, 2019): caches of [`GroupIds`] (with
+//!   row ids, or count tables without) keyed by [`AttrSet`], **striped** across
 //!   several `RwLock`-guarded shards (so writes on unrelated attribute sets
 //!   do not contend) with **per-key single-flight** misses: when several
 //!   threads race on the same cold `AttrSet`, exactly one computes the
@@ -58,8 +59,7 @@ use crate::error::{RelationError, Result};
 use crate::hash::{FxHashMap, FxHasher};
 use crate::parallel::ThreadBudget;
 use crate::relation::{
-    coarsen_ids, dense_cap, extend_counts, extend_ids, refine_ids, GroupCounts, GroupIds, KeyMap,
-    Relation, Value,
+    coarsen_ids, dense_cap, extend_ids, refine_ids, GroupCounts, GroupIds, KeyMap, Relation, Value,
 };
 use ajd_sync::atomic::{AtomicU64, Ordering};
 use ajd_sync::{Mutex, OnceSlot, RwLock};
@@ -96,17 +96,27 @@ pub trait GroupSource {
     fn active_domain_size(&self, attr: AttrId) -> Result<usize>;
 
     /// Multiplicities of the distinct `attrs`-projections of the relation's
-    /// tuples (see [`Relation::group_counts`]).
+    /// tuples, with their keys decoded (see [`Relation::group_counts`]).
+    /// Decoded at every call and never cached: the measures read
+    /// [`GroupSource::distinct`], [`GroupSource::memo_entropy`] and
+    /// [`GroupSource::group_ids`] instead.
     fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>>;
 
     /// Interned group keys for `attrs` (see [`GroupIds`]).
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>>;
 
+    /// The number of distinct `attrs`-projections, `|R[attrs]|`.  A plain
+    /// source groups; an [`AnalysisContext`] answers from whichever table
+    /// of `attrs` it holds ([`AnalysisContext::distinct_with`]).
+    fn distinct(&self, attrs: &AttrSet) -> Result<usize> {
+        Ok(self.group_ids(attrs)?.num_groups())
+    }
+
     /// The entropy `H(attrs)`, with `formula` turning the multiplicities of
     /// the distinct `attrs`-projections, in group order, and the row count
     /// into the entropy.  A plain source applies `formula` to the counts of
-    /// [`GroupSource::group_counts`]; an [`AnalysisContext`] answers from
-    /// its entropy tier ([`AnalysisContext::entropy_with`]), whose miss path
+    /// [`GroupSource::group_ids`]; an [`AnalysisContext`] answers from its
+    /// entropy tier ([`AnalysisContext::entropy_with`]), whose miss path
     /// reads the same multiplicities from whichever table of `attrs` it
     /// holds.
     ///
@@ -114,8 +124,8 @@ pub trait GroupSource {
     /// same formula: the sum of `ajd_info::entropy`, the one definition of
     /// the entropy (it lives above this crate, hence the parameter).
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
-        let counts = self.group_counts(attrs)?;
-        Ok(formula(counts.counts(), counts.total))
+        let ids = self.group_ids(attrs)?;
+        Ok(formula(ids.counts(), self.num_rows() as u128))
     }
 
     /// The size `|⋈ᵢ R[Ωᵢ]|` of the acyclic join of the projections onto
@@ -379,6 +389,10 @@ where
         (**self).group_ids(attrs)
     }
 
+    fn distinct(&self, attrs: &AttrSet) -> Result<usize> {
+        (**self).distinct(attrs)
+    }
+
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
         (**self).memo_entropy(attrs, formula)
     }
@@ -424,8 +438,9 @@ where
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered without running the grouping kernel: served from a
-    /// cache or a memo tier, or a count table decoded from a resident id
-    /// table.
+    /// cache or a memo tier.  A count lookup (a distinct count, or an
+    /// entropy fill) of a set whose id table is resident, in flight or
+    /// seeded is an id lookup, and counts as one.
     pub hits: u64,
     /// Kernel runs: lookups that had to group the source and then memoized
     /// the result.  A caller that asks for a set's ids before its counts
@@ -446,7 +461,9 @@ pub struct CacheStats {
     /// without regrouping the older shards.  With it, `misses + derived +
     /// extended` is one per distinct attribute set filled.
     pub extended: u64,
-    /// Number of memoized [`GroupCounts`] entries.
+    /// Number of memoized count tables: groupings without row ids, of the
+    /// sets read only for their counts.  A set whose id table the context
+    /// held when its counts were read has none.
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
     pub group_id_entries: usize,
@@ -500,20 +517,21 @@ type Slot<T> = Arc<OnceSlot<Result<Arc<T>>>>;
 /// The key of the sample tier: the draw's seed and its planned size.
 type SampleKey = (u64, u64);
 
-/// A table of an earlier epoch of a live source, the number of shards it
-/// covers (a prefix of the current ones), and the key map of its groups
-/// when the extension that built the table kept one.  Tagged by shards,
-/// not rows, because empty shards exist.
+/// A table of an earlier epoch of a live source (an id table, or a count
+/// table without row ids), the number of shards it covers (a prefix of the
+/// current ones), and the key map of its groups when the extension that
+/// built the table kept one.  Tagged by shards, not rows, because empty
+/// shards exist.
 #[derive(Debug)]
-struct Seed<T> {
-    table: Arc<T>,
+struct Seed {
+    table: Arc<GroupIds>,
     shards: usize,
     key_map: Option<KeyMap>,
 }
 
-impl<T> Seed<T> {
+impl Seed {
     /// A seed of `table`, which covers `shards` shards, without a key map.
-    fn new(table: &Arc<T>, shards: usize) -> Self {
+    fn new(table: &Arc<GroupIds>, shards: usize) -> Self {
         Seed {
             table: Arc::clone(table),
             shards,
@@ -532,21 +550,44 @@ impl<T> Seed<T> {
     }
 }
 
-/// The id and count tables one epoch's context hands the next one
-/// ([`AnalysisContext::next_seeds`]), keyed by attribute set, and the key
+/// The tables one epoch's context hands the next one
+/// ([`AnalysisContext::next_seeds`]), one per attribute set, and the key
 /// maps the context's own extensions keep for the next epoch.
 #[derive(Debug, Default)]
 pub(crate) struct Seeds {
-    /// An id seed is taken by the fill that extends it, but its entry
-    /// stays, so the set's count fills still go through the id cache.
-    ids: FxHashMap<AttrSet, Option<Seed<GroupIds>>>,
-    counts: FxHashMap<AttrSet, Seed<GroupCounts>>,
+    /// A seed is taken by the fill that extends it.  The entry of an id
+    /// seed stays, so the set's count lookups still go through the id
+    /// cache; that of a count seed goes.
+    tables: FxHashMap<AttrSet, Option<Seed>>,
     /// The key map of each table this epoch extended, which
     /// [`AnalysisContext::next_seeds`] moves into the table's seed.
     kept: FxHashMap<AttrSet, KeyMap>,
     /// Code tuples this epoch's extensions hashed: the appended spans'
     /// groups, plus a seed's own groups wherever its key map was rebuilt.
     hashed: u64,
+}
+
+impl Seeds {
+    /// `true` if `attrs` has an id seed, extended or not: the set's count
+    /// lookups are then id lookups.
+    fn holds_ids(&self, attrs: &AttrSet) -> bool {
+        self.tables
+            .get(attrs)
+            .is_some_and(|seed| seed.as_ref().is_none_or(|s| s.table.has_row_ids()))
+    }
+
+    /// Takes the seed of `attrs` if it keeps row ids exactly when `rows`
+    /// says so.  An id seed leaves its entry behind.
+    fn take(&mut self, attrs: &AttrSet, rows: bool) -> Option<Seed> {
+        let entry = self.tables.get_mut(attrs)?;
+        if entry.as_ref()?.table.has_row_ids() != rows {
+            return None;
+        }
+        match rows {
+            true => entry.take(),
+            false => self.tables.remove(attrs).flatten(),
+        }
+    }
 }
 
 /// A striped, single-flight memoization map, with exact counters of its
@@ -626,11 +667,9 @@ impl<K: Hash + Eq + Clone, T> StripedCache<K, T> {
         (result, led)
     }
 
-    /// The completed, successful value for `key`, if one is resident.
-    /// Never installs a slot and never waits on an in-flight one.
-    fn resident(&self, key: &K) -> Option<Arc<T>> {
-        let slot = self.shard(key).read().get(key).cloned()?;
-        slot.get()?.as_ref().ok().cloned()
+    /// `true` if `key` has a slot, completed or in flight.
+    fn holds(&self, key: &K) -> bool {
+        self.shard(key).read().contains_key(key)
     }
 
     /// Drops the slot of `key`; holders of its value keep it alive.
@@ -639,9 +678,8 @@ impl<K: Hash + Eq + Clone, T> StripedCache<K, T> {
     }
 
     /// Calls `visit` on every *completed, successful* entry, read-locking
-    /// one stripe at a time.  Like [`StripedCache::resident`] it never
-    /// installs a slot and never waits on an in-flight one.  The visiting
-    /// order is unspecified.
+    /// one stripe at a time.  It never installs a slot and never waits on
+    /// an in-flight one.  The visiting order is unspecified.
     fn visit_resident(&self, mut visit: impl FnMut(&K, &Arc<T>)) {
         for stripe in &self.shards {
             for (key, slot) in stripe.read().iter() {
@@ -680,15 +718,12 @@ enum Fill {
     /// Extended an earlier epoch's table by the shards appended since: one
     /// [`CacheStats::extended`].
     Extended,
-    /// Decoded a resident id table without a kernel run: one hit.
-    Decoded,
     /// Filled a memo tier: a tier miss only.
     Tier,
 }
 
-/// Memoized group counts and interned group ids of one relation, plus memo
-/// tiers over them — the shared-computation substrate of the measurement
-/// stack.
+/// Memoized groupings of one relation, plus memo tiers over them — the
+/// shared-computation substrate of the measurement stack.
 ///
 /// A context **owns** its source, which in practice is a cheap handle: a
 /// `&Relation` borrow for one-shot analysis, or an `Arc<ShardedRelation>`
@@ -707,21 +742,24 @@ enum Fill {
 /// exactly one thread computes, the others block on that entry and receive
 /// the same `Arc`.
 ///
-/// The count and id caches share their groupings one way: a count-table
-/// miss whose [`GroupIds`] for the same set are already **resident** decodes
-/// them ([`GroupKernel::decode_group_counts`]) instead of running the
-/// kernel again.  The other way never happens: a count lookup does not
-/// create an id table (ids hold one `u32` per row, so filling the id cache
-/// on every count lookup would raise peak memory for count-only callers).
-/// Callers that need both for a set — the full analysis — ask for the ids
-/// first.  [`CacheStats::misses`] counts kernel runs only; a decoded count
-/// table counts as a hit.  An entropy fill needs the multiplicities alone,
-/// which both tables hold, so it reads them from the set's id table when
-/// one is resident or seeded and creates no count table then; otherwise it
-/// goes through the count cache like any count lookup.
+/// A context keeps one kind of table, [`GroupIds`], in two caches: the id
+/// cache, whose tables label every row with its group, and the count
+/// cache, whose tables keep the groups alone (their codes and counts, no
+/// row ids and no decoded value).  A **count lookup** — a distinct count
+/// ([`AnalysisContext::distinct_with`]), an entropy fill or a decoded
+/// [`AnalysisContext::group_counts_with`] — reads the set's id table when
+/// one is resident, in flight or seeded, and the count cache otherwise.
+/// A count fill groups as an id fill does and drops the row ids: ids hold
+/// one `u32` per row, so filling the id cache on every count lookup would
+/// raise peak memory for count-only callers.  The other way never happens,
+/// so a set read for its counts before its ids is grouped twice; callers
+/// that need both for a set — the full analysis — ask for the ids first.
+/// [`CacheStats::misses`] counts kernel runs only.  Nothing cached holds a
+/// decoded value: [`AnalysisContext::group_counts_with`] decodes at the
+/// call.
 ///
-/// A cold fill of a multi-attribute set `Y` (an id fill, or a count fill
-/// with no resident ids) also reuses the **attribute lattice**: the bags,
+/// A cold fill of a multi-attribute set `Y` (an id or a count fill) also
+/// reuses the **attribute lattice**: the bags,
 /// separators, MVD sides and Ω of a join tree are nested, so most of them
 /// are a small step from a set already grouped.  The fill first tries, in
 /// order:
@@ -743,23 +781,21 @@ enum Fill {
 /// in-flight fill) and intermediates are never cached.  A derived fill
 /// counts in [`CacheStats::derived`].
 ///
-/// Over a live relation a context can start with **seeds**: the id and
-/// count tables of an earlier epoch, each tagged with the number of shards
-/// it covers (shards, not rows, because empty shards exist), which
-/// [`crate::ShardedStore`] hands each new epoch's context.  Shards are
-/// appended in order and the global dictionaries only grow at their tail,
-/// so the old epoch's groups keep their first-appearance ids and the
-/// table of the new epoch is the old one with the appended shards' spans
-/// merged at its tail ([`GroupKernel::spans_from`]).  A cold fill of a
-/// seeded set therefore tries the seed before anything else, and takes it
-/// out of the map, so it is extended once:
-///
-/// * an **id** seed goes first into the shard-order merge, where its groups
-///   keep their ids and its row ids (and its first rows, if known) are
-///   taken over or copied, never rewritten;
-/// * a **count** seed (kept only for a set without an id table) interns the
-///   new spans' groups after its own, and decodes the keys of the new
-///   groups only.
+/// Over a live relation a context can start with **seeds**: one table per
+/// set of an earlier epoch (its id table if it had one, else its count
+/// table), each tagged with the number of shards it covers (shards, not
+/// rows, because empty shards exist), which [`crate::ShardedStore`] hands
+/// each new epoch's context.  Shards are appended in order and the global
+/// dictionaries only grow at their tail, so the old epoch's groups keep
+/// their first-appearance ids and the table of the new epoch is the old
+/// one with the appended shards' spans merged at its tail
+/// ([`GroupKernel::spans_from`]).  A cold fill of a seeded set therefore
+/// tries the seed before anything else, and takes it out of the map, so it
+/// is extended once: the seed goes first into the shard-order merge, where
+/// its groups keep their ids and its row ids (and its first rows, if
+/// known) are taken over or copied, never rewritten.  An id seed is
+/// extended in the id cache, by the set's first id or count lookup; a
+/// count seed in the count cache, into a count table.
 ///
 /// An extended fill also **keeps its key map**, the code tuple → id map
 /// its interning built, and the store hands it to the next epoch's
@@ -792,9 +828,9 @@ enum Fill {
 /// bit-identical to its uncached computation.  A tier hit is a lookup that
 /// ran no kernel, so it also counts in [`CacheStats::hits`].
 ///
-/// Each cache has one accessor, which takes the [`ThreadBudget`] a miss is
-/// computed under ([`AnalysisContext::group_counts_with`],
-/// [`AnalysisContext::group_ids_with`]).  The context itself stores no
+/// Each lookup takes the [`ThreadBudget`] a miss is computed under
+/// ([`AnalysisContext::group_ids_with`], [`AnalysisContext::distinct_with`],
+/// [`AnalysisContext::entropy_with`]).  The context itself stores no
 /// budget: its [`GroupSource`] impl computes misses under the default
 /// [`ThreadBudget`] (the machine's available parallelism), and callers that
 /// own a budget — `ajd_core::Analyzer` — pass it per call.  The chunked
@@ -811,15 +847,16 @@ enum Fill {
 /// ]).unwrap();
 /// let ctx = AnalysisContext::new(&r);
 /// let y = AttrSet::singleton(AttrId(0));
-/// let first = ctx.group_counts(&y).unwrap();
-/// let second = ctx.group_counts(&y).unwrap();      // served from cache
-/// assert_eq!(first.num_groups(), second.num_groups());
+/// let first = ctx.distinct(&y).unwrap();
+/// let second = ctx.distinct(&y).unwrap();          // served from cache
+/// assert_eq!((first, second), (2, 2));
 /// assert_eq!(ctx.stats().hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct AnalysisContext<S = Relation> {
     source: S,
-    group_counts: StripedCache<AttrSet, GroupCounts>,
+    /// Count tables: groupings without row ids.
+    group_counts: StripedCache<AttrSet, GroupIds>,
     group_ids: StripedCache<AttrSet, GroupIds>,
     entropies: StripedCache<AttrSet, f64>,
     join_sizes: StripedCache<Vec<AttrSet>, u128>,
@@ -872,48 +909,46 @@ impl<S: GroupKernel> AnalysisContext<S> {
         &self.source
     }
 
-    /// Memoized [`Relation::group_counts`]: multiplicities of the distinct
-    /// `attrs`-projections of the relation's tuples.  On a miss the table
-    /// is decoded from the resident [`GroupIds`] of `attrs` if there are
-    /// any, else extended from the set's seed ([`AnalysisContext`]), and
-    /// otherwise computed under `budget`.
+    /// [`Relation::group_counts`] through this context: the multiplicities
+    /// of the distinct `attrs`-projections, with their keys decoded at the
+    /// call from the set's table ([`AnalysisContext::distinct_with`] says
+    /// which), which is filled under `budget` on a miss.
     ///
-    /// The budget is per call, so callers that split one total budget
-    /// across layers (a fan-out handing each worker its share) pass the
-    /// share down without touching the shared context.  The cached value
-    /// is bit-identical at any budget and on either fill path.
+    /// The decoded table is the caller's alone; nothing cached holds a
+    /// decoded value.  Bit-identical at any budget and on every fill path.
     pub fn group_counts_with(
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
     ) -> Result<Arc<GroupCounts>> {
+        let table = self.count_table(attrs, budget)?;
+        Ok(Arc::new(self.source.decode_group_counts(&table)))
+    }
+
+    /// The number of distinct `attrs`-projections: the group count of the
+    /// set's id table when it is resident, in flight or seeded (an id
+    /// lookup, which may extend the seed), else of its count table, filled
+    /// under `budget` on a miss.  A count fill extends the set's count
+    /// seed, else derives or groups as an id fill does, and keeps no row
+    /// ids.
+    pub fn distinct_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<usize> {
+        Ok(self.count_table(attrs, budget)?.num_groups())
+    }
+
+    /// The table every count lookup of `attrs` reads
+    /// ([`AnalysisContext::distinct_with`]).
+    fn count_table(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
+        let id_seeded = self.seeds.lock().holds_ids(attrs);
+        if id_seeded || self.group_ids.holds(attrs) {
+            return self.group_ids_with(attrs, budget);
+        }
         self.memoized(&self.group_counts, attrs, || {
-            // Every count fill consumes the set's count seed.
-            let seed = self.seeds.lock().counts.remove(attrs);
-            if let Some(ids) = self.group_ids.resident(attrs) {
-                let counts = self.source.decode_group_counts(&ids);
-                return Ok((Arc::new(counts), Fill::Decoded));
-            }
+            let seed = self.seeds.lock().take(attrs, false);
             if let Some(seed) = seed {
-                let spans = self.source.spans_from(attrs, seed.shards, budget)?;
-                let dicts = dictionaries(&self.source, attrs)?;
-                let domains: Vec<usize> = dicts.iter().map(|d| d.len()).collect();
-                let groups = seed.table.num_groups();
-                let (key_map, hashed) = reusable(seed.key_map, &domains, groups, &spans);
-                let total = self.source.num_rows() as u128;
-                let (counts, key_map) = extend_counts(seed.table, key_map, &spans, &dicts, total)?;
-                self.keep(attrs, key_map, hashed);
-                return Ok((Arc::new(counts), Fill::Extended));
+                return Ok((self.extend(attrs, seed, budget)?, Fill::Extended));
             }
-            // A set whose ids an earlier epoch held gets them again,
-            // extended in the id cache (or waited for, if in flight).
-            let ids_seeded = self.seeds.lock().ids.contains_key(attrs);
-            let (ids, how) = if ids_seeded {
-                (self.group_ids_with(attrs, budget)?, Fill::Decoded)
-            } else {
-                self.fill_ids(attrs, budget)?
-            };
-            Ok((Arc::new(self.source.decode_group_counts(&ids)), how))
+            let (ids, how) = self.fill_ids(attrs, budget)?;
+            Ok((Arc::new(GroupIds::without_rows(ids)), how))
         })
     }
 
@@ -922,35 +957,43 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// a resident table of a subset or superset when the lattice policy
     /// finds one, and otherwise computed under `budget`.
     pub fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
-        self.memoized(&self.group_ids, attrs, || self.fill_ids(attrs, budget))
+        self.memoized(&self.group_ids, attrs, || {
+            let seed = self.seeds.lock().take(attrs, true);
+            match seed {
+                Some(seed) => Ok((self.extend(attrs, seed, budget)?, Fill::Extended)),
+                None => self.fill_ids(attrs, budget),
+            }
+        })
     }
 
-    /// The one cold grouping of `attrs`, shared by both caches: the seed
-    /// of `attrs` extended by the shards it does not cover, else derived
-    /// from a resident id table ([`AnalysisContext::derive_ids`]), else a
-    /// kernel run under `budget`.  A kernel table is kept as the source
-    /// returns it, so a context over a one-shard relation shares its
+    /// The cold grouping of an unseeded `attrs`, shared by both caches:
+    /// derived from a resident id table ([`AnalysisContext::derive_ids`]),
+    /// else a kernel run under `budget`.  A kernel table is kept as the
+    /// source returns it, so a context over a one-shard relation shares its
     /// shard's table instead of copying it.
     fn fill_ids(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<(Arc<GroupIds>, Fill)> {
-        let seed = self.seeds.lock().ids.get_mut(attrs).and_then(Option::take);
-        if let Some(seed) = seed {
-            let spans = self.source.spans_from(attrs, seed.shards, budget)?;
-            let domains: Vec<usize> = dictionaries(&self.source, attrs)?
-                .into_iter()
-                .map(<[Value]>::len)
-                .collect();
-            let groups = seed.table.num_groups();
-            let (key_map, hashed) = reusable(seed.key_map, &domains, groups, &spans);
-            let rows = self.source.num_rows();
-            let (ids, key_map) =
-                extend_ids(seed.table, key_map, &spans, &domains, rows, budget.get())?;
-            self.keep(attrs, key_map, hashed);
-            return Ok((Arc::new(ids), Fill::Extended));
-        }
         Ok(match self.derive_ids(attrs)? {
             Some(ids) => (Arc::new(ids), Fill::Derived),
             None => (self.source.group_ids_with(attrs, budget)?, Fill::Kernel),
         })
+    }
+
+    /// The table of `attrs` over every shard: `seed` extended by the
+    /// shards it does not cover, with or without row ids as the seed has
+    /// them.  Keeps the key map the extension built.
+    fn extend(&self, attrs: &AttrSet, seed: Seed, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
+        let spans = self.source.spans_from(attrs, seed.shards, budget)?;
+        let domains: Vec<usize> = dictionaries(&self.source, attrs)?
+            .into_iter()
+            .map(<[Value]>::len)
+            .collect();
+        let groups = seed.table.num_groups();
+        let (key_map, hashed) = reusable(seed.key_map, &domains, groups, &spans);
+        let rows = self.source.num_rows();
+        let (table, key_map) =
+            extend_ids(seed.table, key_map, &spans, &domains, rows, budget.get())?;
+        self.keep(attrs, key_map, hashed);
+        Ok(Arc::new(table))
     }
 
     /// The grouping of `attrs` derived from a resident id table by the
@@ -1026,15 +1069,11 @@ impl<S: GroupKernel> AnalysisContext<S> {
 
     /// The entropy tier's fill: memoized `H(attrs)`, with `formula` applied
     /// on a miss to the multiplicities of the groups of `attrs`, in group
-    /// order, and the row count.
-    ///
-    /// The multiplicities come from the set's id table whenever this
-    /// context holds one — resident, or as an id seed the fill extends
-    /// ([`AnalysisContext::group_ids_with`]) — and from its count table
-    /// ([`AnalysisContext::group_counts_with`]) otherwise; a miss of either
-    /// is filled under `budget`.  Both tables hold the same counts in the
+    /// order, and the row count.  The multiplicities come from the table a
+    /// count lookup reads ([`AnalysisContext::distinct_with`]), filled under
+    /// `budget` on a miss.  Id and count tables hold the same counts in the
     /// same order, so the value is bit-identical on either path and to the
-    /// uncached one, and an id-backed fill decodes no count table.
+    /// uncached one.
     pub fn entropy_with(
         &self,
         attrs: &AttrSet,
@@ -1042,18 +1081,8 @@ impl<S: GroupKernel> AnalysisContext<S> {
         formula: fn(&[u64], u128) -> f64,
     ) -> Result<f64> {
         self.entropy_tier(attrs, || {
-            let ids = match self.group_ids.resident(attrs) {
-                Some(ids) => Some(ids),
-                None if self.seeds.lock().ids.contains_key(attrs) => {
-                    Some(self.group_ids_with(attrs, budget)?)
-                }
-                None => None,
-            };
-            let total = self.source.num_rows() as u128;
-            Ok(match ids {
-                Some(ids) => formula(ids.counts(), total),
-                None => formula(self.group_counts_with(attrs, budget)?.counts(), total),
-            })
+            let table = self.count_table(attrs, budget)?;
+            Ok(formula(table.counts(), self.source.num_rows() as u128))
         })
     }
 
@@ -1126,12 +1155,11 @@ impl<S: GroupKernel> AnalysisContext<S> {
     }
 
     /// The seeds of the next epoch of this context's source, which extends
-    /// it by one or more shards: every completed id and count table, which
-    /// covers the `shards` shards of this epoch, plus the seeds this
-    /// context never consumed.  A set keeps one seed: its id table if it
-    /// has one (its counts decode from it), else its count table.  Only
-    /// completed slots are read (never an in-flight fill), and `∅` is
-    /// never seeded.
+    /// it by one or more shards: every completed table, which covers the
+    /// `shards` shards of this epoch, plus the seeds this context never
+    /// consumed.  A set keeps one seed: its id table if it has one (its
+    /// count lookups read it), else its count table.  Only completed slots
+    /// are read (never an in-flight fill), and `∅` is never seeded.
     ///
     /// Key maps move, under the seeds lock, with their tables: the map
     /// this epoch's extension of a set kept goes with the set's table, and
@@ -1140,48 +1168,34 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// table still in flight, or an unconsumed seed it extends after this
     /// hand-over) is rebuilt by the extension that lacks it.
     pub(crate) fn next_seeds(&self, shards: usize) -> Seeds {
-        let mut next = Seeds::default();
-        self.group_ids.visit_resident(|attrs, table| {
+        let mut tables: FxHashMap<AttrSet, Option<Seed>> = FxHashMap::default();
+        let mut seed = |attrs: &AttrSet, table: &Arc<GroupIds>| {
             if !attrs.is_empty() {
-                next.ids
-                    .insert(attrs.clone(), Some(Seed::new(table, shards)));
+                tables
+                    .entry(attrs.clone())
+                    .or_insert_with(|| Some(Seed::new(table, shards)));
             }
-        });
-        self.group_counts.visit_resident(|attrs, table| {
-            if !attrs.is_empty() && !next.ids.contains_key(attrs) {
-                next.counts.insert(attrs.clone(), Seed::new(table, shards));
-            }
-        });
+        };
+        self.group_ids.visit_resident(&mut seed);
+        self.group_counts.visit_resident(&mut seed);
         let mut seeds = self.seeds.lock();
-        let Seeds {
-            ids, counts, kept, ..
-        } = &mut *seeds;
         // ajd: allow(hash-iter-order, "each map moves to the seed of its own set; no result depends on the visiting order")
-        for (attrs, key_map) in kept.drain() {
-            if let Some(Some(seed)) = next.ids.get_mut(&attrs) {
-                seed.key_map = Some(key_map);
-            } else if let Some(seed) = next.counts.get_mut(&attrs) {
+        for (attrs, key_map) in seeds.kept.drain() {
+            if let Some(Some(seed)) = tables.get_mut(&attrs) {
                 seed.key_map = Some(key_map);
             }
         }
-        for (attrs, seed) in ids.iter_mut() {
+        for (attrs, seed) in seeds.tables.iter_mut() {
             if let Some(seed) = seed {
-                next.ids
+                tables
                     .entry(attrs.clone())
                     .or_insert_with(|| Some(seed.hand_on()));
             }
         }
-        for (attrs, seed) in counts.iter_mut() {
-            if !next.ids.contains_key(attrs) {
-                next.counts
-                    .entry(attrs.clone())
-                    .or_insert_with(|| seed.hand_on());
-            }
+        Seeds {
+            tables,
+            ..Seeds::default()
         }
-        drop(seeds);
-        let Seeds { ids, counts, .. } = &mut next;
-        counts.retain(|attrs, _| !ids.contains_key(attrs));
-        next
     }
 
     /// Keeps `key_map`, the key map of this epoch's extended table of
@@ -1218,8 +1232,8 @@ impl<S: GroupKernel> AnalysisContext<S> {
     }
 
     /// [`StripedCache::get_or_fill`] plus the context's counters: a kernel
-    /// fill ([`Fill`]) is a miss, a decoded fill or a lookup that did not
-    /// lead is a hit, and a tier fill counts only in its tier.
+    /// fill ([`Fill`]) is a miss, a lookup that did not lead is a hit, and
+    /// a tier fill counts only in its tier.
     fn memoized<K: Hash + Eq + Clone, T>(
         &self,
         cache: &StripedCache<K, T>,
@@ -1232,7 +1246,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
                     Fill::Kernel => Some(&self.misses),
                     Fill::Derived => Some(&self.derived),
                     Fill::Extended => Some(&self.extended),
-                    Fill::Decoded => Some(&self.hits),
                     Fill::Tier => None,
                 };
                 if let Some(counter) = counter {
@@ -1261,7 +1274,7 @@ impl<S: GroupKernel> AnalysisContext<S> {
         &self,
         attrs: &AttrSet,
         budget: ThreadBudget,
-    ) -> Result<Arc<GroupCounts>> {
+    ) -> Result<Arc<GroupIds>> {
         let shard = self.group_counts.shard(attrs);
         if let Some(slot) = shard.read().get(attrs).cloned() {
             if let Some(done) = slot.get() {
@@ -1272,11 +1285,14 @@ impl<S: GroupKernel> AnalysisContext<S> {
             }
         }
         // MUTANT: compute unconditionally instead of contending on a slot.
-        let out = self.source.group_counts_with(attrs, budget).map(Arc::new);
+        let out = self
+            .source
+            .group_ids_with(attrs, budget)
+            .map(|ids| Arc::new(GroupIds::without_rows(ids)));
         if out.is_ok() {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let slot: Slot<GroupCounts> = Arc::new(OnceSlot::new());
+        let slot: Slot<GroupIds> = Arc::new(OnceSlot::new());
         let _ = slot.set(out.clone());
         shard.write().insert(attrs.clone(), slot);
         out
@@ -1302,6 +1318,10 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.group_ids_with(attrs, ThreadBudget::default())
+    }
+
+    fn distinct(&self, attrs: &AttrSet) -> Result<usize> {
+        self.distinct_with(attrs, ThreadBudget::default())
     }
 
     fn memo_entropy(&self, attrs: &AttrSet, formula: fn(&[u64], u128) -> f64) -> Result<f64> {
@@ -1392,8 +1412,8 @@ mod tests {
     fn caches_are_shared_and_counted() {
         let r = sample();
         let ctx = AnalysisContext::new(&r);
-        let a = ctx.group_counts(&bag(&[0])).unwrap();
-        let b = ctx.group_counts(&bag(&[0])).unwrap();
+        let a = ctx.count_table(&bag(&[0]), ThreadBudget::serial()).unwrap();
+        let b = ctx.count_table(&bag(&[0]), ThreadBudget::serial()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         let stats = ctx.stats();
         assert_eq!(stats.hits, 1);
@@ -1402,9 +1422,9 @@ mod tests {
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
-    /// A count miss decodes resident ids instead of grouping again (a hit,
-    /// not a miss); a count lookup never creates an id table, so the other
-    /// order groups twice.
+    /// A count lookup reads resident ids instead of grouping again (a hit,
+    /// not a miss, and no count table); a count lookup never creates an id
+    /// table, so the other order groups twice.
     #[test]
     fn count_miss_decodes_resident_ids_but_never_creates_them() {
         let r = sample();
@@ -1416,6 +1436,7 @@ mod tests {
         let decoded = ids_first.group_counts(&attrs).unwrap();
         let stats = ids_first.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(stats.group_count_entries, 0);
         assert_eq!(decoded.total, direct.total);
         assert_eq!(decoded.counts(), direct.counts());
         for g in 0..direct.num_groups() {
@@ -1571,12 +1592,12 @@ mod tests {
         let ctx = AnalysisContext::new(&r);
         let attrs = bag(&[0, 1, 2]);
         let barrier = std::sync::Barrier::new(4);
-        let arcs: Vec<Arc<GroupCounts>> = std::thread::scope(|scope| {
+        let arcs: Vec<Arc<GroupIds>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        ctx.group_counts(&attrs).unwrap()
+                        ctx.count_table(&attrs, ThreadBudget::default()).unwrap()
                     })
                 })
                 .collect();

@@ -25,6 +25,7 @@
 //! validated against [`natural_join_all`] in tests.
 
 use crate::attr::{AttrId, AttrSet};
+use crate::context::GroupSource;
 use crate::error::{RelationError, Result};
 use crate::hash::{map_with_capacity, FxHashMap};
 use crate::relation::{Relation, Value};
@@ -236,7 +237,7 @@ pub fn loss_materialized(r: &Relation, schema: &[AttrSet]) -> Result<f64> {
     let projections = decompose(r, schema)?;
     let joined = natural_join_all(&projections)?;
     let covered = schema.iter().fold(AttrSet::empty(), |acc, b| acc.union(b));
-    let base = r.group_counts(&covered)?.num_groups() as f64;
+    let base = GroupSource::distinct(r, &covered)? as f64;
     Ok((joined.len() as f64 - base) / base)
 }
 

@@ -19,8 +19,9 @@
 //!   familiar tuple API.  Projection, grouping, deduplication and joins all
 //!   run on the integer codes (dense mixed-radix counting or packed-`u64`
 //!   hashing — never a heap-allocated key per row).
-//! * [`GroupCounts`] / [`GroupIds`] — the two views of a grouping: decoded
-//!   multiplicity tables and dense interned ids with per-row labels.
+//! * [`GroupIds`] / [`GroupCounts`] — a grouping as dense interned ids
+//!   (with per-row labels, or without them as a count table), and its
+//!   multiplicities with decoded keys, built at the call.
 //! * [`join`] — natural joins over remapped dictionary codes, and the
 //!   materialised loss they give.
 //! * [`GroupSource`] — the capability trait the measure stack is generic

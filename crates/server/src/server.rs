@@ -376,6 +376,15 @@ impl<'a> Server<'a> {
                         "append needs at least one row",
                     ));
                 }
+                if rows.len() > MAX_APPEND_ROWS {
+                    return Err(Failure::new(
+                        ErrorCode::BadRequest,
+                        format!(
+                            "append of {} rows exceeds the {MAX_APPEND_ROWS}-row limit",
+                            rows.len()
+                        ),
+                    ));
+                }
                 // Every row's arity is checked before anything is interned,
                 // so a refused batch leaves the catalog as it was.
                 let live = &entry.live;
@@ -583,6 +592,10 @@ impl<'a> Server<'a> {
 /// A longer line is answered with a `bad_request` frame and discarded in
 /// cap-sized reads, so one endless line cannot grow a connection's memory.
 const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// The most rows one `append` may carry.  A larger batch is answered with
+/// a `bad_request` frame before any label is interned.
+const MAX_APPEND_ROWS: usize = 100_000;
 
 /// The `bad_request` frame for a line that never reached the parser.
 fn bad_line(message: String) -> Json {
@@ -1265,6 +1278,40 @@ os,bob,r2
             Some("invalid_schema")
         );
         assert_eq!(domains(&server), before);
+    }
+
+    #[test]
+    fn append_over_the_row_cap_is_refused_and_interns_nothing() {
+        let stores = sharded_stores("courses", 2);
+        let server = Server::new(&stores, ServerConfig::default()).unwrap();
+        let domains = |server: &Server<'_>| {
+            let catalog = server.entries[0].catalog.read();
+            let attrs = catalog.all_attributes();
+            attrs
+                .iter()
+                .map(|a| catalog.domain_size(a).unwrap())
+                .collect::<Vec<usize>>()
+        };
+        let before = domains(&server);
+        let rows: Vec<String> = (0..=MAX_APPEND_ROWS)
+            .map(|i| format!(r#"["c{i}","t","r"]"#))
+            .collect();
+        let line = format!(
+            r#"{{"op":"append","relation":"courses","rows":[{}]}}"#,
+            rows.join(",")
+        );
+        let frame = server.handle_line(&line);
+        let error = frame.get("error").expect("error object");
+        assert_eq!(
+            error.get("code").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("100000-row limit"), "{message}");
+        assert_eq!(domains(&server), before, "nothing interned");
+        let frame = server.handle_line(r#"{"op":"stats","relation":"courses"}"#);
+        let relations = ok_get(&frame, "relations").as_arr().unwrap();
+        assert_eq!(relations[0].get("epoch").and_then(Json::as_u64), Some(2));
     }
 
     #[test]
