@@ -65,10 +65,8 @@ fn main() {
             let s = Summary::of(&deficits);
             let bound = thm52_entropy_deviation(d as f64, eta as f64, delta);
             let qualified = thm52_qualifying_condition(d as f64, eta as f64, delta);
-            let violations = rates.check(
-                &format!("d={d} eta={eta}"),
-                fraction_where(&deficits, |&x| x > bound),
-            );
+            let violations = fraction_where(&deficits, |&x| x > bound);
+            rates.check(&format!("d={d} eta={eta}"), violations);
             table.push_row(vec![
                 d.to_string(),
                 eta.to_string(),

@@ -85,10 +85,8 @@ fn main() {
             let slacks: Vec<f64> = rows.iter().map(|(j, l)| l - j).collect();
             let js: Vec<f64> = rows.iter().map(|(j, _)| *j).collect();
             let ls: Vec<f64> = rows.iter().map(|(_, l)| *l).collect();
-            let violation_rate = rates.check(
-                &format!("tree={name} N={n}"),
-                fraction_where(&slacks, |&s| s < -1e-9),
-            );
+            let violation_rate = fraction_where(&slacks, |&s| s < -1e-9);
+            rates.check(&format!("tree={name} N={n}"), violation_rate);
             table.push_row(vec![
                 name.to_string(),
                 n.to_string(),

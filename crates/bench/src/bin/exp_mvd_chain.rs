@@ -73,10 +73,8 @@ fn main() {
             let lhs: Vec<f64> = rows.iter().map(|(j, _, _)| *j).collect();
             let rhs: Vec<f64> = rows.iter().map(|(_, r, _)| *r).collect();
             let log1p: Vec<f64> = rows.iter().map(|(_, _, l)| *l).collect();
-            let violations = rates.check(
-                &format!("shape={shape} m={m}"),
-                fraction_where(&rows, |(j, r, _)| *j > *r + 1e-9),
-            );
+            let violations = fraction_where(&rows, |(j, r, _)| *j > *r + 1e-9);
+            rates.check(&format!("shape={shape} m={m}"), violations);
             let lhs_mean = Summary::of(&lhs).mean;
             let rhs_mean = Summary::of(&rhs).mean;
             table.push_row(vec![

@@ -82,10 +82,8 @@ fn main() {
             let cmis: Vec<f64> = rows.iter().map(|(_, c)| *c).collect();
             let gaps: Vec<f64> = rows.iter().map(|(l, c)| l - c).collect();
             let raw_viol = fraction_where(&rows, |(l, c)| *l > *c + 1e-9);
-            let bound_viol = rates.check(
-                &format!("d={d} d_C={d_c} N={n}"),
-                fraction_where(&rows, |(l, c)| *l > *c + eps),
-            );
+            let bound_viol = fraction_where(&rows, |(l, c)| *l > *c + eps);
+            rates.check(&format!("d={d} d_C={d_c} N={n}"), bound_viol);
             table.push_row(vec![
                 d.to_string(),
                 d_c.to_string(),

@@ -55,41 +55,29 @@ pub fn fraction_where<T>(values: &[T], predicate: impl Fn(&T) -> bool) -> f64 {
     values.iter().filter(|v| predicate(v)).count() as f64 / values.len() as f64
 }
 
-/// The rates a paper experiment prints as "must be 0.000": each rate of a
-/// deterministic bound that some trial violated.  An experiment checks
-/// every such rate here and calls [`ZeroRates::exit_on_violation`] after
-/// printing its table, so a reproduced claim that fails also fails the
-/// process.
+/// The violation rates an experiment prints as "must be 0.000", checked:
+/// after its table, [`ZeroRates::exit_on_violation`] fails the process if
+/// any rate was not zero.
 #[derive(Debug, Default)]
-pub struct ZeroRates {
-    violations: Vec<String>,
-}
+pub struct ZeroRates(Vec<String>);
 
 impl ZeroRates {
-    /// Records `rate`, the violation rate of the table row `row`, and
-    /// returns it for printing.  Any rate but zero is a violation.
-    pub fn check(&mut self, row: &str, rate: f64) -> f64 {
+    /// Records the violation rate of table row `row`.
+    pub fn check(&mut self, row: &str, rate: f64) {
         if rate != 0.0 {
-            self.violations.push(format!("{row}: rate {rate}"));
+            self.0.push(format!("{row}: rate {rate}"));
         }
-        rate
     }
 
-    /// The recorded violations, one line per non-zero rate.
-    pub fn violations(&self) -> &[String] {
-        &self.violations
-    }
-
-    /// Prints every violation to stderr and exits with status 1 if there
-    /// is one; returns otherwise.
+    /// Prints every non-zero rate to stderr and exits with status 1 if
+    /// there is one; returns otherwise.
     pub fn exit_on_violation(&self) {
-        if self.violations.is_empty() {
-            return;
-        }
-        for v in &self.violations {
+        for v in &self.0 {
             eprintln!("violated (must be 0.000): {v}");
         }
-        std::process::exit(1);
+        if !self.0.is_empty() {
+            std::process::exit(1);
+        }
     }
 }
 
@@ -100,12 +88,12 @@ mod tests {
     #[test]
     fn zero_rates_flag_every_rate_but_zero() {
         let mut rates = ZeroRates::default();
-        assert_eq!(rates.check("m=3 path", 0.0), 0.0);
-        assert!(rates.violations().is_empty());
-        assert_eq!(rates.check("m=5 star", 0.25), 0.25);
+        rates.check("m=3 path", 0.0);
+        assert!(rates.0.is_empty());
+        rates.check("m=5 star", 0.25);
         rates.check("d=4", f64::NAN);
-        assert_eq!(rates.violations().len(), 2);
-        assert!(rates.violations()[0].starts_with("m=5 star"));
+        assert_eq!(rates.0.len(), 2);
+        assert!(rates.0[0].starts_with("m=5 star"));
         // Without a violation the check returns instead of exiting.
         ZeroRates::default().exit_on_violation();
     }

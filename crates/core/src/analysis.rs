@@ -47,8 +47,8 @@ use ajd_jointree::mvd::ordered_support;
 use ajd_jointree::{count_acyclic_join, loss_acyclic, JoinTree, Mvd};
 use ajd_relation::parallel::fan_out;
 use ajd_relation::{
-    AnalysisContext, AttrId, AttrSet, CacheStats, GroupCounts, GroupIds, GroupKernel, GroupSource,
-    Relation, RelationError, Result, ThreadBudget,
+    AnalysisContext, AttrId, AttrSet, CacheStats, GroupIds, GroupKernel, GroupSource, Relation,
+    RelationError, Result, ThreadBudget,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -627,10 +627,6 @@ impl<S: GroupKernel> GroupSource for Analyzer<S> {
 
     fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
         self.ctx.source().active_domain_size(attr)
-    }
-
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        self.ctx.group_counts_with(attrs, self.threads)
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {

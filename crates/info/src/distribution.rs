@@ -27,25 +27,26 @@
 //! tuple-level reference the id-level sum is tested to match bit for bit.
 
 use ajd_jointree::JoinTree;
-use ajd_relation::{GroupCounts, GroupIds, GroupSource, RelationError, Result, Value};
+use ajd_relation::{
+    GroupCounts, GroupIds, GroupKernel, GroupSource, RelationError, Result, ThreadBudget, Value,
+};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Marginal counts of a relation on the bags and separators of a join tree,
 /// together with the plumbing needed to evaluate `P^T` on tuples.
 ///
-/// The marginals are [`GroupCounts`] tables with decoded keys, which a
-/// caching [`GroupSource`] (an `AnalysisContext`, via `ajd_core::Analyzer`)
-/// decodes from its cached groupings when the distribution is built.
+/// The marginals are [`GroupCounts`] tables with decoded keys, decoded
+/// from the source's groupings when the distribution is built.
 #[derive(Debug, Clone)]
 pub struct TreeFactoredDistribution {
     /// Number of tuples of the underlying relation.
     n: u64,
     /// Per-bag marginal counts and the bag's column positions in the source
     /// relation's schema.
-    bag_counts: Vec<(Vec<usize>, Arc<GroupCounts>)>,
+    bag_counts: Vec<(Vec<usize>, GroupCounts)>,
     /// Per-separator marginal counts and column positions.
-    sep_counts: Vec<(Vec<usize>, Arc<GroupCounts>)>,
+    sep_counts: Vec<(Vec<usize>, GroupCounts)>,
 }
 
 /// Summary of a KL-divergence computation between the empirical distribution
@@ -64,23 +65,20 @@ impl TreeFactoredDistribution {
     ///
     /// The join tree's attributes must be exactly the relation's attributes
     /// (otherwise `P^T` is a distribution over a different variable set and
-    /// the KL-divergence is not defined tuple-wise).  Over a caching
-    /// [`GroupSource`] the bag and separator marginals are the same counts
-    /// the J-measure of the tree needs, so computing both costs one grouping
-    /// pass per attribute set.
-    pub fn new<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Self> {
+    /// the KL-divergence is not defined tuple-wise).
+    pub fn new<S: GroupKernel>(src: &S, tree: &JoinTree) -> Result<Self> {
         check_factorisable(src, tree)?;
         let mut bag_counts = Vec::with_capacity(tree.num_nodes());
         for bag in tree.bags() {
             let pos = src.attr_positions(bag)?;
-            let counts = src.group_counts(bag)?;
+            let counts = src.group_counts_with(bag, ThreadBudget::serial())?;
             bag_counts.push((pos, counts));
         }
         let mut sep_counts = Vec::with_capacity(tree.num_edges());
         for e in 0..tree.num_edges() {
             let sep = tree.separator(e);
             let pos = src.attr_positions(&sep)?;
-            let counts = src.group_counts(&sep)?;
+            let counts = src.group_counts_with(&sep, ThreadBudget::serial())?;
             sep_counts.push((pos, counts));
         }
         Ok(TreeFactoredDistribution {
@@ -135,9 +133,9 @@ impl TreeFactoredDistribution {
     /// Same terms in the same order as [`kl_report`], hence bit-identical
     /// to it, but each term pays hash probes on decoded keys.  It is the
     /// reference the id-level sum is checked against.
-    pub fn kl_by_tuples<S: GroupSource>(&self, src: &S) -> Result<KlReport> {
+    pub fn kl_by_tuples<S: GroupKernel>(&self, src: &S) -> Result<KlReport> {
         let attrs = src.attrs();
-        let full = src.group_counts(&attrs)?;
+        let full = src.group_counts_with(&attrs, ThreadBudget::serial())?;
         let n = src.num_rows() as f64;
         let mut kl = 0.0f64;
         // The grouped keys are in ascending-attribute order; log_prob expects

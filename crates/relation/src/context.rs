@@ -95,13 +95,6 @@ pub trait GroupSource {
     /// values it takes in the source (`d_A = |Π_A(R)|` in the paper).
     fn active_domain_size(&self, attr: AttrId) -> Result<usize>;
 
-    /// Multiplicities of the distinct `attrs`-projections of the relation's
-    /// tuples, with their keys decoded (see [`Relation::group_counts`]).
-    /// Decoded at every call and never cached: the measures read
-    /// [`GroupSource::distinct`], [`GroupSource::memo_entropy`] and
-    /// [`GroupSource::group_ids`] instead.
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>>;
-
     /// Interned group keys for `attrs` (see [`GroupIds`]).
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>>;
 
@@ -241,8 +234,9 @@ pub trait GroupKernel: GroupSource + Send + Sync {
         })
     }
 
-    /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
-    /// grouping decoded by [`GroupKernel::decode_group_counts`].
+    /// The multiplicities of the distinct `attrs`-projections with their
+    /// keys decoded (see [`Relation::group_counts`]), grouped under a
+    /// [`ThreadBudget`] and decoded by [`GroupKernel::decode_group_counts`].
     fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
         Ok(self.decode_group_counts(&*self.group_ids_with(attrs, budget)?))
     }
@@ -255,19 +249,16 @@ pub trait GroupKernel: GroupSource + Send + Sync {
     fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
         let dicts = dictionaries(self, ids.attrs())
             .expect("grouping was built from this source's attributes");
-        let mut keys: Vec<Value> = Vec::with_capacity(ids.group_codes().len());
-        for g in 0..ids.num_groups() {
-            for (&c, d) in ids.group_code(g).iter().zip(&dicts) {
-                keys.push(d[c as usize]);
-            }
+        let codes = ids.group_codes();
+        let keys = codes.iter().zip(dicts.iter().cycle());
+        GroupCounts {
+            attrs: ids.attrs().clone(),
+            total: self.num_rows() as u128,
+            keys: keys.map(|(&c, d)| d[c as usize]).collect(),
+            key_codes: codes.to_vec(),
+            counts: ids.counts().to_vec(),
+            index: OnceSlot::new(),
         }
-        GroupCounts::from_parts(
-            ids.attrs().clone(),
-            self.num_rows() as u128,
-            keys,
-            ids.group_codes().to_vec(),
-            ids.counts().to_vec(),
-        )
     }
 
     /// The set-semantic projection `Π_attrs(R)` computed under a
@@ -331,10 +322,6 @@ impl GroupSource for Relation {
         Relation::active_domain_size(self, attr)
     }
 
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        Relation::group_counts(self, attrs).map(Arc::new)
-    }
-
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         Relation::group_ids(self, attrs).map(Arc::new)
     }
@@ -379,10 +366,6 @@ where
 
     fn active_domain_size(&self, attr: AttrId) -> Result<usize> {
         (**self).active_domain_size(attr)
-    }
-
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        (**self).group_counts(attrs)
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
@@ -938,8 +921,11 @@ impl<S: GroupKernel> AnalysisContext<S> {
     /// The table every count lookup of `attrs` reads
     /// ([`AnalysisContext::distinct_with`]).
     fn count_table(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Arc<GroupIds>> {
-        let id_seeded = self.seeds.lock().holds_ids(attrs);
-        if id_seeded || self.group_ids.holds(attrs) {
+        // Only a set without an id seed gets a count slot, so a warm count
+        // lookup never takes the seeds lock.
+        let ids = self.group_ids.holds(attrs)
+            || !self.group_counts.holds(attrs) && self.seeds.lock().holds_ids(attrs);
+        if ids {
             return self.group_ids_with(attrs, budget);
         }
         self.memoized(&self.group_counts, attrs, || {
@@ -1312,10 +1298,6 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
         self.source.active_domain_size(attr)
     }
 
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        self.group_counts_with(attrs, ThreadBudget::default())
-    }
-
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.group_ids_with(attrs, ThreadBudget::default())
     }
@@ -1362,8 +1344,10 @@ mod tests {
         let r = sample();
         let ctx = AnalysisContext::new(&r);
         for attrs in [bag(&[0]), bag(&[0, 2]), bag(&[0, 1, 2]), AttrSet::empty()] {
-            let cached = ctx.group_counts(&attrs).unwrap();
-            let direct = r.group_counts(&attrs).unwrap();
+            let cached = ctx
+                .group_counts_with(&attrs, ThreadBudget::serial())
+                .unwrap();
+            let direct = r.group_counts_with(&attrs, ThreadBudget::serial()).unwrap();
             assert_eq!(cached.total, direct.total);
             assert_eq!(cached.num_groups(), direct.num_groups());
             for (key, count) in direct.iter() {
@@ -1378,7 +1362,9 @@ mod tests {
         let ctx = AnalysisContext::new(&r);
         for attrs in [bag(&[0]), bag(&[1, 2]), bag(&[0, 1, 2]), AttrSet::empty()] {
             let ids = ctx.group_ids(&attrs).unwrap();
-            let counts = ctx.group_counts(&attrs).unwrap();
+            let counts = ctx
+                .group_counts_with(&attrs, ThreadBudget::serial())
+                .unwrap();
             assert_eq!(ids.num_groups(), counts.num_groups());
             assert_eq!(ids.total() as u128, counts.total);
             assert_eq!(ids.row_ids().len(), r.len());
@@ -1429,11 +1415,13 @@ mod tests {
     fn count_miss_decodes_resident_ids_but_never_creates_them() {
         let r = sample();
         let attrs = bag(&[0, 1]);
-        let direct = r.group_counts(&attrs).unwrap();
+        let direct = r.group_counts_with(&attrs, ThreadBudget::serial()).unwrap();
 
         let ids_first = AnalysisContext::new(&r);
         ids_first.group_ids(&attrs).unwrap();
-        let decoded = ids_first.group_counts(&attrs).unwrap();
+        let decoded = ids_first
+            .group_counts_with(&attrs, ThreadBudget::serial())
+            .unwrap();
         let stats = ids_first.stats();
         assert_eq!((stats.misses, stats.hits), (1, 1));
         assert_eq!(stats.group_count_entries, 0);
@@ -1445,7 +1433,9 @@ mod tests {
         }
 
         let counts_first = AnalysisContext::new(&r);
-        counts_first.group_counts(&attrs).unwrap();
+        counts_first
+            .group_counts_with(&attrs, ThreadBudget::serial())
+            .unwrap();
         assert_eq!(counts_first.stats().group_id_entries, 0);
         counts_first.group_ids(&attrs).unwrap();
         let stats = counts_first.stats();
@@ -1456,7 +1446,9 @@ mod tests {
     fn unknown_attribute_is_not_cached() {
         let r = sample();
         let ctx = AnalysisContext::new(&r);
-        assert!(ctx.group_counts(&bag(&[9])).is_err());
+        assert!(ctx
+            .group_counts_with(&bag(&[9]), ThreadBudget::serial())
+            .is_err());
         assert!(ctx.group_ids(&bag(&[9])).is_err());
         assert_eq!(ctx.stats().group_count_entries, 0);
     }
@@ -1466,7 +1458,7 @@ mod tests {
         // The same generic function body works over a Relation (fresh
         // computation) and a context (memoized), with identical results.
         fn groups_via<S: GroupSource>(src: &S, attrs: &AttrSet) -> usize {
-            src.group_counts(attrs).unwrap().num_groups()
+            src.distinct(attrs).unwrap()
         }
         let r = sample();
         let ctx = AnalysisContext::new(&r);
@@ -1487,7 +1479,9 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for attrs in &sets {
-                        let c = ctx.group_counts(attrs).unwrap();
+                        let c = ctx
+                            .group_counts_with(attrs, ThreadBudget::serial())
+                            .unwrap();
                         assert_eq!(c.total, r.len() as u128);
                         let ids = ctx.group_ids(attrs).unwrap();
                         assert_eq!(ids.num_groups(), c.num_groups());
@@ -1539,7 +1533,9 @@ mod tests {
                 scope.spawn(|| {
                     barrier.wait(); // release all threads into the cold cache at once
                     for attrs in &sets {
-                        let c = ctx.group_counts(attrs).unwrap();
+                        let c = ctx
+                            .group_counts_with(attrs, ThreadBudget::serial())
+                            .unwrap();
                         assert_eq!(c.total, r.len() as u128);
                     }
                 });
@@ -1571,7 +1567,8 @@ mod tests {
                 scope.spawn(|| {
                     barrier.wait();
                     for attrs in &sets {
-                        ctx.group_counts(attrs).unwrap();
+                        ctx.group_counts_with(attrs, ThreadBudget::serial())
+                            .unwrap();
                         ctx.group_ids(attrs).unwrap();
                     }
                 });
@@ -1616,12 +1613,16 @@ mod tests {
         let r = sample();
         let ctx = AnalysisContext::new(&r);
         for _ in 0..2 {
-            assert!(ctx.group_counts(&bag(&[9])).is_err());
+            assert!(ctx
+                .group_counts_with(&bag(&[9]), ThreadBudget::serial())
+                .is_err());
             assert_eq!(ctx.stats().group_count_entries, 0);
             assert_eq!(ctx.stats().misses, 0);
         }
         // A successful lookup after the failures works normally.
-        assert!(ctx.group_counts(&bag(&[0])).is_ok());
+        assert!(ctx
+            .group_counts_with(&bag(&[0]), ThreadBudget::serial())
+            .is_ok());
         assert_eq!(ctx.stats().group_count_entries, 1);
     }
 
@@ -1773,7 +1774,12 @@ mod tests {
             let got = ctx
                 .group_counts_with(attrs, ThreadBudget::serial())
                 .unwrap();
-            let want = ctx.source().collect().unwrap().group_counts(attrs).unwrap();
+            let want = ctx
+                .source()
+                .collect()
+                .unwrap()
+                .group_counts_with(attrs, ThreadBudget::serial())
+                .unwrap();
             assert_eq!(got.total, want.total, "{attrs}: total");
             assert_eq!(got.counts(), want.counts(), "{attrs}: counts");
             for g in 0..want.num_groups() {

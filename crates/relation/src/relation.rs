@@ -362,42 +362,20 @@ pub struct GroupCounts {
     /// and totals (`ajd_info::entropy_of_count_values` takes it as is), so
     /// `N` reaches them exactly, with no narrowing cast.
     pub total: u128,
-    arity: usize,
     /// Flattened decoded group keys, `arity` values per group.
-    keys: Vec<Value>,
+    pub(crate) keys: Vec<Value>,
     /// Flattened dictionary-code group keys, `arity` codes per group.
-    key_codes: Vec<u32>,
+    pub(crate) key_codes: Vec<u32>,
     /// Multiplicity of each group, indexed by group id.
-    counts: Vec<u64>,
+    pub(crate) counts: Vec<u64>,
     /// Decoded key → group id, built on first point lookup.
-    index: ajd_sync::OnceSlot<FxHashMap<Box<[Value]>, u32>>,
+    pub(crate) index: ajd_sync::OnceSlot<FxHashMap<Box<[Value]>, u32>>,
 }
 
 impl GroupCounts {
-    /// Assembles a decoded count table from its parts (used by
-    /// [`GroupKernel::decode_group_counts`], which decodes group codes
-    /// through the source's dictionaries).
-    pub(crate) fn from_parts(
-        attrs: AttrSet,
-        total: u128,
-        keys: Vec<Value>,
-        key_codes: Vec<u32>,
-        counts: Vec<u64>,
-    ) -> Self {
-        GroupCounts {
-            arity: attrs.len(),
-            attrs,
-            total,
-            keys,
-            key_codes,
-            counts,
-            index: ajd_sync::OnceSlot::new(),
-        }
-    }
-
     /// Number of values per group key.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.attrs.len()
     }
 
     /// Number of distinct groups.
@@ -429,12 +407,12 @@ impl GroupCounts {
 
     /// The decoded key of group `g` (ascending attribute order).
     pub fn key(&self, g: usize) -> &[Value] {
-        &self.keys[g * self.arity..(g + 1) * self.arity]
+        &self.keys[g * self.arity()..(g + 1) * self.arity()]
     }
 
     /// The dictionary-code key of group `g`.
     pub fn key_codes(&self, g: usize) -> &[u32] {
-        &self.key_codes[g * self.arity..(g + 1) * self.arity]
+        &self.key_codes[g * self.arity()..(g + 1) * self.arity()]
     }
 
     /// Multiplicity of each group, indexed by group id (first-appearance

@@ -77,7 +77,7 @@ use crate::attr::{AttrId, AttrSet};
 use crate::context::{GroupKernel, GroupSource, StripedCache, TierStats};
 use crate::error::{RelationError, Result};
 use crate::parallel::{chunk_bounds, fan_out, ThreadBudget};
-use crate::relation::{merge_spans, Dict, GroupCounts, GroupIds, Relation, Value};
+use crate::relation::{merge_spans, Dict, GroupIds, Relation, Value};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -542,11 +542,6 @@ impl GroupSource for ShardedRelation {
         Ok(self.domain(attr)?.len())
     }
 
-    fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        self.group_counts_with(attrs, ThreadBudget::serial())
-            .map(Arc::new)
-    }
-
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.group_ids_inner(attrs, ThreadBudget::serial(), true)
     }
@@ -713,8 +708,12 @@ mod tests {
                     let c = sharded.group_ids_uncached_with(&attrs, budget).unwrap();
                     assert_ids_eq(&a, &c, &format!("uncached n={n} attrs={attrs}"));
                 }
-                let ca = flat.group_counts(&attrs).unwrap();
-                let cb = sharded.group_counts(&attrs).unwrap();
+                let ca = flat
+                    .group_counts_with(&attrs, ThreadBudget::serial())
+                    .unwrap();
+                let cb = sharded
+                    .group_counts_with(&attrs, ThreadBudget::serial())
+                    .unwrap();
                 assert_eq!(ca.total, cb.total);
                 assert_eq!(ca.counts(), cb.counts());
                 for g in 0..ca.num_groups() {
@@ -1048,7 +1047,9 @@ mod tests {
     fn unknown_attribute_errors() {
         let sharded = sample().into_shards(2).unwrap();
         assert!(sharded.group_ids(&bag(&[9])).is_err());
-        assert!(sharded.group_counts(&bag(&[9])).is_err());
+        assert!(sharded
+            .group_counts_with(&bag(&[9]), ThreadBudget::serial())
+            .is_err());
         // Failed lookups leave no cache entries behind.
         assert_eq!(sharded.shard_cache_stats(), TierStats::default());
     }

@@ -370,20 +370,10 @@ impl<'a> Server<'a> {
                         ),
                     ));
                 }
-                if rows.is_empty() {
-                    return Err(Failure::new(
-                        ErrorCode::BadRequest,
-                        "append needs at least one row",
-                    ));
-                }
-                if rows.len() > MAX_APPEND_ROWS {
-                    return Err(Failure::new(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "append of {} rows exceeds the {MAX_APPEND_ROWS}-row limit",
-                            rows.len()
-                        ),
-                    ));
+                if rows.is_empty() || rows.len() > MAX_APPEND_ROWS {
+                    let got = rows.len();
+                    let message = format!("append takes 1 to {MAX_APPEND_ROWS} rows, got {got}");
+                    return Err(Failure::new(ErrorCode::BadRequest, message));
                 }
                 // Every row's arity is checked before anything is interned,
                 // so a refused batch leaves the catalog as it was.
@@ -593,8 +583,8 @@ impl<'a> Server<'a> {
 /// cap-sized reads, so one endless line cannot grow a connection's memory.
 const MAX_LINE_BYTES: usize = 16 << 20;
 
-/// The most rows one `append` may carry.  A larger batch is answered with
-/// a `bad_request` frame before any label is interned.
+/// The most rows one `append` may carry; a larger batch is refused before
+/// any label is interned.
 const MAX_APPEND_ROWS: usize = 100_000;
 
 /// The `bad_request` frame for a line that never reached the parser.
@@ -1307,7 +1297,7 @@ os,bob,r2
             Some("bad_request")
         );
         let message = error.get("message").and_then(Json::as_str).unwrap();
-        assert!(message.contains("100000-row limit"), "{message}");
+        assert!(message.contains("1 to 100000 rows"), "{message}");
         assert_eq!(domains(&server), before, "nothing interned");
         let frame = server.handle_line(r#"{"op":"stats","relation":"courses"}"#);
         let relations = ok_get(&frame, "relations").as_arr().unwrap();
